@@ -2,14 +2,22 @@
 
 Dense matrices are lists of int rows (arbitrary precision).  Rank
 computations use a numpy int64 fast path with overflow guards and fall
-back to pure-python big integers, so results are always exact.  The
-Smith normal form keeps both transform matrices, which is what the
-freeness certificates and the universal (base-ring independent) linear
-solves need.
+back to pure-python big integers, so results are always exact.
+
+The Smith normal form works on sparse rows and keeps both transforms
+sparse (U by rows, V by columns), which is what the freeness
+certificates and the universal (base-ring independent) linear solves
+need.  Each step pivots on the first entry of smallest absolute value in
+row-major order; since no entry is smaller than a unit, the search stops
+at the first row holding a +-1, so a block that offers a unit at every
+step, as the trace blocks do, costs work in proportion to its nonzeros.
+``SmithSolver`` then keeps only the sparse solve projector V[:, :r]*U and
+the cokernel test V[:, r:], not the transforms themselves.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd
 
 import numpy as np
@@ -136,79 +144,109 @@ def rank_rational(rows) -> int:
 # -- Smith normal form -------------------------------------------------
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _axpy(dst: dict, src: dict, q: int) -> None:
+    """dst += q * src for sparse vectors stored as {index: nonzero}."""
+    if not q:
+        return
+    for k, v in src.items():
+        w = dst.get(k, 0) + q * v
+        if w:
+            dst[k] = w
+        else:
+            del dst[k]
+
+
+def _pivot(a: list[dict], t: int):
+    """(row, col) of the first entry of smallest absolute value in rows
+    t.., in row-major order, or None if they are zero.  Those rows are
+    zero left of column t.  No entry is smaller than a unit, so the scan
+    stops at the first row that holds a +-1."""
+    best = None  # (abs value, row, col)
+    for i in range(t, len(a)):
+        cand = min(((abs(v), j) for j, v in a[i].items()), default=None)
+        if cand is not None and (best is None or cand[0] < best[0]):
+            best = (cand[0], i, cand[1])
+            if cand[0] == 1:
+                break
+    return None if best is None else best[1:]
 
 
 def smith_normal_form(mat: list[list[int]]):
     """Return (diag, U, V) with U*A*V diagonal, U and V unimodular.
 
     ``diag`` lists the diagonal entries d_1 | d_2 | ... (nonzero first).
-    Row/column operations are tracked in U (left, r x r) and V (right,
-    c x c).
+    The transforms are sparse: U (r x r) as a list of its rows and V
+    (c x c) as a list of its columns, each a dict {index: nonzero entry}.
+    Every step takes as pivot the first entry of smallest absolute value
+    in row-major order; the work is proportional to the nonzeros touched,
+    not to the size of the block.
     """
-    a = [list(map(int, row)) for row in mat]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    U = _identity(nr)
-    V = _identity(nc)
+    nr = len(mat)
+    nc = len(mat[0]) if nr else 0
+    a = [{j: int(row[j]) for j in compress(range(nc), row)} for row in mat]
+    U = [{i: 1} for i in range(nr)]
+    V = [{j: 1} for j in range(nc)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         U[i], U[j] = U[j], U[i]
 
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
+    def swap_cols(i, j, rows):
+        for k in rows:
+            row = a[k]
+            vi, vj = row.pop(i, 0), row.pop(j, 0)
+            if vj:
+                row[i] = vj
+            if vi:
+                row[j] = vi
+        V[i], V[j] = V[j], V[i]
 
     def addmul_row(dst, src, q):
         # row_dst += q * row_src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
+        _axpy(a[dst], a[src], q)
+        _axpy(U[dst], U[src], q)
 
-    def addmul_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
+    def addmul_col(dst, src, q, rows):
+        # col_dst += q * col_src; ``rows`` holds every nonzero of col_src
+        for k in rows:
+            v = a[k].get(src)
+            if v:
+                _axpy(a[k], {dst: v}, q)
+        _axpy(V[dst], V[src], q)
 
     def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
+        a[i] = {k: -v for k, v in a[i].items()}
+        U[i] = {k: -v for k, v in U[i].items()}
 
     t = 0
     while t < min(nr, nc):
-        # locate a minimal nonzero entry in the remaining block
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                v = abs(a[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
+        piv = _pivot(a, t)
+        if piv is None:
             break
-        _, bi, bj = best
+        bi, bj = piv
         swap_rows(t, bi)
-        swap_cols(t, bj)
+        swap_cols(t, bj, range(t, nr))  # rows above t are zero from column t on
         while True:
             p = a[t][t]
             done = True
             for i in range(t + 1, nr):
-                if a[i][t]:
+                if a[i].get(t):
                     q = a[i][t] // p
                     addmul_row(i, t, -q)
-                    if a[i][t]:
+                    if a[i].get(t):
                         swap_rows(t, i)
                         p = a[t][t]
                         done = False
-            for j in range(t + 1, nc):
-                if a[t][j]:
+            # column ops change only columns t and j, so later columns of
+            # row t keep their entries
+            live = [i for i in range(t, nr) if t in a[i]]
+            for j in sorted(k for k in a[t] if k > t):
+                if a[t].get(j):
                     q = a[t][j] // p
-                    addmul_col(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
+                    addmul_col(j, t, -q, live)
+                    if a[t].get(j):
+                        swap_cols(t, j, range(t, nr))
+                        live = [i for i in range(t, nr) if t in a[i]]
                         p = a[t][t]
                         done = False
             if done:
@@ -217,36 +255,38 @@ def smith_normal_form(mat: list[list[int]]):
             negate_row(t)
         t += 1
 
-    # enforce the divisibility chain d_i | d_{i+1}
+    # enforce the divisibility chain d_i | d_{i+1}; the block is diagonal
+    # now, so each 2x2 step touches rows i and i+1 only
     changed = True
     while changed:
         changed = False
         for i in range(t - 1):
-            d1, d2 = a[i][i], a[i + 1][i + 1]
+            pair = (i, i + 1)
+            d1, d2 = a[i].get(i, 0), a[i + 1].get(i + 1, 0)
             if d1 and d2 % d1 != 0:
-                addmul_col(i, i + 1, 1)
+                addmul_col(i, i + 1, 1, pair)
                 # re-clear the 2x2 block
                 while True:
                     p = a[i][i]
-                    if a[i + 1][i]:
+                    if a[i + 1].get(i):
                         q = a[i + 1][i] // p
                         addmul_row(i + 1, i, -q)
-                        if a[i + 1][i]:
+                        if a[i + 1].get(i):
                             swap_rows(i, i + 1)
                             continue
-                    if a[i][i + 1]:
+                    if a[i].get(i + 1):
                         q = a[i][i + 1] // p
-                        addmul_col(i + 1, i, -q)
-                        if a[i][i + 1]:
-                            swap_cols(i, i + 1)
+                        addmul_col(i + 1, i, -q, pair)
+                        if a[i].get(i + 1):
+                            swap_cols(i, i + 1, pair)
                             continue
                     break
                 if a[i][i] < 0:
                     negate_row(i)
-                if a[i + 1][i + 1] < 0:
+                if a[i + 1].get(i + 1, 0) < 0:
                     negate_row(i + 1)
                 changed = True
-    diag = [a[k][k] for k in range(min(nr, nc))]
+    diag = [a[k].get(k, 0) for k in range(min(nr, nc))]
     return diag, U, V
 
 
@@ -255,6 +295,17 @@ class SmithSolver:
     Smith normal form has an all-ones diagonal (full row rank, unimodular
     content).  The integer transforms make the solution universal: the
     same U, V work after base change to any commutative ring.
+
+    The certificate comes from ``smith_normal_form``, which pivots on the
+    first unit it meets in row-major order, so a block that offers a unit
+    at every step costs work in proportion to its nonzeros.
+
+    With U*A*V = [I 0], x*A = v holds exactly when (v*V)[r:] = 0, and
+    then x = (v*V)[:r] * U.  The solver keeps neither transform: it
+    stores, sparse and by rows (one per column of A), the projector
+    P = V[:, :r] * U (``projector``) and the cokernel test V[:, r:]
+    (``cokernel``), so a solve skips the zero entries of v and costs ring
+    operations in proportion to the nonzeros of the rows they select.
     """
 
     def __init__(self, rows: list[list[int]]):
@@ -262,12 +313,23 @@ class SmithSolver:
         self.ncols = len(rows[0]) if rows else 0
         diag, U, V = smith_normal_form(rows)
         self.diag = diag
-        self.U = U
-        self.V = V
         self.certified = (
             len([d for d in diag if d != 0]) == self.nrows
             and all(d == 1 for d in diag[: self.nrows])
         )
+        self.projector = self.cokernel = None
+        if self.certified:
+            r = self.nrows
+            proj: list[dict] = [{} for _ in range(self.ncols)]
+            coker: list[dict] = [{} for _ in range(self.ncols)]
+            for j, col in enumerate(V):
+                for i, v in col.items():
+                    if j < r:
+                        _axpy(proj[i], U[j], v)
+                    else:
+                        coker[i][j] = v
+            self.projector = [tuple(row.items()) for row in proj]
+            self.cokernel = [tuple(row.items()) for row in coker]
 
     def solve(self, vec, ring):
         """Solve x*A = vec over ``ring``; vec has ring elements.
@@ -277,29 +339,21 @@ class SmithSolver:
         """
         if not self.certified:
             raise ValueError("matrix is not Smith-certified; cannot solve universally")
-        add, mul, frm = ring.add, ring.mul, ring.from_int
+        if len(vec) != self.ncols:
+            raise ValueError(f"vector has length {len(vec)}, expected {self.ncols}")
+        add, mul, frm, is_zero = ring.add, ring.mul, ring.from_int, ring.is_zero
         zero = ring.zero()
-        # w = vec * V
-        w = []
-        for j in range(self.ncols):
-            s = zero
-            for i in range(self.ncols):
-                vij = self.V[i][j]
-                if vij:
-                    s = add(s, mul(vec[i], frm(vij)))
-            w.append(s)
-        for j in range(self.nrows, self.ncols):
-            if not ring.is_zero(w[j]):
-                return None, False
-        # x = w[:nrows] * U
-        x = []
-        for j in range(self.nrows):
-            s = zero
-            for i in range(self.nrows):
-                uij = self.U[i][j]
-                if uij:
-                    s = add(s, mul(w[i], frm(uij)))
-            x.append(s)
+        x = [zero] * self.nrows
+        test: dict = {}  # the coordinates of (vec*V)[r:] that vec reaches
+        for i, c in enumerate(vec):
+            if is_zero(c):
+                continue
+            for k, v in self.cokernel[i]:
+                test[k] = add(test.get(k, zero), mul(c, frm(v)))
+            for k, v in self.projector[i]:
+                x[k] = add(x[k], mul(c, frm(v)))
+        if not all(is_zero(s) for s in test.values()):
+            return None, False
         return x, True
 
 

@@ -522,25 +522,35 @@ def _is_cyclically_minimal(word: tuple) -> bool:
 
 
 def check_standard_term(term: StandardTerm, arity: int | None = None) -> None:
-    """Raise AssertionError when a structural constraint is violated."""
+    """Raise ValueError when a structural constraint is violated."""
     letters = term.letters()
-    assert len(set(letters)) == len(letters), "letters repeat"
-    if arity is not None:
-        assert sorted(letters) == list(range(1, arity + 1)), "wrong letter set"
+    if len(set(letters)) != len(letters):
+        raise ValueError("letters repeat")
+    if arity is not None and sorted(letters) != list(range(1, arity + 1)):
+        raise ValueError("wrong letter set")
     for v in term.vs:
-        assert v and _is_cyclically_minimal(v), f"trace word {v} not cyclic-minimal"
-    assert list(term.vs) == sorted(term.vs), "trace words unsorted"
+        if not (v and _is_cyclically_minimal(v)):
+            raise ValueError(f"trace word {v} not cyclic-minimal")
+    if list(term.vs) != sorted(term.vs):
+        raise ValueError("trace words unsorted")
     for wi, ui in term.ms:
-        assert wi, "empty word slot in a mixed commutator"
-        assert ui and _is_cyclically_minimal(ui), f"{ui} not cyclic-minimal"
+        if not wi:
+            raise ValueError("empty word slot in a mixed commutator")
+        if not (ui and _is_cyclically_minimal(ui)):
+            raise ValueError(f"{ui} not cyclic-minimal")
     for u, u2 in term.ffs:
-        assert _is_cyclically_minimal(u) and _is_cyclically_minimal(u2)
+        if not (_is_cyclically_minimal(u) and _is_cyclically_minimal(u2)):
+            raise ValueError(f"{u} or {u2} not cyclic-minimal")
     stack = term.u_stack()
-    assert stack == sorted(stack), "u-words not globally sorted"
+    if stack != sorted(stack):
+        raise ValueError("u-words not globally sorted")
     for s, t in term.tcs:
-        assert t, "empty commutator tail"
-        assert any(s < x for x in t), f"x{s} is not below any letter of {t}"
-    assert list(term.tcs) == sorted(term.tcs), "trace-commutator pairs unsorted"
+        if not t:
+            raise ValueError("empty commutator tail")
+        if not any(s < x for x in t):
+            raise ValueError(f"x{s} is not below any letter of {t}")
+    if list(term.tcs) != sorted(term.tcs):
+        raise ValueError("trace-commutator pairs unsorted")
 
 
 def _basis_term_key(t):
@@ -840,10 +850,15 @@ def trace_normalize(f: TracePoly) -> StandardForm:
                 items[term] = c
     for term in items:
         if isinstance(term, StandardTerm):
-            check_standard_term(term, n)
-        else:
-            assert _monomial_irreducible(term.term)
-            assert sorted(term.letters()) == list(range(1, n + 1))
+            try:
+                check_standard_term(term, n)
+            except ValueError as exc:
+                raise TraceInternalError(f"basis term is not standard: {exc}") from exc
+        elif not (
+            _monomial_irreducible(term.term)
+            and sorted(term.letters()) == list(range(1, n + 1))
+        ):
+            raise TraceInternalError(f"basis monomial {term.term} is not irreducible")
     return StandardForm(ring, items)
 
 
@@ -936,10 +951,13 @@ def witness_search(
 ) -> Witness | None:
     """Search for a matrix substitution with a nonzero value.
 
-    Substitutions follow the path/cycle schema: every letter becomes a
-    coefficient times a matrix unit, where positions trace out a path or
-    a disjoint union of a path and cycles, and coefficients are short
-    generator monomials.  Returns the first nonzero hit, or None.
+    Every letter becomes a coefficient times a matrix unit.  For each
+    matrix size from 2 to ``max_n``, the first attempt places x_i at
+    position (i-1, i) modulo the size with coefficient 1; every later
+    attempt draws each letter's row and column uniformly at random and
+    its coefficient from 1, e1, e2, e1*e2 (``algebra.gen``) or a product
+    of two of these, seeded by ``seed``.  Returns the first substitution
+    with a nonzero value, or None.
     """
     n_letters = f.require_multilinear()
     if n_letters == 0:
@@ -960,7 +978,6 @@ def witness_search(
             else:
                 letters = list(range(1, n_letters + 1))
                 rng.shuffle(letters)
-                # split into a path plus loops over the available positions
                 for i in letters:
                     r = rng.randrange(size)
                     c = rng.randrange(size)

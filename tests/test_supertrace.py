@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from epsgrass import CoeffRing, GF, GrassAlgebra, QQ, ZZ
@@ -135,12 +139,35 @@ def test_normalize_rejects_bare_nested_trace():
 
 def test_standard_form_conformance_checker():
     check_standard_term(StandardTerm((1,), ((2, 3),), (), (), ()), 3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         # not cyclically minimal
         check_standard_term(StandardTerm((1,), ((3, 2),), (), (), ()), 3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         # s not below any letter of t
         check_standard_term(StandardTerm((), (), (), (), ((2, (1,)),)), 2)
+
+
+def test_standard_form_checker_survives_optimize_flag():
+    import epsgrass
+
+    code = (
+        "import sys\n"
+        "from epsgrass.supertrace import StandardTerm, check_standard_term\n"
+        "try:\n"
+        "    check_standard_term(StandardTerm((1,), ((3, 2),), (), (), ()), 3)\n"
+        "except ValueError:\n"
+        "    print('rejected', sys.flags.optimize)\n"
+    )
+    src = os.path.dirname(os.path.dirname(epsgrass.__file__))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["rejected", "1"]
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)], ids=["Z", "Q", "F3"])
