@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (or positive check), 1 semantic negative (not an
 identity, failed check, no witness), 2 usage or parse error, 3 missing
-ring capability.
+ring capability, 4 internal error (a certificate check failed).
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import sys
 from itertools import permutations
 
 from .comodule import (
+    MAX_COMODULE_ARITY,
+    InternalError,
     MultilinearPoly,
     comodule_rank,
     freeness_certificate,
@@ -30,6 +32,7 @@ from .supertrace import (
     NonMultilinearError,
     SuperTraceContext,
     TraceArgumentError,
+    TraceInternalError,
     eval_trace_poly,
     trace_normalize,
     witness_search,
@@ -39,6 +42,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
+EXIT_INTERNAL = 4
 
 
 def _common_flags(sub):
@@ -151,6 +155,8 @@ def _run(args) -> int:
         return EXIT_OK if free else EXIT_NEGATIVE
 
     if command == "signs":
+        if not 1 <= args.n <= MAX_COMODULE_ARITY:
+            raise _Usage(f"arity must be between 1 and {MAX_COMODULE_ARITY}")
         coeff = CoeffRing(ring)
         words = unit_words(args.n)
         table = []
@@ -279,6 +285,9 @@ def main(argv=None) -> int:
     except CapabilityError as err:
         print(f"capability error: {err}", file=sys.stderr)
         return EXIT_CAPABILITY
+    except (InternalError, TraceInternalError) as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

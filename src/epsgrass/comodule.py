@@ -6,10 +6,11 @@ s.  Substituting the generators e_1..e_n decides membership in the
 identity ideal of the twisted Grassmann algebra; the corresponding
 vector of generalized signs spans a free module of rank 2^(n-1), with
 an explicit spanning set (ascending prefix times a product of
-commutators in ascending disjoint pairs).  Rank and freeness are
-certified by exact integer linear algebra, and normal forms modulo the
-identities are computed by solving against the sign images of the
-spanning set.
+commutators in ascending disjoint pairs).  One integer certificate per
+arity proves freeness and the rank over every base ring at once: the
+spanning set has a unit Smith diagonal, and it spans the same lattice as
+the sign table.  Normal forms modulo the identities are computed by
+solving against the sign images of the spanning set.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Iterable, Sequence
 
 from .epsilon import CoeffRing, EpsPoly
 from .grassmann import GrassAlgebra, GrassElem, esgn, word_from_letters
-from .linalg import SmithSolver, rank_int, rank_mod, rank_rational
-from .rings import BaseRing, IntegerRing, ModRing, RationalRing, RingMismatchError
+from .linalg import SmithSolver
+from .rings import BaseRing, IntegerRing, RationalRing, RingMismatchError
 from . import epsilon
 
 MAX_COMODULE_ARITY = 8
@@ -284,22 +285,6 @@ def sign_matrix_int(n: int) -> tuple[list, list, list[list[int]]]:
     return perms, cols, rows
 
 
-def comodule_rank(n: int, ring: BaseRing) -> int:
-    """Rank of the module spanned by all generalized signs of S_n."""
-    if not 1 <= n <= MAX_COMODULE_ARITY:
-        raise ValueError(f"arity must be between 1 and {MAX_COMODULE_ARITY}")
-    _, _, rows = sign_matrix_int(n)
-    if isinstance(ring, IntegerRing):
-        return rank_int(rows)
-    if isinstance(ring, RationalRing):
-        return rank_rational(rows)
-    if isinstance(ring, ModRing):
-        if not ring.is_field:
-            raise ValueError("rank over Z/m needs a prime modulus")
-        return rank_mod(rows, ring.m)
-    raise ValueError(f"unsupported ring {ring}")
-
-
 def matrix_dump(n: int) -> str:
     """Debug format: one esgn row per permutation (lexicographic order),
     entries in canonical monomial column order."""
@@ -386,7 +371,7 @@ _SOLVER_CACHE: dict = {}
 def _spanning_solver(n: int):
     if n not in _SOLVER_CACHE:
         terms, cols, index, rows = _spanning_matrix_int(n)
-        _SOLVER_CACHE[n] = (terms, cols, index, SmithSolver(rows))
+        _SOLVER_CACHE[n] = (terms, cols, index, rows, SmithSolver(rows))
     return _SOLVER_CACHE[n]
 
 
@@ -395,8 +380,44 @@ def freeness_certificate(n: int) -> bool:
     diagonal of length 2^(n-1): the span is free over every base ring."""
     if not 1 <= n <= MAX_COMODULE_ARITY:
         raise ValueError(f"arity must be between 1 and {MAX_COMODULE_ARITY}")
-    terms, _, _, solver = _spanning_solver(n)
+    terms, _, _, _, solver = _spanning_solver(n)
     return solver.certified and solver.nrows == 2 ** (n - 1) == len(terms)
+
+
+_RANK_CACHE: dict = {}
+
+
+def comodule_rank(n: int, ring: BaseRing) -> int:
+    """Rank of the module spanned by all generalized signs of S_n.
+
+    It is 2^(n-1) over every commutative ring, so ``ring`` does not change
+    the answer.  The rank is proved once per arity by exact integer checks
+    on the sign rows S and the spanning rows B: (a) B has a unit Smith
+    diagonal of length 2^(n-1), so its span is a direct summand of that
+    rank; (b) every row of S solves against B; (c) B = T*S, where row t of
+    T holds the coefficients of spanning term t.  So span(S) = span(B),
+    which stays free of rank 2^(n-1) after any base change, composite Z/m
+    included.  A failed check raises ``InternalError``.
+    """
+    if n in _RANK_CACHE:
+        return _RANK_CACHE[n]
+    if not freeness_certificate(n):  # (a); rejects an arity out of range
+        raise InternalError(f"spanning set at arity {n} is not certified free")
+    perms, _, sign_rows = sign_matrix_int(n)
+    terms, _, _, rows, solver = _spanning_solver(n)
+    zz = IntegerRing()
+    for perm, row in zip(perms, sign_rows):  # (b)
+        if not solver.solve(row, zz)[1]:
+            raise InternalError(f"sign row {perm} is outside the spanning set's span")
+    table = dict(zip(perms, sign_rows))
+    for term, row in zip(terms, rows):  # (c)
+        combo = [0] * len(row)
+        for perm, c in term.to_poly(zz).coeffs.items():
+            combo = [x + c * v for x, v in zip(combo, table[perm])]
+        if combo != row:
+            raise InternalError(f"spanning row {term.render()} differs from T*S")
+    _RANK_CACHE[n] = 2 ** (n - 1)
+    return _RANK_CACHE[n]
 
 
 def grassmann_normal_form(f: MultilinearPoly) -> dict[SpanningTerm, object]:
@@ -410,7 +431,7 @@ def grassmann_normal_form(f: MultilinearPoly) -> dict[SpanningTerm, object]:
         raise ValueError("normal form needs Z or a field")
     if not freeness_certificate(f.n):
         raise InternalError(f"spanning set at arity {f.n} is not certified free")
-    terms, cols, index, solver = _spanning_solver(f.n)
+    terms, _, index, _, solver = _spanning_solver(f.n)
     vec = _vectorize(psi(f), index, ring)
     sol, ok = solver.solve(vec, ring)
     if not ok:

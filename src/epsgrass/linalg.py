@@ -1,8 +1,10 @@
-"""Exact linear algebra over Z, Q and GF(p).
+"""Exact integer linear algebra whose certificates hold over every ring.
 
-Dense matrices are lists of int rows (arbitrary precision).  Rank
-computations use a numpy int64 fast path with overflow guards and fall
-back to pure-python big integers, so results are always exact.
+Dense matrices are lists of int rows (arbitrary precision); there is no
+floating point and no fixed-width fast path, so every result is exact.
+Nothing here ranks a matrix over a particular ring: a rank over every
+base ring at once follows from a Smith certificate with unit diagonal
+(see ``comodule.comodule_rank``).
 
 The Smith normal form works on sparse rows and keeps both transforms
 sparse (U by rows, V by columns), which is what the freeness
@@ -19,126 +21,6 @@ from __future__ import annotations
 
 from itertools import compress
 from math import gcd
-
-import numpy as np
-
-_NP_LIMIT = 1 << 44  # leave headroom for products inside int64
-
-
-def _row_gcd(row) -> int:
-    g = 0
-    for v in row:
-        g = gcd(g, abs(v))
-        if g == 1:
-            return 1
-    return g
-
-
-def rank_int(rows: list[list[int]]) -> int:
-    """Rank over the fraction field, by fraction-free elimination on Z rows."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    arr = np.array(rows, dtype=object)
-    maxabs = max((abs(int(v)) for v in arr.flat), default=0)
-    if maxabs < _NP_LIMIT:
-        try:
-            return _rank_int_np(np.array(rows, dtype=np.int64))
-        except OverflowError:
-            pass
-    return _rank_int_py([list(map(int, r)) for r in rows], ncols)
-
-
-def _rank_int_np(mat: np.ndarray) -> int:
-    nrows, ncols = mat.shape
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        sub = mat[rank:, col]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
-            continue
-        # smallest pivot keeps growth down
-        pick = nz[np.argmin(np.abs(sub[nz]))] + rank
-        mat[[rank, pick]] = mat[[pick, rank]]
-        pivot_row = mat[rank]
-        p = int(pivot_row[col])
-        rows = np.nonzero(mat[rank + 1 :, col])[0] + rank + 1
-        if rows.size:
-            leads = mat[rows, col].copy()
-            if max(abs(p), int(np.max(np.abs(leads)))) * int(
-                np.max(np.abs(mat[rows])) + np.max(np.abs(pivot_row))
-            ) > (1 << 62):
-                raise OverflowError
-            mat[rows] = mat[rows] * p - np.outer(leads, pivot_row)
-            for r in rows:
-                g = int(np.gcd.reduce(np.abs(mat[r])))
-                if g > 1:
-                    mat[r] //= g
-            if int(np.max(np.abs(mat))) > _NP_LIMIT:
-                raise OverflowError
-        rank += 1
-    return rank
-
-
-def _rank_int_py(rows: list[list[int]], ncols: int) -> int:
-    pivots: list[tuple[int, list[int]]] = []  # (pivot col, primitive row)
-    for row in rows:
-        row = row[:]
-        for col, prow in pivots:
-            if row[col]:
-                a, b = prow[col], row[col]
-                row = [a * x - b * y for x, y in zip(row, prow)]
-        lead = next((j for j, v in enumerate(row) if v), None)
-        if lead is None:
-            continue
-        g = _row_gcd(row)
-        if g > 1:
-            row = [v // g for v in row]
-        pivots.append((lead, row))
-        pivots.sort(key=lambda t: t[0])
-    return len(pivots)
-
-
-def rank_mod(rows: list[list[int]], p: int) -> int:
-    """Rank over GF(p)."""
-    if not rows:
-        return 0
-    mat = np.array(rows, dtype=np.int64) % p
-    nrows, ncols = mat.shape
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        sub = mat[rank:, col]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
-            continue
-        pick = nz[0] + rank
-        mat[[rank, pick]] = mat[[pick, rank]]
-        inv = pow(int(mat[rank, col]), -1, p)
-        mat[rank] = (mat[rank] * inv) % p
-        rows_nz = np.nonzero(mat[rank + 1 :, col])[0] + rank + 1
-        if rows_nz.size:
-            leads = mat[rows_nz, col].copy()
-            mat[rows_nz] = (mat[rows_nz] - leads[:, None] * mat[rank]) % p
-        rank += 1
-    return rank
-
-
-def rank_rational(rows) -> int:
-    """Rank over Q.  Denominators are cleared; elimination is fraction-free."""
-    from fractions import Fraction
-
-    cleared = []
-    for row in rows:
-        den = 1
-        for v in row:
-            if isinstance(v, Fraction):
-                den = den * v.denominator // gcd(den, v.denominator)
-        cleared.append([int(v * den) for v in row])
-    return rank_int(cleared)
 
 
 # -- Smith normal form -------------------------------------------------
@@ -371,12 +253,9 @@ class LatticeReducer:
 
     def __init__(self, rows: list[list[int]], ncols: int):
         self.ncols = ncols
-        basis: list[list[int]] = []
-        for row in rows:
-            basis.append(list(map(int, row)))
         self.hnf: list[tuple[int, list[int]]] = []  # (pivot col, row), pivot > 0
-        for row in basis:
-            self._insert(row)
+        for row in rows:
+            self._insert(list(map(int, row)))
         self.hnf.sort(key=lambda t: t[0])
         self._normalize_off_pivots()
 

@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
+import epsgrass
+from epsgrass import cli
 from epsgrass.cli import main
+from epsgrass.comodule import InternalError
+from epsgrass.supertrace import TraceInternalError
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +72,12 @@ def test_comodule(capsys):
     assert payload["result"] == 4
     assert payload["details"]["free"] is True
     assert len(payload["details"]["basis"]) == 4
+
+
+def test_comodule_composite_modulus(capsys):
+    code, out, _ = run_cli(capsys, "comodule", "--n", "4", "--ring", "mod:4")
+    assert code == 0
+    assert out.splitlines()[:2] == ["rank 8", "free: yes"]
 
 
 def test_comodule_dump_matrix(capsys):
@@ -151,6 +164,43 @@ def test_exit_code_matrix(capsys):
     capsys.readouterr()
     assert main(["idempotents", "--X", "1", "--ring", "mod:6"]) == 3
     capsys.readouterr()
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def fail(exc):
+        def raiser(*args, **kwargs):
+            raise exc("certificate check failed")
+
+        return raiser
+
+    monkeypatch.setattr(cli, "comodule_rank", fail(InternalError))
+    code, _, err = run_cli(capsys, "comodule", "--n", "3")
+    assert code == 4 and err.startswith("internal error: certificate check failed")
+    monkeypatch.setattr(cli, "trace_normalize", fail(TraceInternalError))
+    code, _, err = run_cli(capsys, "trace-check", "Tr(x1)")
+    assert code == 4 and err.startswith("internal error: certificate check failed")
+
+
+def test_signs_arity_bounds(capsys):
+    for n in ("-1", "0", "9"):
+        code, out, err = run_cli(capsys, "signs", "--n", n)
+        assert code == 2 and out == "" and "arity must be between 1 and 8" in err
+    code, out, _ = run_cli(capsys, "signs", "--n", "1")
+    assert code == 0 and out == "1: [1]\n"
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, epsgrass.cli\nprint('numpy' in sys.modules)\n"
+    src = os.path.dirname(os.path.dirname(epsgrass.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_grade_annotation_rejected(capsys):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from epsgrass import GF, QQ, ZZ, CoeffRing, esgn
+from epsgrass import GF, QQ, ZZ, CoeffRing, ModRing, comodule, esgn
 from epsgrass.comodule import (
+    InternalError,
     MultilinearPoly,
     SpanningTerm,
     WordPoly,
@@ -15,12 +16,15 @@ from epsgrass.comodule import (
     matrix_dump,
     psi,
     sign_act,
+    sign_matrix_int,
     sn_act_poly,
     spanning_terms,
     unit_words,
 )
+from epsgrass.linalg import smith_normal_form
 
 from conftest import random_perm, zz_algebra
+from rank_oracle import fraction_rank
 
 
 A = zz_algebra()
@@ -135,12 +139,14 @@ def test_is_identity_iff_psi_zero(rng):
         assert is_identity(f) == psi(f).is_zero()
 
 
-@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3)], ids=["Z", "Q", "F2", "F3"])
+@pytest.mark.parametrize(
+    "ring",
+    [ZZ, QQ, GF(2), GF(3), ModRing(4), ModRing(6)],
+    ids=["Z", "Q", "F2", "F3", "Z4", "Z6"],
+)
 def test_comodule_rank_small(ring):
-    assert comodule_rank(1, ring) == 1
-    assert comodule_rank(2, ring) == 2
-    assert comodule_rank(3, ring) == 4
-    assert comodule_rank(4, ring) == 8
+    for n in range(1, 6):
+        assert comodule_rank(n, ring) == 2 ** (n - 1)
 
 
 def test_comodule_rank_guard():
@@ -148,6 +154,49 @@ def test_comodule_rank_guard():
         comodule_rank(9, ZZ)
     with pytest.raises(ValueError):
         comodule_rank(0, ZZ)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_comodule_rank_matches_elimination_oracles(n):
+    # the whole sign table has Smith diagonal 2^(n-1) ones, then zeros
+    rows = sign_matrix_int(n)[2]
+    r = 2 ** (n - 1)
+    diag, _, _ = smith_normal_form(rows)
+    assert diag == [1] * r + [0] * (len(diag) - r)
+    assert comodule_rank(n, ZZ) == r
+    if n <= 5:
+        assert fraction_rank(rows) == r
+
+
+def corrupted_rank(monkeypatch, n, corrupt):
+    """comodule_rank(n) certified afresh on a corrupted copy of the cached
+    sign table; ``corrupt(cols, rows)`` edits the copy in place."""
+    perms, cols, rows = sign_matrix_int(n)
+    rows = [list(row) for row in rows]
+    corrupt(cols, rows)
+    monkeypatch.setattr(comodule, "_SIGN_MATRIX_CACHE", {n: (perms, cols, rows)})
+    monkeypatch.setattr(comodule, "_RANK_CACHE", {})
+    return comodule_rank(n, ZZ)
+
+
+def test_comodule_rank_rejects_row_outside_span(monkeypatch):
+    # theta alone is not in the span of the spanning set
+    def corrupt(cols, rows):
+        rows[-1][cols.index((1, ()))] += 1
+
+    with pytest.raises(InternalError, match="outside"):
+        corrupted_rank(monkeypatch, 3, corrupt)
+
+
+def test_comodule_rank_rejects_table_not_spanning(monkeypatch):
+    # zero rows lie in every span, but cannot give back the spanning rows
+    def corrupt(cols, rows):
+        rows[:] = [[0] * len(cols) for _ in rows]
+
+    with pytest.raises(InternalError, match="differs"):
+        corrupted_rank(monkeypatch, 3, corrupt)
+    monkeypatch.undo()
+    assert comodule_rank(3, ZZ) == 4  # the real table still certifies
 
 
 def test_spanning_terms_count():

@@ -112,7 +112,7 @@ def test_phi_embed_injective_on_basis_words():
     # independent over Q
     from itertools import combinations
 
-    from epsgrass.linalg import rank_rational
+    from rank_oracle import fraction_rank
 
     S = single_index_salgebra()
     target = GrassAlgebra(CQ)
@@ -132,7 +132,7 @@ def test_phi_embed_injective_on_basis_words():
                 vec[col] = scalar
         vectors.append(vec)
     rows = [[v.get(j, Fraction(0)) for j in range(len(coords))] for v in vectors]
-    assert rank_rational(rows) == len(words)
+    assert fraction_rank(rows) == len(words)
 
 
 # -- matrices --------------------------------------------------------------

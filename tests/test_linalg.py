@@ -3,14 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from epsgrass.linalg import (
-    LatticeReducer,
-    SmithSolver,
-    rank_int,
-    rank_mod,
-    rank_rational,
-    smith_normal_form,
-)
+from epsgrass.linalg import LatticeReducer, SmithSolver, smith_normal_form
 
 
 def random_matrix(rng, nrows, ncols, lo=-5, hi=5):
@@ -22,48 +15,6 @@ def mat_mul(a, b):
         [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
         for i in range(len(a))
     ]
-
-
-def test_rank_simple():
-    assert rank_int([[1, 0], [0, 1]]) == 2
-    assert rank_int([[1, 2], [2, 4]]) == 1
-    assert rank_int([[0, 0], [0, 0]]) == 0
-    assert rank_mod([[1, 2], [2, 4]], 5) == 1
-    assert rank_mod([[1, 1], [1, -1]], 2) == 1  # det 2 vanishes mod 2
-    assert rank_rational([[Fraction(1, 2), 1], [1, 2]]) == 1
-
-
-def test_rank_matches_fraction_elimination(rng=None):
-    rng = random.Random(5)
-    for _ in range(40):
-        m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        expected = _fraction_rank(m)
-        assert rank_int(m) == expected
-
-
-def _fraction_rank(m):
-    rows = [[Fraction(v) for v in row] for row in m]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-def test_rank_int_big_values_fallback():
-    big = 1 << 60
-    m = [[big, 1], [0, big]]
-    assert rank_int(m) == 2
 
 
 def dense_transforms(U, V):
