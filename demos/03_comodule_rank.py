@@ -9,7 +9,6 @@ forms modulo the identities are exact coordinates in the spanning set.
 from epsgrass import GF, QQ, ZZ
 from epsgrass.comodule import (
     MultilinearPoly,
-    WordPoly,
     comodule_rank,
     freeness_certificate,
     grassmann_normal_form,
@@ -17,8 +16,9 @@ from epsgrass.comodule import (
     psi,
     spanning_terms,
 )
+from epsgrass.terms import TracePoly
 
-x = lambda i: WordPoly.var(ZZ, i)  # noqa: E731
+x = lambda i: TracePoly.letter(ZZ, i)  # noqa: E731
 
 grassmann = MultilinearPoly.from_word_poly(
     x(1).commutator(x(2).commutator(x(3))), 3

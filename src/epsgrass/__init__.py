@@ -20,13 +20,12 @@ from .rings import (
     RingMismatchError,
     ring_from_spec,
 )
-from .epsilon import CoeffRing, EpsPoly, eps_add, eps_mul, exp_map, phi_sigma
+from .epsilon import CoeffRing, EpsPoly, exp_map, phi_sigma
 from .grassmann import (
     GrassAlgebra,
     GrassElem,
     Word,
     commutator,
-    eps_of_grade,
     esgn,
     eta_endomorphism,
     permute_words,
@@ -37,7 +36,7 @@ from .grassmann import (
     word_grade,
     word_letters,
 )
-from .salg import SAlgebra, SElem, s_mul, s_scommutator
+from .salg import SAlgebra, SElem
 
 __all__ = [
     "ZZ",
@@ -53,15 +52,12 @@ __all__ = [
     "ring_from_spec",
     "CoeffRing",
     "EpsPoly",
-    "eps_add",
-    "eps_mul",
     "exp_map",
     "phi_sigma",
     "GrassAlgebra",
     "GrassElem",
     "Word",
     "commutator",
-    "eps_of_grade",
     "esgn",
     "eta_endomorphism",
     "permute_words",
@@ -73,6 +69,4 @@ __all__ = [
     "word_letters",
     "SAlgebra",
     "SElem",
-    "s_mul",
-    "s_scommutator",
 ]

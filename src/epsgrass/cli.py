@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success (or positive check), 1 semantic negative (not an
-identity, failed check, no witness), 2 usage or parse error, 3 missing
-ring capability, 4 internal error (a certificate check failed).
+identity, failed check, no witness), 2 usage or parse error (an option
+outside ``CLI_LIMITS`` included), 3 missing ring capability, 4 internal
+error (a certificate check failed).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .comodule import (
     unit_words,
 )
 from .epsilon import CoeffRing
-from .expr import ExprSyntaxError, compile_grass, compile_trace_poly, compile_word_poly, parse
+from .expr import ExprSyntaxError, compile_grass, compile_trace_poly, parse, reject_trace
 from .grassmann import GrassAlgebra, esgn
 from .hull import all_sign_maps, idempotent_system_check, projected_commutation_check
 from .rings import CapabilityError, ring_from_spec
@@ -43,6 +44,19 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 EXIT_INTERNAL = 4
+
+# The bounds of the integer options, checked before any work: command ->
+# (option, name in messages, lowest, highest or None).  idempotents costs
+# O(4^X) products (16 s over Q at --X 6); a witness search that exhausts
+# its attempts takes 7.5 s at --max-n 6.  The expression text bounds the
+# work of check-identity, so --vars has no upper bound.
+CLI_LIMITS = {
+    "comodule": ("n", "arity", 1, MAX_COMODULE_ARITY),
+    "signs": ("n", "arity", 1, MAX_COMODULE_ARITY),
+    "idempotents": ("x_size", "--X", 0, 6),
+    "trace-witness": ("max_n", "--max-n", 2, 6),
+    "check-identity": ("vars", "--vars", 1, None),
+}
 
 
 def _common_flags(sub):
@@ -106,8 +120,15 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _run(args) -> int:
-    ring = ring_from_spec(args.ring)
     command = args.command
+    if command in CLI_LIMITS:
+        dest, name, lo, hi = CLI_LIMITS[command]
+        value = getattr(args, dest)
+        if hi is None and value < lo:
+            raise _Usage(f"{name} must be at least {lo}")
+        if hi is not None and not lo <= value <= hi:
+            raise _Usage(f"{name} must be between {lo} and {hi}")
+    ring = ring_from_spec(args.ring)
 
     if command == "normalize":
         algebra = GrassAlgebra(CoeffRing(ring), truncated=args.truncated)
@@ -122,7 +143,9 @@ def _run(args) -> int:
         return EXIT_OK
 
     if command == "check-identity":
-        poly = compile_word_poly(parse(args.expr), ring)
+        tree = parse(args.expr)
+        reject_trace(tree)
+        poly = compile_trace_poly(tree, ring)
         try:
             f = MultilinearPoly.from_word_poly(poly, args.vars)
         except ValueError as err:
@@ -155,8 +178,6 @@ def _run(args) -> int:
         return EXIT_OK if free else EXIT_NEGATIVE
 
     if command == "signs":
-        if not 1 <= args.n <= MAX_COMODULE_ARITY:
-            raise _Usage(f"arity must be between 1 and {MAX_COMODULE_ARITY}")
         coeff = CoeffRing(ring)
         words = unit_words(args.n)
         table = []

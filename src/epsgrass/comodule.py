@@ -18,10 +18,11 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .epsilon import CoeffRing, EpsPoly
+from .epsilon import CoeffRing, EpsPoly, all_monomials
 from .grassmann import GrassAlgebra, GrassElem, esgn, word_from_letters
 from .linalg import SmithSolver
-from .rings import BaseRing, IntegerRing, RationalRing, RingMismatchError
+from .rings import BaseRing, IntegerRing, RingMismatchError
+from .terms import TracePoly, add_terms, scale_terms
 from . import epsilon
 
 MAX_COMODULE_ARITY = 8
@@ -29,75 +30,6 @@ MAX_COMODULE_ARITY = 8
 
 class InternalError(Exception):
     """A contract the certified linear algebra guarantees was violated."""
-
-
-class WordPoly:
-    """Noncommutative polynomial in formal variables x_i (plumbing used to
-    expand commutator products into monomial tables)."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: BaseRing, terms: dict | None = None):
-        self.ring = ring
-        self.terms = terms or {}
-
-    @classmethod
-    def var(cls, ring: BaseRing, i: int) -> "WordPoly":
-        return cls(ring, {(i,): ring.one()})
-
-    @classmethod
-    def const(cls, ring: BaseRing, c) -> "WordPoly":
-        if ring.is_zero(c):
-            return cls(ring, {})
-        return cls(ring, {(): c})
-
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"{self.ring} vs {other.ring}")
-
-    def __add__(self, other: "WordPoly") -> "WordPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = self.ring.add(out.get(w, self.ring.zero()), c)
-            if self.ring.is_zero(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return WordPoly(self.ring, out)
-
-    def __neg__(self) -> "WordPoly":
-        return WordPoly(self.ring, {w: self.ring.neg(c) for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "WordPoly") -> "WordPoly":
-        self._check(other)
-        out: dict = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                w = wa + wb
-                s = self.ring.add(out.get(w, self.ring.zero()), self.ring.mul(ca, cb))
-                if self.ring.is_zero(s):
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return WordPoly(self.ring, out)
-
-    def commutator(self, other: "WordPoly") -> "WordPoly":
-        return self * other - other * self
-
-    def scale(self, c) -> "WordPoly":
-        out = {}
-        for w, v in self.terms.items():
-            s = self.ring.mul(v, c)
-            if not self.ring.is_zero(s):
-                out[w] = s
-        return WordPoly(self.ring, out)
-
-    def is_zero(self):
-        return not self.terms
 
 
 class MultilinearPoly:
@@ -116,8 +48,11 @@ class MultilinearPoly:
         self.coeffs = coeffs
 
     @classmethod
-    def from_word_poly(cls, p: WordPoly, n: int) -> "MultilinearPoly":
+    def from_word_poly(cls, p: TracePoly, n: int) -> "MultilinearPoly":
+        """The polynomial p as arity n; p must not apply Tr."""
         for w in p.terms:
+            if not all(isinstance(a, int) for a in w):
+                raise ValueError("Tr(...) is only allowed in trace expressions")
             if sorted(w) != list(range(1, n + 1)):
                 raise ValueError(
                     f"monomial {w} is not multilinear in x1..x{n}"
@@ -137,13 +72,7 @@ class MultilinearPoly:
 
     def __add__(self, other: "MultilinearPoly") -> "MultilinearPoly":
         self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = self.ring.add(out.get(k, self.ring.zero()), c)
-            if self.ring.is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
+        out = add_terms(self.ring, self.coeffs, other.coeffs)
         return MultilinearPoly(self.n, self.ring, out)
 
     def __neg__(self):
@@ -155,11 +84,7 @@ class MultilinearPoly:
         return self + (-other)
 
     def scale(self, c) -> "MultilinearPoly":
-        out = {}
-        for k, v in self.coeffs.items():
-            s = self.ring.mul(v, c)
-            if not self.ring.is_zero(s):
-                out[k] = s
+        out = scale_terms(self.ring, self.coeffs, c)
         return MultilinearPoly(self.n, self.ring, out)
 
     def is_zero(self) -> bool:
@@ -206,14 +131,10 @@ def evaluate(f: MultilinearPoly, subs: Sequence[GrassElem]) -> GrassElem:
     return result
 
 
-def identity_test_algebra(ring: BaseRing, truncated: bool = False) -> GrassAlgebra:
-    return GrassAlgebra(CoeffRing(ring), truncated=truncated)
-
-
 def is_identity(f: MultilinearPoly, truncated: bool = False) -> bool:
     """Membership in the identity ideal: f is an identity iff it vanishes
     on the generic substitution x_i -> e_i."""
-    algebra = identity_test_algebra(f.ring, truncated)
+    algebra = GrassAlgebra(f.ring, truncated=truncated)
     subs = [algebra.gen(i) for i in range(1, f.n + 1)]
     return evaluate(f, subs).is_zero()
 
@@ -252,15 +173,6 @@ def sign_act(pi: Sequence[int], lam: EpsPoly, n: int | None = None) -> EpsPoly:
     return esgn(coeff, unit_words(n), pi) * epsilon.phi_sigma(pmap, lam)
 
 
-def _monomial_columns(n: int):
-    cols = []
-    for t in (0, 1):
-        for r in range(n + 1):
-            for eps in combinations(range(1, n + 1), r):
-                cols.append((t, eps))
-    return cols
-
-
 def _vectorize(p: EpsPoly, index: dict, ring: BaseRing):
     vec = [ring.zero()] * len(index)
     for key, c in p.terms.items():
@@ -277,7 +189,7 @@ def sign_matrix_int(n: int) -> tuple[list, list, list[list[int]]]:
         return _SIGN_MATRIX_CACHE[n]
     coeff = CoeffRing(IntegerRing())
     w = unit_words(n)
-    cols = _monomial_columns(n)
+    cols = all_monomials(range(1, n + 1))
     index = {m: k for k, m in enumerate(cols)}
     perms = sorted(permutations(range(1, n + 1)))
     rows = [_vectorize(esgn(coeff, w, s), index, IntegerRing()) for s in perms]
@@ -330,11 +242,11 @@ class SpanningTerm(tuple):
         return len(self.prefix) + len(self.tail)
 
     def to_poly(self, ring: BaseRing) -> MultilinearPoly:
-        p = WordPoly.const(ring, ring.one())
+        p = TracePoly.const(ring, ring.one())
         for i in self.prefix:
-            p = p * WordPoly.var(ring, i)
+            p = p * TracePoly.letter(ring, i)
         for a, b in zip(self.tail[::2], self.tail[1::2]):
-            p = p * WordPoly.var(ring, a).commutator(WordPoly.var(ring, b))
+            p = p * TracePoly.letter(ring, a).commutator(TracePoly.letter(ring, b))
         return MultilinearPoly.from_word_poly(p, self.arity())
 
     def render(self) -> str:
@@ -355,7 +267,7 @@ def spanning_terms(n: int) -> list[SpanningTerm]:
 
 
 def _spanning_matrix_int(n: int):
-    cols = _monomial_columns(n)
+    cols = all_monomials(range(1, n + 1))
     index = {m: k for k, m in enumerate(cols)}
     terms = spanning_terms(n)
     zz = IntegerRing()
@@ -423,12 +335,11 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
 def grassmann_normal_form(f: MultilinearPoly) -> dict[SpanningTerm, object]:
     """Coordinates of f in the spanning basis, modulo the identity ideal.
 
-    Solves psi(f) = sum c_B psi(B) with the integer certificate, then
-    verifies the residual f - sum c_B B is an identity.
+    Solves psi(f) = sum c_B psi(B) with the integer certificate, which
+    holds over every base ring, composite Z/m included, then verifies the
+    residual f - sum c_B B is an identity.
     """
     ring = f.ring
-    if not (isinstance(ring, (IntegerRing, RationalRing)) or ring.is_field):
-        raise ValueError("normal form needs Z or a field")
     if not freeness_certificate(f.n):
         raise InternalError(f"spanning set at arity {f.n} is not certified free")
     terms, _, index, _, solver = _spanning_solver(f.n)

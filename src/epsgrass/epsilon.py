@@ -12,9 +12,11 @@ existing polynomial, so values can be shared freely.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 from typing import Iterable
 
 from .rings import BaseRing, RingMismatchError
+from .terms import add_term, add_terms, scale_terms
 
 # A monomial key is (theta_deg, eps_indices) with theta_deg in {0, 1}
 # and eps_indices a strictly increasing tuple of positive ints.
@@ -50,6 +52,17 @@ class CoeffRing:
     def __repr__(self):
         suffix = ", theta=0" if self.theta_zero else ""
         return f"CoeffRing({self.base}{suffix})"
+
+    # -- arithmetic on EpsPoly values, for the term-map helpers ------
+
+    def add(self, a: "EpsPoly", b: "EpsPoly") -> "EpsPoly":
+        return a + b
+
+    def mul(self, a: "EpsPoly", b: "EpsPoly") -> "EpsPoly":
+        return a * b
+
+    def is_zero(self, a: "EpsPoly") -> bool:
+        return not a.terms
 
     # -- constructors ------------------------------------------------
 
@@ -99,6 +112,17 @@ def _check_monomial(key: Monomial):
         raise ValueError("eps indices start at 1")
 
 
+def all_monomials(indices: Iterable[int]) -> list[Monomial]:
+    """Every reduced monomial over the given eps indices: theta-free ones
+    first, then by degree, then lexicographically."""
+    idx = sorted(indices)
+    out = []
+    for t in (0, 1):
+        for r in range(len(idx) + 1):
+            out.extend((t, combo) for combo in combinations(idx, r))
+    return out
+
+
 class EpsPoly:
     """Element of C[eps] in reduced form: map monomial -> nonzero scalar."""
 
@@ -133,15 +157,7 @@ class EpsPoly:
 
     def __add__(self, other: "EpsPoly") -> "EpsPoly":
         self._check_ring(other)
-        base = self.ring.base
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = base.add(terms.get(key, base.zero()), c)
-            if base.is_zero(s):
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return EpsPoly(self.ring, terms)
+        return EpsPoly(self.ring, add_terms(self.ring.base, self.terms, other.terms))
 
     def __neg__(self) -> "EpsPoly":
         base = self.ring.base
@@ -179,13 +195,7 @@ class EpsPoly:
         return EpsPoly(self.ring, acc)
 
     def scale(self, c) -> "EpsPoly":
-        base = self.ring.base
-        out = {}
-        for key, v in self.terms.items():
-            s = base.mul(v, c)
-            if not base.is_zero(s):
-                out[key] = s
-        return EpsPoly(self.ring, out)
+        return EpsPoly(self.ring, scale_terms(self.ring.base, self.terms, c))
 
     def scale_int(self, n: int) -> "EpsPoly":
         return self.scale(self.ring.base.from_int(n))
@@ -259,14 +269,6 @@ class EpsPoly:
 # -- named operations ------------------------------------------------
 
 
-def eps_add(a: EpsPoly, b: EpsPoly) -> EpsPoly:
-    return a + b
-
-
-def eps_mul(a: EpsPoly, b: EpsPoly) -> EpsPoly:
-    return a * b
-
-
 def exp_map(ring: CoeffRing, pairs: Iterable[tuple[int, int]]) -> EpsPoly:
     """exp of a sum of eps_i*eps_j pairs: the product of (1 - eps_i*eps_j).
 
@@ -288,12 +290,6 @@ def exp_map(ring: CoeffRing, pairs: Iterable[tuple[int, int]]) -> EpsPoly:
     return result
 
 
-def pair_products(left: Iterable[int], right: Iterable[int]) -> list[tuple[int, int]]:
-    """All eps_i*eps_j pairs of a product of two index sums, with multiplicity."""
-    right = list(right)
-    return [(i, j) for i in left for j in right]
-
-
 def phi_sigma(perm, p: EpsPoly) -> EpsPoly:
     """Index renaming eps_i -> eps_{perm(i)}, theta fixed.
 
@@ -310,10 +306,5 @@ def phi_sigma(perm, p: EpsPoly) -> EpsPoly:
         new = tuple(sorted(image(i) for i in eps))
         if len(set(new)) != len(new):
             raise ValueError("index map is not injective on the support")
-        key = (t, new)
-        s = base.add(out.get(key, base.zero()), c)
-        if base.is_zero(s):
-            out.pop(key, None)
-        else:
-            out[key] = s
+        add_term(base, out, (t, new), c)
     return EpsPoly(p.ring, out)

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import re
 
-from .comodule import WordPoly
 from .grassmann import GrassAlgebra, GrassElem, commutator, scommutator
 from .rings import BaseRing
-from .supertrace import TracePoly
+from .terms import TracePoly
 
 
 class ExprSyntaxError(ValueError):
@@ -148,6 +147,15 @@ def parse(text: str):
     return Parser(text).parse()
 
 
+def reject_trace(node) -> None:
+    """Raise ValueError if the expression applies Tr anywhere."""
+    if node[0] == "tr":
+        raise ValueError("Tr(...) is only allowed in trace expressions")
+    for child in node[1:]:
+        if isinstance(child, tuple):
+            reject_trace(child)
+
+
 def ast_grades(node) -> dict[int, tuple]:
     """Collect grade annotations var index -> indices tuple."""
     out: dict = {}
@@ -207,41 +215,11 @@ def compile_grass(node, algebra: GrassAlgebra, vars_as_generators: bool = False)
     raise AssertionError(node)
 
 
-def compile_word_poly(node, ring: BaseRing) -> WordPoly:
-    """Evaluate an expression in formal variables to a word polynomial."""
-    op = node[0]
-    if op == "int":
-        return WordPoly.const(ring, ring.from_int(node[1]))
-    if op == "var":
-        if node[2] is not None:
-            raise ValueError("grade annotations are not supported here")
-        return WordPoly.var(ring, node[1])
-    if op == "neg":
-        return -compile_word_poly(node[1], ring)
-    if op == "add":
-        return compile_word_poly(node[1], ring) + compile_word_poly(node[2], ring)
-    if op == "sub":
-        return compile_word_poly(node[1], ring) - compile_word_poly(node[2], ring)
-    if op == "mul":
-        return compile_word_poly(node[1], ring) * compile_word_poly(node[2], ring)
-    if op == "comm":
-        return compile_word_poly(node[1], ring).commutator(
-            compile_word_poly(node[2], ring)
-        )
-    if op in ("theta", "eps", "gen"):
-        raise ValueError("concrete generators are not allowed in variable polynomials")
-    if op == "scomm":
-        raise ValueError("the twisted commutator needs graded operands")
-    if op == "tr":
-        raise ValueError("Tr(...) is only allowed in trace expressions")
-    raise AssertionError(node)
-
-
 def compile_trace_poly(node, ring: BaseRing) -> TracePoly:
+    """Evaluate an expression in formal variables, with or without Tr."""
     op = node[0]
     if op == "int":
-        c = ring.from_int(node[1])
-        return TracePoly(ring, {(): c} if not ring.is_zero(c) else {})
+        return TracePoly.const(ring, ring.from_int(node[1]))
     if op == "var":
         if node[2] is not None:
             raise ValueError("grade annotations are not supported here")
@@ -261,7 +239,7 @@ def compile_trace_poly(node, ring: BaseRing) -> TracePoly:
     if op == "tr":
         return compile_trace_poly(node[1], ring).trace()
     if op in ("theta", "eps", "gen"):
-        raise ValueError("concrete generators are not allowed in trace expressions")
+        raise ValueError("concrete generators are not allowed in variable polynomials")
     if op == "scomm":
         raise ValueError("the twisted commutator needs graded operands")
     raise AssertionError(node)

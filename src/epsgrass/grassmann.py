@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 from .epsilon import CoeffRing, EpsPoly, exp_map
 from .rings import BaseRing, CapabilityError, GF, IntegerRing, ModRing, RingMismatchError
+from .terms import AlgebraElem, add_term
 
 # A word is a tuple of (generator index, multiplicity), indices strictly
 # increasing and multiplicities positive.
@@ -119,7 +120,7 @@ class GrassAlgebra:
 
     # -- normalization -----------------------------------------------
 
-    def _normalize_coeff(self, word: Word, coeff: EpsPoly) -> EpsPoly:
+    def _reduce_coeff(self, word: Word, coeff: EpsPoly) -> EpsPoly:
         """Reduce a coefficient modulo sum(theta*eps_i : i repeats in word)."""
         repeated = {i for i, m in word if m >= 2}
         if not repeated or coeff.is_zero():
@@ -139,60 +140,15 @@ class GrassAlgebra:
     def _accumulate(self, terms: dict, word: Word, coeff: EpsPoly):
         if self.truncated and any(m >= 2 for _, m in word):
             return
-        coeff = self._normalize_coeff(word, coeff)
-        if coeff.is_zero():
-            return
-        if word in terms:
-            s = self._normalize_coeff(word, terms[word] + coeff)
-            if s.is_zero():
-                del terms[word]
-            else:
-                terms[word] = s
-        else:
-            terms[word] = coeff
+        coeff = self._reduce_coeff(word, coeff)
+        if not coeff.is_zero():
+            add_term(self.coeff, terms, word, coeff, self._reduce_coeff)
 
 
-class GrassElem:
+class GrassElem(AlgebraElem):
     """Element of the algebra: finite map word -> C[eps] coefficient."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: GrassAlgebra, terms: dict):
-        self.algebra = algebra
-        self.terms = terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "GrassElem"):
-        if self.algebra != other.algebra:
-            raise RingMismatchError(f"{self.algebra} vs {other.algebra}")
-
-    def __add__(self, other: "GrassElem") -> "GrassElem":
-        self._check(other)
-        alg = self.algebra
-        terms = dict(self.terms)
-        for word, c in other.terms.items():
-            if word in terms:
-                s = alg._normalize_coeff(word, terms[word] + c)
-                if s.is_zero():
-                    del terms[word]
-                else:
-                    terms[word] = s
-            else:
-                terms[word] = c
-        return GrassElem(alg, terms)
-
-    def __neg__(self) -> "GrassElem":
-        alg = self.algebra
-        out: dict = {}
-        for w, c in self.terms.items():
-            # renormalize: torsion coordinates have canonical residues
-            alg._accumulate(out, w, -c)
-        return GrassElem(alg, out)
-
-    def __sub__(self, other: "GrassElem") -> "GrassElem":
-        return self + (-other)
+    __slots__ = ()
 
     def __mul__(self, other: "GrassElem") -> "GrassElem":
         self._check(other)
@@ -212,18 +168,8 @@ class GrassElem:
                 alg._accumulate(out, tuple(sorted(merged.items())), coeff)
         return GrassElem(alg, out)
 
-    def scale_coeff(self, c: EpsPoly) -> "GrassElem":
-        alg = self.algebra
-        out: dict = {}
-        for w, cw in self.terms.items():
-            alg._accumulate(out, w, cw * c)
-        return GrassElem(alg, out)
-
     def scale(self, scalar) -> "GrassElem":
         return self.scale_coeff(self.algebra.coeff.scalar(scalar))
-
-    def scale_int(self, n: int) -> "GrassElem":
-        return self.scale(self.algebra.base.from_int(n))
 
     def __pow__(self, n: int) -> "GrassElem":
         if n < 0:
@@ -232,13 +178,6 @@ class GrassElem:
         for _ in range(n):
             result = result * self
         return result
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GrassElem)
-            and other.algebra == self.algebra
-            and other.terms == self.terms
-        )
 
     def __hash__(self):
         return hash((self.algebra, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
@@ -303,9 +242,9 @@ def commutator(a: GrassElem, b: GrassElem) -> GrassElem:
     return a * b - b * a
 
 
-def scommutator(a: GrassElem, b: GrassElem) -> GrassElem:
+def scommutator(a: AlgebraElem, b: AlgebraElem) -> AlgebraElem:
     """Twisted commutator {a,b} = ab - exp(eps_g*eps_h) ba on homogeneous
-    components, extended bilinearly."""
+    components, extended bilinearly; for ``GrassElem`` and ``SElem``."""
     a._check(b)
     alg = a.algebra
     result = alg.zero()
@@ -314,11 +253,6 @@ def scommutator(a: GrassElem, b: GrassElem) -> GrassElem:
             factor = exp_map(alg.coeff, word_parity_pairs(g, h))
             result = result + ag * bh - (bh * ag).scale_coeff(factor)
     return result
-
-
-def eps_of_grade(g: frozenset[int]) -> frozenset[int]:
-    """Support of eps_g; grades and their eps vectors coincide as sets."""
-    return frozenset(g)
 
 
 # -- generalized sign --------------------------------------------------

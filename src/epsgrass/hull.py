@@ -224,14 +224,6 @@ def _render_entry(a) -> str:
     return a.render() if hasattr(a, "render") else str(a)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a * b
-
-
-def mat_trace(m: Matrix):
-    return m.trace()
-
-
 # -- graded multilinear polynomials and the involution --------------------
 
 
@@ -315,7 +307,7 @@ class HullElem:
                 self.terms[word] = piece
 
     def _reduce_entries(self, word, mat: Matrix) -> Matrix:
-        reduce = self.salgebra._torsion_reduce
+        reduce = self.salgebra._reduce_coeff
         return Matrix(
             [[reduce(word, entry) for entry in row] for row in mat.rows], mat.zero
         )

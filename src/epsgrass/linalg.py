@@ -19,6 +19,7 @@ the cokernel test V[:, r:], not the transforms themselves.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import compress
 from math import gcd
 
@@ -239,7 +240,39 @@ class SmithSolver:
         return x, True
 
 
-# -- lattice reduction (canonical residues modulo an integer row span) --
+# -- canonical residues modulo a rational or an integer row span --------
+
+
+class RationalEchelon:
+    """Echelon rows over Q, for sparse vectors {column: value}.
+
+    Each row is stored scaled to 1 at its lead, its first nonzero
+    column.  ``reduce`` returns the residue of a vector modulo the row
+    span: the unique vector congruent to it that is zero at every lead
+    column.  ``add_if_new`` keeps a nonzero residue as a new row.
+    """
+
+    def __init__(self, rows=()):
+        self.rows: list[tuple[int, dict]] = []  # (lead column, row)
+        for row in rows:
+            self.add_if_new(row)
+
+    def reduce(self, vec: dict) -> dict:
+        out = {k: Fraction(v) for k, v in vec.items() if v}
+        for lead, row in self.rows:
+            # later rows are zero at earlier leads, so each lead stays cleared
+            _axpy(out, row, -out.get(lead, 0))
+        return out
+
+    def add_if_new(self, vec: dict) -> bool:
+        """Add the residue of vec as a row; False if vec is in the span."""
+        row = self.reduce(vec)
+        if not row:
+            return False
+        lead = min(row)
+        inv = 1 / row[lead]
+        self.rows.append((lead, {k: v * inv for k, v in row.items()}))
+        return True
 
 
 class LatticeReducer:

@@ -50,7 +50,7 @@ class BaseRing:
         return a * b
 
     def is_zero(self, a) -> bool:
-        return a == self.zero()
+        return a == 0
 
     def half(self):
         """Return 1/2, or raise CapabilityError."""

@@ -15,14 +15,13 @@ reduction over Z and Z/m, row reduction over fields).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
-from .epsilon import CoeffRing, EpsPoly, exp_map
+from .epsilon import CoeffRing, EpsPoly, all_monomials, exp_map
 from .grassmann import word_parity_pairs
-from .linalg import LatticeReducer
-from .rings import IntegerRing, ModRing, RationalRing, RingMismatchError
+from .linalg import LatticeReducer, RationalEchelon
+from .rings import IntegerRing, ModRing, RationalRing
+from .terms import AlgebraElem, add_term
 
 # generator key: (grade support frozenset, tag)
 GenKey = tuple[frozenset, int]
@@ -31,43 +30,6 @@ GenKey = tuple[frozenset, int]
 def _sort_key(key: GenKey):
     g, n = key
     return (tuple(sorted(g)), n)
-
-
-def _enumerate_monomials(indices: Sequence[int]):
-    idx = sorted(indices)
-    out = []
-    for t in (0, 1):
-        for r in range(len(idx) + 1):
-            for combo in combinations(idx, r):
-                out.append((t, combo))
-    return out
-
-
-class _FieldReducer:
-    """Canonical residues modulo a Q-span (row reduction with Fractions)."""
-
-    def __init__(self, rows: list[list[Fraction]]):
-        self.pivots: list[tuple[int, list[Fraction]]] = []
-        for row in rows:
-            row = list(row)
-            row = self._eliminate(row)
-            lead = next((j for j, v in enumerate(row) if v), None)
-            if lead is None:
-                continue
-            inv = 1 / row[lead]
-            row = [v * inv for v in row]
-            self.pivots.append((lead, row))
-            self.pivots.sort(key=lambda t: t[0])
-
-    def _eliminate(self, row):
-        for col, prow in self.pivots:
-            if row[col]:
-                c = row[col]
-                row = [x - c * y for x, y in zip(row, prow)]
-        return row
-
-    def reduce(self, vec):
-        return self._eliminate(list(vec))
 
 
 class SAlgebra:
@@ -111,7 +73,7 @@ class SAlgebra:
 
     # -- torsion normalization ----------------------------------------
 
-    def _torsion_reduce(self, word, coeff: EpsPoly) -> EpsPoly:
+    def _reduce_coeff(self, word, coeff: EpsPoly) -> EpsPoly:
         repeated_grades = set()
         seen = set()
         for key in word:
@@ -124,25 +86,17 @@ class SAlgebra:
         ambient = set(coeff.indices())
         for g in repeated_grades:
             ambient |= g
-        reducer = self._get_reducer(frozenset(repeated_grades), frozenset(ambient))
-        monos = _enumerate_monomials(sorted(ambient))
+        reduce = self._get_reducer(frozenset(repeated_grades), frozenset(ambient))
+        monos = all_monomials(ambient)
         index = {m: k for k, m in enumerate(monos)}
-        vec = [self.base.zero()] * len(monos)
-        for key, c in coeff.terms.items():
-            vec[index[key]] = c
-        reduced = reducer.reduce(vec)
-        out = {}
-        for k, c in enumerate(reduced):
-            c = self.base.from_int(c) if isinstance(c, int) else c
-            if not self.base.is_zero(c):
-                out[monos[k]] = c
-        return EpsPoly(self.coeff, out)
+        reduced = reduce({index[key]: c for key, c in coeff.terms.items()})
+        return EpsPoly(self.coeff, {monos[k]: c for k, c in reduced.items()})
 
     def _get_reducer(self, grades: frozenset, ambient: frozenset):
         cache_key = (tuple(sorted(tuple(sorted(g)) for g in grades)), tuple(sorted(ambient)))
         if cache_key in self._reducers:
             return self._reducers[cache_key]
-        monos = _enumerate_monomials(sorted(ambient))
+        monos = all_monomials(ambient)
         index = {m: k for k, m in enumerate(monos)}
         # torsion generators 1 - exp(eps_g eps_g), built over Z so the
         # lattice is independent of the working base ring
@@ -165,86 +119,38 @@ class SAlgebra:
                 if ok and any(row):
                     rows.append(row)
         base = self.base
-        if isinstance(base, IntegerRing):
-            reducer = LatticeReducer(rows, len(monos))
-        elif isinstance(base, ModRing):
-            lifted = rows + [
-                [base.m if i == j else 0 for j in range(len(monos))]
-                for i in range(len(monos))
-            ]
-            lattice = LatticeReducer(lifted, len(monos))
-            reducer = _ModReducer(lattice, base)
-        elif isinstance(base, RationalRing):
-            reducer = _FieldReducer([[Fraction(v) for v in r] for r in rows])
+        if isinstance(base, RationalRing):
+            reduce = RationalEchelon([dict(enumerate(r)) for r in rows]).reduce
+        elif isinstance(base, (IntegerRing, ModRing)):
+            ncols = len(monos)
+            if isinstance(base, ModRing):
+                rows += [
+                    [base.m if i == j else 0 for j in range(ncols)] for i in range(ncols)
+                ]
+            lattice = LatticeReducer(rows, ncols)
+
+            def reduce(vec: dict) -> dict:
+                dense = [0] * ncols
+                for k, c in vec.items():
+                    dense[k] = c
+                reduced = (base.from_int(v) for v in lattice.reduce(dense))
+                return {k: c for k, c in enumerate(reduced) if not base.is_zero(c)}
+
         else:
             raise NotImplementedError(f"no torsion reducer over {base}")
-        self._reducers[cache_key] = reducer
-        return reducer
+        self._reducers[cache_key] = reduce
+        return reduce
 
     def _accumulate(self, terms: dict, word, coeff: EpsPoly):
-        coeff = self._torsion_reduce(word, coeff)
-        if coeff.is_zero():
-            return
-        if word in terms:
-            s = self._torsion_reduce(word, terms[word] + coeff)
-            if s.is_zero():
-                del terms[word]
-            else:
-                terms[word] = s
-        else:
-            terms[word] = coeff
+        coeff = self._reduce_coeff(word, coeff)
+        if not coeff.is_zero():
+            add_term(self.coeff, terms, word, coeff, self._reduce_coeff)
 
 
-class _ModReducer:
-    def __init__(self, lattice: LatticeReducer, ring: ModRing):
-        self.lattice = lattice
-        self.ring = ring
-
-    def reduce(self, vec):
-        out = self.lattice.reduce([int(v) for v in vec])
-        return [self.ring.from_int(v) for v in out]
-
-
-class SElem:
+class SElem(AlgebraElem):
     """Element of the free twisted-commutative algebra."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: SAlgebra, terms: dict):
-        self.algebra = algebra
-        self.terms = terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "SElem"):
-        if self.algebra != other.algebra:
-            raise RingMismatchError(f"{self.algebra} vs {other.algebra}")
-
-    def __add__(self, other: "SElem") -> "SElem":
-        self._check(other)
-        alg = self.algebra
-        terms = dict(self.terms)
-        for word, c in other.terms.items():
-            if word in terms:
-                s = alg._torsion_reduce(word, terms[word] + c)
-                if s.is_zero():
-                    del terms[word]
-                else:
-                    terms[word] = s
-            else:
-                terms[word] = c
-        return SElem(alg, terms)
-
-    def __neg__(self) -> "SElem":
-        alg = self.algebra
-        out: dict = {}
-        for w, c in self.terms.items():
-            alg._accumulate(out, w, -c)
-        return SElem(alg, out)
-
-    def __sub__(self, other: "SElem") -> "SElem":
-        return self + (-other)
+    __slots__ = ()
 
     def __mul__(self, other: "SElem") -> "SElem":
         self._check(other)
@@ -263,23 +169,6 @@ class SElem:
                 coeff = cu * cv if factor.is_one() else cu * cv * factor
                 alg._accumulate(out, merged, coeff)
         return SElem(alg, out)
-
-    def scale_coeff(self, c: EpsPoly) -> "SElem":
-        alg = self.algebra
-        out: dict = {}
-        for w, cw in self.terms.items():
-            alg._accumulate(out, w, cw * c)
-        return SElem(alg, out)
-
-    def scale_int(self, n: int) -> "SElem":
-        return self.scale_coeff(self.algebra.coeff.from_int(n))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SElem)
-            and other.algebra == self.algebra
-            and other.terms == self.terms
-        )
 
     def grade_components(self) -> dict[frozenset, "SElem"]:
         parts: dict[frozenset, dict] = {}
@@ -307,19 +196,3 @@ class SElem:
 
     def __repr__(self):
         return f"SElem({self.render()})"
-
-
-def s_mul(a: SElem, b: SElem) -> SElem:
-    return a * b
-
-
-def s_scommutator(a: SElem, b: SElem) -> SElem:
-    """{a,b} = ab - exp(eps_g eps_h) ba, bilinear over grade components."""
-    a._check(b)
-    alg = a.algebra
-    result = alg.zero()
-    for g, ag in a.grade_components().items():
-        for h, bh in b.grade_components().items():
-            factor = exp_map(alg.coeff, word_parity_pairs(g, h))
-            result = result + ag * bh - (bh * ag).scale_coeff(factor)
-    return result

@@ -37,16 +37,22 @@ from itertools import permutations, product as iproduct
 from typing import NamedTuple, Sequence
 
 from .epsilon import CoeffRing, EpsPoly, exp_map
-from .grassmann import GrassAlgebra, GrassElem
+from .grassmann import GrassAlgebra, GrassElem, word_parity_pairs
 from .hull import Matrix
-from .linalg import SmithSolver
-from .rings import BaseRing, IntegerRing, RingMismatchError
+from .linalg import RationalEchelon, SmithSolver
+from .rings import BaseRing, IntegerRing
+from .terms import (
+    NonMultilinearError,
+    TracePoly,
+    _letters_of_term,
+    _render_term,
+    _term_sort_key,
+    add_term,
+    add_terms,
+    scale_terms,
+)
 
 MAX_TRACE_ARITY = 6
-
-
-class NonMultilinearError(ValueError):
-    pass
 
 
 class TraceArgumentError(ValueError):
@@ -58,167 +64,6 @@ class TraceInternalError(Exception):
     """A certified linear-algebra contract was violated."""
 
 
-# -- trace polynomials ---------------------------------------------------
-#
-# atom: int (letter) | ("F", term); term: tuple of atoms
-
-
-def _letters_of_term(term) -> list[int]:
-    out: list[int] = []
-    for atom in term:
-        if isinstance(atom, int):
-            out.append(atom)
-        else:
-            out.extend(_letters_of_term(atom[1]))
-    return out
-
-
-class TracePoly:
-    """Finite sum of (coefficient, term) over a base ring."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: BaseRing, terms: dict | None = None):
-        self.ring = ring
-        self.terms = terms or {}
-
-    @classmethod
-    def zero(cls, ring: BaseRing) -> "TracePoly":
-        return cls(ring, {})
-
-    @classmethod
-    def letter(cls, ring: BaseRing, i: int) -> "TracePoly":
-        if i < 1:
-            raise ValueError("letters are numbered from 1")
-        return cls(ring, {(i,): ring.one()})
-
-    def _check(self, other: "TracePoly"):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"{self.ring} vs {other.ring}")
-
-    def __add__(self, other: "TracePoly") -> "TracePoly":
-        self._check(other)
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = self.ring.add(out.get(t, self.ring.zero()), c)
-            if self.ring.is_zero(s):
-                out.pop(t, None)
-            else:
-                out[t] = s
-        return TracePoly(self.ring, out)
-
-    def __neg__(self) -> "TracePoly":
-        return TracePoly(self.ring, {t: self.ring.neg(c) for t, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "TracePoly") -> "TracePoly":
-        self._check(other)
-        out: dict = {}
-        for ta, ca in self.terms.items():
-            for tb, cb in other.terms.items():
-                t = ta + tb
-                s = self.ring.add(out.get(t, self.ring.zero()), self.ring.mul(ca, cb))
-                if self.ring.is_zero(s):
-                    out.pop(t, None)
-                else:
-                    out[t] = s
-        return TracePoly(self.ring, out)
-
-    def commutator(self, other: "TracePoly") -> "TracePoly":
-        return self * other - other * self
-
-    def trace(self) -> "TracePoly":
-        """Apply F, linearly."""
-        out: dict = {}
-        for t, c in self.terms.items():
-            key = (("F", t),)
-            s = self.ring.add(out.get(key, self.ring.zero()), c)
-            if self.ring.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return TracePoly(self.ring, out)
-
-    def scale(self, c) -> "TracePoly":
-        out = {}
-        for t, v in self.terms.items():
-            s = self.ring.mul(v, c)
-            if not self.ring.is_zero(s):
-                out[t] = s
-        return TracePoly(self.ring, out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TracePoly)
-            and other.ring == self.ring
-            and other.terms == self.terms
-        )
-
-    def require_multilinear(self) -> int:
-        """Return the arity n; every term must use x_1..x_n exactly once."""
-        n = None
-        for term in self.terms:
-            letters = sorted(_letters_of_term(term))
-            if n is None:
-                n = len(letters)
-                if letters != list(range(1, n + 1)):
-                    raise NonMultilinearError(
-                        f"term uses letters {letters}, expected 1..{n} once each"
-                    )
-            elif letters != list(range(1, n + 1)):
-                raise NonMultilinearError("terms differ in their letters")
-        if n is None:
-            return 0
-        return n
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for term in sorted(self.terms, key=_term_sort_key):
-            c = self.terms[term]
-            text = self.ring.render(c)
-            neg = text.startswith("-")
-            mag = text[1:] if neg else text
-            body = _render_term(term)
-            if body and mag == "1":
-                piece = body
-            elif body:
-                piece = f"{mag}*{body}"
-            else:
-                piece = mag
-            if not chunks:
-                chunks.append(f"-{piece}" if neg else piece)
-            else:
-                chunks.append(f"- {piece}" if neg else f"+ {piece}")
-        return " ".join(chunks)
-
-    def __repr__(self):
-        return f"TracePoly({self.render()})"
-
-
-def _term_sort_key(term):
-    return tuple(
-        (0, a, ()) if isinstance(a, int) else (1, 0, _term_sort_key(a[1]))
-        for a in term
-    )
-
-
-def _render_term(term) -> str:
-    parts = []
-    for atom in term:
-        if isinstance(atom, int):
-            parts.append(f"x{atom}")
-        else:
-            parts.append(f"Tr({_render_term(atom[1])})")
-    return "*".join(parts)
-
-
 # -- the graded evaluation model -----------------------------------------
 #
 # Elements are C[eps]-combinations of monomials (w0, traces): a plain
@@ -227,10 +72,6 @@ def _render_term(term) -> str:
 # trace argument may be rotated at the cost of an exp factor.  The four
 # defining identities hold here, so evaluation kills exactly their
 # consequences (on multilinear input).
-
-
-def _pairs(left, right):
-    return [(a, b) for a in left for b in right]
 
 
 class TraceModel:
@@ -252,7 +93,9 @@ class TraceModel:
         factor = self.coeff.one()
         pos = len(traces)
         while pos > 0 and traces[pos - 1] > word:
-            factor = factor * exp_map(self.coeff, _pairs(traces[pos - 1], word))
+            factor = factor * exp_map(
+                self.coeff, word_parity_pairs(traces[pos - 1], word)
+            )
             pos -= 1
         return traces[:pos] + (word,) + traces[pos:], factor
 
@@ -261,7 +104,9 @@ class TraceModel:
         factor = self.coeff.one()
         pos = 0
         while pos < len(traces) and traces[pos] < word:
-            factor = factor * exp_map(self.coeff, _pairs(word, traces[pos]))
+            factor = factor * exp_map(
+                self.coeff, word_parity_pairs(word, traces[pos])
+            )
             pos += 1
         return traces[:pos] + (word,) + traces[pos:], factor
 
@@ -276,7 +121,7 @@ class TraceModel:
         for _ in range(len(word) - 1):
             head = current[0]
             factor = factor * exp_map(
-                self.coeff, _pairs([head], all_letters - {head})
+                self.coeff, word_parity_pairs([head], all_letters - {head})
             )
             current = current[1:] + (current[0],)
             if current < best:
@@ -292,28 +137,14 @@ class ModelElem:
         self.model = model
         self.terms = terms
 
-    def _add_term(self, key, coeff: EpsPoly):
-        if coeff.is_zero():
-            return
-        if key in self.terms:
-            s = self.terms[key] + coeff
-            if s.is_zero():
-                del self.terms[key]
-            else:
-                self.terms[key] = s
-        else:
-            self.terms[key] = coeff
-
     def __add__(self, other: "ModelElem") -> "ModelElem":
-        out = ModelElem(self.model, dict(self.terms))
-        for key, c in other.terms.items():
-            out._add_term(key, c)
-        return out
+        model = self.model
+        return ModelElem(model, add_terms(model.coeff, self.terms, other.terms))
 
     def __mul__(self, other: "ModelElem") -> "ModelElem":
         model = self.model
         coeff = model.coeff
-        out = ModelElem(model, {})
+        out: dict = {}
         for (w0a, ta), ca in self.terms.items():
             for (w0b, tb), cb in other.terms.items():
                 # move the left trace factors past the right plain word
@@ -321,27 +152,25 @@ class ModelElem:
                 if ta and w0b:
                     pairs = []
                     for v in ta:
-                        pairs.extend(_pairs(v, w0b))
+                        pairs.extend(word_parity_pairs(v, w0b))
                     c = c * exp_map(coeff, pairs)
                 traces = ta
                 for v in tb:
                     traces, factor = model._sorted_insert(traces, v)
                     if not factor.is_one():
                         c = c * factor
-                out._add_term((w0a + w0b, traces), c)
-        return out
+                add_term(coeff, out, (w0a + w0b, traces), c)
+        return ModelElem(model, out)
 
     def scale(self, c: EpsPoly) -> "ModelElem":
-        out = ModelElem(self.model, {})
-        for key, v in self.terms.items():
-            out._add_term(key, v * c)
-        return out
+        model = self.model
+        return ModelElem(model, scale_terms(model.coeff, self.terms, c))
 
     def estr(self) -> "ModelElem":
         """Apply the formal trace: pull existing trace factors out, then
         trace the plain word, canonically rotated."""
         model = self.model
-        out = ModelElem(model, {})
+        out: dict = {}
         for (w0, traces), c in self.terms.items():
             if not w0:
                 raise TraceArgumentError(
@@ -353,8 +182,8 @@ class ModelElem:
             new_traces, sort_factor = model._sorted_insert_left(traces, word)
             if not sort_factor.is_one():
                 c = c * sort_factor
-            out._add_term(((), new_traces), c)
-        return out
+            add_term(model.coeff, out, ((), new_traces), c)
+        return ModelElem(model, out)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -742,34 +571,6 @@ def enumerate_nested_monomials(outer: frozenset, parts: frozenset) -> list[Monom
     return out
 
 
-class _RationalSpan:
-    """Incremental rational row space over sparse integer vectors."""
-
-    def __init__(self):
-        self.pivots: list[tuple[int, dict]] = []
-
-    def add_if_new(self, vec: dict) -> bool:
-        from fractions import Fraction
-
-        row = {k: Fraction(v) for k, v in vec.items() if v}
-        for col, prow in self.pivots:
-            c = row.get(col)
-            if c:
-                for k, v in prow.items():
-                    nv = row.get(k, Fraction(0)) - c * v
-                    if nv:
-                        row[k] = nv
-                    else:
-                        row.pop(k, None)
-        if not row:
-            return False
-        lead = min(row)
-        inv = 1 / row[lead]
-        row = {k: v * inv for k, v in row.items()}
-        self.pivots.append((lead, row))
-        return True
-
-
 _BLOCK_CACHE: dict = {}
 
 
@@ -791,7 +592,7 @@ def _block_solver(outer: frozenset, parts: frozenset):
     zz = IntegerRing()
     coeff = CoeffRing(zz)
     columns: dict = {}
-    span = _RationalSpan()
+    span = RationalEchelon()
     basis = []
     vectors = []
     for cand in candidates:

@@ -228,3 +228,24 @@ def test_trace_check_json_agreement(capsys):
     assert code_t == code_j == 1
     assert payload["result"] is False
     assert payload["details"]["standard_form"] in out_t
+
+
+def test_cli_limits(capsys):
+    cases = [
+        (("comodule", "--n"), ("0", "9"), "arity must be between 1 and 8"),
+        (("idempotents", "--X"), ("-1", "7"), "--X must be between 0 and 6"),
+        (
+            ("trace-witness", "x1", "--max-n"),
+            ("-5", "1", "7"),
+            "--max-n must be between 2 and 6",
+        ),
+        (("check-identity", "0", "--vars"), ("-2", "0"), "--vars must be at least 1"),
+    ]
+    for argv, values, message in cases:
+        for value in values:
+            code, out, err = run_cli(capsys, *argv, value)
+            assert code == 2 and out == "" and message in err, (argv, value)
+    code, out, _ = run_cli(capsys, "idempotents", "--X", "0", "--ring", "q")
+    assert code == 0 and out.startswith("complete system: yes")
+    code, out, _ = run_cli(capsys, "check-identity", "0", "--vars", "1")
+    assert code == 0 and out == "identity\n"

@@ -7,7 +7,6 @@ from epsgrass.comodule import (
     InternalError,
     MultilinearPoly,
     SpanningTerm,
-    WordPoly,
     comodule_rank,
     evaluate,
     freeness_certificate,
@@ -22,6 +21,7 @@ from epsgrass.comodule import (
     unit_words,
 )
 from epsgrass.linalg import smith_normal_form
+from epsgrass.terms import TracePoly
 
 from conftest import random_perm, zz_algebra
 from rank_oracle import fraction_rank
@@ -32,7 +32,7 @@ C = A.coeff
 
 
 def xvar(i, ring=ZZ):
-    return WordPoly.var(ring, i)
+    return TracePoly.letter(ring, i)
 
 
 def to_ml(p, n):
@@ -127,9 +127,9 @@ def test_sign_act_is_group_action(rng):
 def test_is_identity_iff_psi_zero(rng):
     for _ in range(60):
         n = rng.randint(2, 4)
-        p = WordPoly.const(ZZ, 0)
+        p = TracePoly.const(ZZ, 0)
         for _ in range(rng.randint(1, 3)):
-            mono = WordPoly.const(ZZ, rng.choice([-2, -1, 1, 2]))
+            mono = TracePoly.const(ZZ, rng.choice([-2, -1, 1, 2]))
             for i in random_perm(rng, n):
                 mono = mono * xvar(i)
             p = p + mono
@@ -264,9 +264,9 @@ def test_normal_form_idempotent(rng):
 def test_normal_form_residual_is_identity(rng):
     for _ in range(20):
         n = rng.randint(2, 4)
-        p = WordPoly.const(ZZ, 0)
+        p = TracePoly.const(ZZ, 0)
         for _ in range(3):
-            mono = WordPoly.const(ZZ, rng.randint(-2, 2))
+            mono = TracePoly.const(ZZ, rng.randint(-2, 2))
             for i in random_perm(rng, n):
                 mono = mono * xvar(i)
             p = p + mono
@@ -289,8 +289,8 @@ def test_consequence_closure(rng):
         a, b, c = vars_[0], vars_[1], vars_[2]
         rest = vars_[3:]
         core = xvar(a).commutator(xvar(b).commutator(xvar(c)))
-        left = WordPoly.const(ZZ, 1)
-        right = WordPoly.const(ZZ, 1)
+        left = TracePoly.const(ZZ, 1)
+        right = TracePoly.const(ZZ, 1)
         for i in rest:
             if rng.random() < 0.5:
                 left = left * xvar(i)
@@ -313,9 +313,9 @@ def test_truncated_mode_agrees_on_identity_testing(rng):
     # multilinear identities
     for _ in range(40):
         n = rng.randint(2, 4)
-        p = WordPoly.const(ZZ, 0)
+        p = TracePoly.const(ZZ, 0)
         for _ in range(rng.randint(1, 3)):
-            mono = WordPoly.const(ZZ, rng.choice([-2, -1, 1, 2]))
+            mono = TracePoly.const(ZZ, rng.choice([-2, -1, 1, 2]))
             for i in random_perm(rng, n):
                 mono = mono * xvar(i)
             p = p + mono
@@ -328,7 +328,7 @@ def test_truncated_mode_agrees_on_identity_testing(rng):
 def test_freeness_basis_matches_known_rank4_span():
     # at n=3 the sign images of the spanning set generate the lattice
     # spanned by 1, eps1*eps2, eps2*eps3 and eps1*eps3 - theta*eps1*eps2*eps3
-    from epsgrass.comodule import _monomial_columns, _spanning_matrix_int
+    from epsgrass.comodule import _spanning_matrix_int
     from epsgrass.linalg import LatticeReducer
 
     terms, cols, index, rows = _spanning_matrix_int(3)
@@ -348,3 +348,26 @@ def test_freeness_basis_matches_known_rank4_span():
     got = LatticeReducer(rows, len(cols))
     want = LatticeReducer(expected_rows, len(cols))
     assert got.hnf == want.hnf
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_normal_form_over_composite_modulus(rng, m):
+    # the integer certificate holds over every ring: the normal form over
+    # Z/m is the normal form over Z reduced mod m
+    ring = ModRing(m)
+    for n in (3, 4, 5):
+        for _ in range(4):
+            coeffs = {
+                random_perm(rng, n): rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3)
+            }
+            over_z = grassmann_normal_form(MultilinearPoly(n, ZZ, coeffs))
+            expected = {t: ring.from_int(c) for t, c in over_z.items() if c % m}
+            reduced = {k: ring.from_int(c) for k, c in coeffs.items() if c % m}
+            assert grassmann_normal_form(MultilinearPoly(n, ring, reduced)) == expected
+
+
+def test_from_word_poly_rejects_traces():
+    with pytest.raises(ValueError, match="Tr"):
+        to_ml(xvar(1).trace() * xvar(2), 2)
+    with pytest.raises(ValueError, match="not multilinear"):
+        to_ml(xvar(1) * xvar(1), 2)

@@ -5,8 +5,8 @@ from epsgrass.expr import (
     ExprSyntaxError,
     compile_grass,
     compile_trace_poly,
-    compile_word_poly,
     parse,
+    reject_trace,
 )
 from epsgrass.rings import IntegerRing
 from epsgrass.supertrace import TracePoly
@@ -60,9 +60,10 @@ def test_compile_grass_vars_only_in_normalize_mode():
 
 def test_compile_word_poly_rejects_generators():
     with pytest.raises(ValueError):
-        compile_word_poly(parse("e1*x2"), ZZ)
-    with pytest.raises(ValueError):
-        compile_word_poly(parse("Tr(x1)"), ZZ)
+        compile_trace_poly(parse("e1*x2"), ZZ)
+    with pytest.raises(ValueError, match="only allowed in trace expressions"):
+        reject_trace(parse("x2 - [x1, Tr(x1)*x3]"))
+    reject_trace(parse("x2 - [x1, x3]"))
 
 
 def test_compile_trace_poly():

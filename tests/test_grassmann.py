@@ -292,11 +292,9 @@ def test_render_golden_format():
 
 
 def test_eps_of_grade():
-    from epsgrass import eps_of_grade
-
-    assert eps_of_grade(word_grade(word_from_letters([1, 2]))) == frozenset({1, 2})
-    assert eps_of_grade(word_grade(word_from_letters([1, 1]))) == frozenset()
-    assert eps_of_grade(word_grade(word_from_letters([1, 2, 2, 3]))) == frozenset({1, 3})
+    assert word_grade(word_from_letters([1, 2])) == frozenset({1, 2})
+    assert word_grade(word_from_letters([1, 1])) == frozenset()
+    assert word_grade(word_from_letters([1, 2, 2, 3])) == frozenset({1, 3})
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from epsgrass.hull import (
     hull_evaluate,
     idempotent_system_check,
     lambda_idempotent,
-    mat_trace,
     phi_embed,
     projected_commutation_check,
 )
@@ -145,16 +144,16 @@ def int_matrix(coeff, rows):
 def test_matrix_trace_examples():
     cz = CoeffRing(ZZ)
     ident = Matrix.identity(2, cz.zero(), cz.one())
-    assert mat_trace(ident) == cz.from_int(2)
+    assert ident.trace() == cz.from_int(2)
     e12 = int_matrix(cz, [[0, 1], [0, 0]])
-    assert mat_trace(e12).is_zero()
+    assert e12.trace().is_zero()
 
 
 def test_matrix_trace_symmetry_random(rng):
     for _ in range(30):
         a = int_matrix(CQ, [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
         b = int_matrix(CQ, [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
-        assert mat_trace(a * b) == mat_trace(b * a)
+        assert (a * b).trace() == (b * a).trace()
 
 
 def test_matrix_shape_errors():

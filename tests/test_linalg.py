@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from epsgrass.linalg import LatticeReducer, SmithSolver, smith_normal_form
+from epsgrass.linalg import (
+    LatticeReducer,
+    RationalEchelon,
+    SmithSolver,
+    smith_normal_form,
+)
+
+from rank_oracle import fraction_rank
 
 
 def random_matrix(rng, nrows, ncols, lo=-5, hi=5):
@@ -344,3 +351,25 @@ def test_lattice_reducer_canonical():
             sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(3)
         ]
         assert red.reduce(v) == red.reduce([a + b for a, b in zip(v, shift)])
+
+
+def test_rational_echelon_residues():
+    # each residue r of v is zero at every lead column and v - r lies in
+    # the span of the rows added so far
+    rng = random.Random(29)
+    for _ in range(40):
+        ncols = rng.randint(1, 7)
+        rows = random_matrix(rng, rng.randint(0, 5), ncols, -3, 3)
+        echelon = RationalEchelon([dict(enumerate(r)) for r in rows])
+        leads = [lead for lead, _ in echelon.rows]
+        assert len(leads) == len(set(leads)) == fraction_rank(rows)
+        for _ in range(5):
+            v = random_matrix(rng, 1, ncols, -4, 4)[0]
+            r = echelon.reduce(dict(enumerate(v)))
+            assert all(r.get(lead, 0) == 0 for lead in leads)
+            diff = [Fraction(x) - r.get(j, 0) for j, x in enumerate(v)]
+            assert fraction_rank(rows + [diff]) == fraction_rank(rows)
+            assert echelon.add_if_new(dict(enumerate(v))) == bool(r)
+            if r:
+                rows.append(v)
+                leads.append(min(r))

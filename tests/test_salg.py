@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from epsgrass import GF, QQ, ZZ, CoeffRing, exp_map, s_scommutator
+from epsgrass import GF, QQ, ZZ, CoeffRing, exp_map, scommutator
 from epsgrass.salg import SAlgebra
 from epsgrass.grassmann import word_parity_pairs
 
@@ -56,7 +56,7 @@ def test_scommutator_vanishes_random(ring):
     for _ in range(50):
         a = random_selem(rng, alg)
         b = random_selem(rng, alg)
-        assert s_scommutator(a, b).is_zero()
+        assert scommutator(a, b).is_zero()
 
 
 def test_associativity_random():
@@ -84,4 +84,4 @@ def test_scommutator_vanishes_over_even_composite_modulus():
     for _ in range(30):
         a = random_selem(rng, alg)
         b = random_selem(rng, alg)
-        assert s_scommutator(a, b).is_zero()
+        assert scommutator(a, b).is_zero()
