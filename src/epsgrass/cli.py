@@ -15,6 +15,7 @@ from itertools import permutations
 
 from .comodule import (
     MAX_COMODULE_ARITY,
+    MAX_SIGN_TABLE_ARITY,
     InternalError,
     MultilinearPoly,
     comodule_rank,
@@ -46,16 +47,23 @@ EXIT_CAPABILITY = 3
 EXIT_INTERNAL = 4
 
 # The bounds of the integer options, checked before any work: command ->
-# (option, name in messages, lowest, highest or None).  idempotents costs
-# O(4^X) products (16 s over Q at --X 6); a witness search that exhausts
-# its attempts takes 7.5 s at --max-n 6.  The expression text bounds the
-# work of check-identity, so --vars has no upper bound.
+# [(option, name in messages, lowest, highest or None, flag or None)]; a
+# bound with a flag applies only when that flag is set.  The co-module
+# certificate reaches arity 11 in about 20 s, but the sign table behind
+# signs and --dump-matrix holds n! rows (about 240 s at n = 8).
+# idempotents costs O(4^X) products (16 s over Q at --X 6); a witness
+# search that exhausts its attempts takes 7.5 s at --max-n 6.  The
+# expression text bounds the work of check-identity, so --vars has no
+# upper bound.
 CLI_LIMITS = {
-    "comodule": ("n", "arity", 1, MAX_COMODULE_ARITY),
-    "signs": ("n", "arity", 1, MAX_COMODULE_ARITY),
-    "idempotents": ("x_size", "--X", 0, 6),
-    "trace-witness": ("max_n", "--max-n", 2, 6),
-    "check-identity": ("vars", "--vars", 1, None),
+    "comodule": [
+        ("n", "arity", 1, MAX_COMODULE_ARITY, None),
+        ("n", "arity with --dump-matrix", 1, MAX_SIGN_TABLE_ARITY, "dump_matrix"),
+    ],
+    "signs": [("n", "arity", 1, MAX_SIGN_TABLE_ARITY, None)],
+    "idempotents": [("x_size", "--X", 0, 6, None)],
+    "trace-witness": [("max_n", "--max-n", 2, 6, None)],
+    "check-identity": [("vars", "--vars", 1, None, None)],
 }
 
 
@@ -121,8 +129,9 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def _run(args) -> int:
     command = args.command
-    if command in CLI_LIMITS:
-        dest, name, lo, hi = CLI_LIMITS[command]
+    for dest, name, lo, hi, flag in CLI_LIMITS.get(command, ()):
+        if flag is not None and not getattr(args, flag):
+            continue
         value = getattr(args, dest)
         if hi is None and value < lo:
             raise _Usage(f"{name} must be at least {lo}")

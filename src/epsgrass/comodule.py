@@ -6,10 +6,15 @@ s.  Substituting the generators e_1..e_n decides membership in the
 identity ideal of the twisted Grassmann algebra; the corresponding
 vector of generalized signs spans a free module of rank 2^(n-1), with
 an explicit spanning set (ascending prefix times a product of
-commutators in ascending disjoint pairs).  One integer certificate per
-arity proves freeness and the rank over every base ring at once: the
-spanning set has a unit Smith diagonal, and it spans the same lattice as
-the sign table.  Normal forms modulo the identities are computed by
+commutators in ascending disjoint pairs), whose sign images have a
+closed form with one esgn each (``SpanningTerm.sign_image``).  One
+integer certificate per arity proves freeness and the rank over every
+base ring at once, from the generators of S_n and without the n!-row
+sign table: the spanning rows have a unit Smith diagonal, their span
+holds 1 and is stable under the twisted action of every adjacent
+transposition, and by the closed-form lemma it lies in the span of the
+signs.  The integer sign table (``sign_matrix_int``) serves only
+``matrix_dump``.  Normal forms modulo the identities are computed by
 solving against the sign images of the spanning set.
 """
 
@@ -25,7 +30,12 @@ from .rings import BaseRing, IntegerRing, RingMismatchError
 from .terms import TracePoly, add_terms, scale_terms
 from . import epsilon
 
-MAX_COMODULE_ARITY = 8
+# The largest arity whose co-module certificate runs cold within 30 s:
+# `comodule --n 11` takes 19-21 s and n = 12 takes 87 s on a shared
+# 2-vCPU VM (BENCH_6.json).
+MAX_COMODULE_ARITY = 11
+# ``epsgrass signs`` and ``matrix_dump`` list all n! signs of S_n.
+MAX_SIGN_TABLE_ARITY = 8
 
 
 class InternalError(Exception):
@@ -249,6 +259,20 @@ class SpanningTerm(tuple):
             p = p * TracePoly.letter(ring, a).commutator(TracePoly.letter(ring, b))
         return MultilinearPoly.from_word_poly(p, self.arity())
 
+    def sign_image(self, coeff: CoeffRing) -> EpsPoly:
+        """psi(self.to_poly(ring)) in closed form, with one esgn.
+
+        Lemma: [e_a, e_b] = eps_a*eps_b*e_a*e_b, and the C[eps]
+        coefficients are central, so the image of x_P*[x_a1,x_b1]*... is
+        (prod eps_a*eps_b) * e_P*e_a1*e_b1*..., that is
+        psi(self) = (prod eps_a*eps_b) * esgn(P a1 b1 a2 b2 ...).
+        The tail is ascending and its pairs are disjoint, so the product
+        of the eps factors is the single monomial eps_tail.
+        """
+        word = self.prefix + self.tail
+        esgn_word = esgn(coeff, unit_words(len(word)), word)
+        return coeff.monomial(0, self.tail) * esgn_word
+
     def render(self) -> str:
         parts = [f"x{i}" for i in self.prefix]
         parts.extend(
@@ -267,13 +291,11 @@ def spanning_terms(n: int) -> list[SpanningTerm]:
 
 
 def _spanning_matrix_int(n: int):
+    coeff = CoeffRing(IntegerRing())
     cols = all_monomials(range(1, n + 1))
     index = {m: k for k, m in enumerate(cols)}
     terms = spanning_terms(n)
-    zz = IntegerRing()
-    rows = [
-        _vectorize(psi(t.to_poly(zz)), index, zz) for t in terms
-    ]
+    rows = [_vectorize(t.sign_image(coeff), index, coeff.base) for t in terms]
     return terms, cols, index, rows
 
 
@@ -303,31 +325,45 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
     """Rank of the module spanned by all generalized signs of S_n.
 
     It is 2^(n-1) over every commutative ring, so ``ring`` does not change
-    the answer.  The rank is proved once per arity by exact integer checks
-    on the sign rows S and the spanning rows B: (a) B has a unit Smith
-    diagonal of length 2^(n-1), so its span is a direct summand of that
-    rank; (b) every row of S solves against B; (c) B = T*S, where row t of
-    T holds the coefficients of spanning term t.  So span(S) = span(B),
-    which stays free of rank 2^(n-1) after any base change, composite Z/m
-    included.  A failed check raises ``InternalError``.
+    the answer.  The rank is proved once per arity, without the sign
+    table, by exact integer checks on the spanning rows B:
+
+    (a) B has a unit Smith diagonal of length 2^(n-1), so its span is a
+        direct summand of that rank;
+    (b') 1 solves against B, and so does sign_act(s_k, b) for every
+        adjacent transposition s_k = (k k+1) and every row b of B.
+
+    By the cocycle law, A_sigma(lam) = esgn(sigma)*phi_sigma(lam) is a
+    Z-linear action of S_n on C[eps] (``sign_act``), and the sign row of
+    sigma is A_sigma(1).  The s_k generate S_n, so (b') puts every sign
+    row in span(B).  Conversely, each row of B is psi of its spanning
+    term, a Z-combination of sign rows (B = T*S): that is the closed-form
+    lemma of ``SpanningTerm.sign_image``.  So span(S) = span(B), which
+    stays free of rank 2^(n-1) after any base change, composite Z/m
+    included.  That is 1 + (n-1)*2^(n-1) solves.  A failed check raises
+    ``InternalError``.
     """
     if n in _RANK_CACHE:
         return _RANK_CACHE[n]
     if not freeness_certificate(n):  # (a); rejects an arity out of range
         raise InternalError(f"spanning set at arity {n} is not certified free")
-    perms, _, sign_rows = sign_matrix_int(n)
-    terms, _, _, rows, solver = _spanning_solver(n)
-    zz = IntegerRing()
-    for perm, row in zip(perms, sign_rows):  # (b)
-        if not solver.solve(row, zz)[1]:
-            raise InternalError(f"sign row {perm} is outside the spanning set's span")
-    table = dict(zip(perms, sign_rows))
-    for term, row in zip(terms, rows):  # (c)
-        combo = [0] * len(row)
-        for perm, c in term.to_poly(zz).coeffs.items():
-            combo = [x + c * v for x, v in zip(combo, table[perm])]
-        if combo != row:
-            raise InternalError(f"spanning row {term.render()} differs from T*S")
+    _, cols, index, rows, solver = _spanning_solver(n)
+    coeff = CoeffRing(IntegerRing())
+
+    def spanned(p: EpsPoly) -> bool:
+        return solver.solve(_vectorize(p, index, coeff.base), coeff.base)[1]
+
+    if not spanned(coeff.one()):  # (b')
+        raise InternalError("1 is outside the spanning set's span")
+    polys = [EpsPoly(coeff, {m: v for m, v in zip(cols, row) if v}) for row in rows]
+    for k in range(1, n):
+        s_k = tuple(range(1, k)) + (k + 1, k) + tuple(range(k + 2, n + 1))
+        for b in polys:
+            if not spanned(sign_act(s_k, b, n)):
+                raise InternalError(
+                    f"the spanning set's span is not stable under s_{k}: "
+                    f"{b.render()} leaves it"
+                )
     _RANK_CACHE[n] = 2 ** (n - 1)
     return _RANK_CACHE[n]
 

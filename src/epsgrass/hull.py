@@ -14,12 +14,14 @@ f*(matrices) (x) product of words.
 from __future__ import annotations
 
 from itertools import product as iproduct
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from .epsilon import CoeffRing, EpsPoly
 from .grassmann import GrassAlgebra, GrassElem, esgn
 from .salg import SAlgebra, SElem
 from .rings import RingMismatchError
+from .terms import add_term
 
 
 class GradeMismatchError(ValueError):
@@ -263,9 +265,7 @@ class GradedPoly:
     def map_coeffs(self, fn) -> "GradedPoly":
         out = {}
         for k, c in self.coeffs.items():
-            v = fn(k, c)
-            if not v.is_zero():
-                out[k] = v
+            add_term(self.coeff, out, k, fn(k, c))
         return GradedPoly(self.coeff, self.grades, out)
 
 
@@ -277,6 +277,10 @@ def grassmann_involution(f: GradedPoly) -> GradedPoly:
 
 
 # -- hull elements and the factorization law ------------------------------
+
+
+# Matrix values for the term-map helpers.
+_MATRICES = SimpleNamespace(add=Matrix.__add__, is_zero=Matrix.is_zero)
 
 
 class HullElem:
@@ -296,15 +300,10 @@ class HullElem:
         """Accumulate mat (x) word_elem, distributing the word's C[eps]
         coefficients onto the matrix side.  The tensor is over C[eps], so
         matrix entries inherit the word's torsion reduction."""
+        reduce = self._reduce_entries
         for word, c in word_elem.terms.items():
-            piece = mat.scale(c)
-            if word in self.terms:
-                piece = self.terms[word] + piece
-            piece = self._reduce_entries(word, piece)
-            if piece.is_zero():
-                self.terms.pop(word, None)
-            else:
-                self.terms[word] = piece
+            piece = reduce(word, mat.scale(c))
+            add_term(_MATRICES, self.terms, word, piece, reduce)
 
     def _reduce_entries(self, word, mat: Matrix) -> Matrix:
         reduce = self.salgebra._reduce_coeff

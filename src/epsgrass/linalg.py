@@ -4,7 +4,8 @@ Dense matrices are lists of int rows (arbitrary precision); there is no
 floating point and no fixed-width fast path, so every result is exact.
 Nothing here ranks a matrix over a particular ring: a rank over every
 base ring at once follows from a Smith certificate with unit diagonal
-(see ``comodule.comodule_rank``).
+and integer solves against it (``comodule.comodule_rank`` solves 1 and
+the images of the spanning rows under the generators of S_n).
 
 The Smith normal form works on sparse rows and keeps both transforms
 sparse (U by rows, V by columns), which is what the freeness

@@ -74,6 +74,14 @@ def test_comodule(capsys):
     assert len(payload["details"]["basis"]) == 4
 
 
+def test_comodule_beyond_the_sign_table(capsys):
+    # arity 9 was out of reach while the certificate read all 9! sign rows
+    code, out, _ = run_cli(capsys, "comodule", "--n", "9", "--ring", "mod:6")
+    lines = out.splitlines()
+    assert code == 0 and lines[:2] == ["rank 256", "free: yes"]
+    assert len(lines) == 3 + 256 and lines[3] == "  x1*x2*x3*x4*x5*x6*x7*x8*x9"
+
+
 def test_comodule_composite_modulus(capsys):
     code, out, _ = run_cli(capsys, "comodule", "--n", "4", "--ring", "mod:4")
     assert code == 0
@@ -232,7 +240,12 @@ def test_trace_check_json_agreement(capsys):
 
 def test_cli_limits(capsys):
     cases = [
-        (("comodule", "--n"), ("0", "9"), "arity must be between 1 and 8"),
+        (("comodule", "--n"), ("0", "12"), "arity must be between 1 and 11"),
+        (
+            ("comodule", "--dump-matrix", "--n"),
+            ("9", "11"),
+            "arity with --dump-matrix must be between 1 and 8",
+        ),
         (("idempotents", "--X"), ("-1", "7"), "--X must be between 0 and 6"),
         (
             ("trace-witness", "x1", "--max-n"),

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from itertools import permutations
 
 import pytest
 
 from epsgrass import GF, QQ, ZZ, CoeffRing, ModRing, comodule, esgn
 from epsgrass.comodule import (
+    MAX_COMODULE_ARITY,
     InternalError,
     MultilinearPoly,
     SpanningTerm,
@@ -20,7 +25,8 @@ from epsgrass.comodule import (
     spanning_terms,
     unit_words,
 )
-from epsgrass.linalg import smith_normal_form
+from epsgrass.epsilon import all_monomials
+from epsgrass.linalg import SmithSolver, smith_normal_form
 from epsgrass.terms import TracePoly
 
 from conftest import random_perm, zz_algebra
@@ -124,6 +130,24 @@ def test_sign_act_is_group_action(rng):
         assert sign_act(st, lam, n) == sign_act(s, sign_act(t, lam, n), n)
 
 
+def test_sign_act_is_an_action_on_every_monomial():
+    # the generator certificate of comodule_rank rests on this law
+    cz = CoeffRing(ZZ)
+    for n in range(1, 5):
+        perms = list(permutations(range(1, n + 1)))
+        basis = [cz.monomial(t, eps) for t, eps in all_monomials(range(1, n + 1))]
+        image = {(s, i): sign_act(s, m, n) for s in perms for i, m in enumerate(basis)}
+        for s in perms:
+            for t in perms:
+                st = tuple(s[t[i] - 1] for i in range(n))
+                for i in range(len(basis)):
+                    assert image[st, i] == sign_act(s, image[t, i], n), (s, t, i)
+        for k in range(1, n):
+            s_k = tuple(range(1, k)) + (k + 1, k) + tuple(range(k + 2, n + 1))
+            for i, m in enumerate(basis):
+                assert sign_act(s_k, image[s_k, i], n) == m
+
+
 def test_is_identity_iff_psi_zero(rng):
     for _ in range(60):
         n = rng.randint(2, 4)
@@ -151,9 +175,13 @@ def test_comodule_rank_small(ring):
 
 def test_comodule_rank_guard():
     with pytest.raises(ValueError):
-        comodule_rank(9, ZZ)
+        comodule_rank(MAX_COMODULE_ARITY + 1, ZZ)
     with pytest.raises(ValueError):
         comodule_rank(0, ZZ)
+
+
+def test_comodule_rank_at_arity_8():
+    assert comodule_rank(8, ZZ) == 128
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -168,35 +196,104 @@ def test_comodule_rank_matches_elimination_oracles(n):
         assert fraction_rank(rows) == r
 
 
-def corrupted_rank(monkeypatch, n, corrupt):
-    """comodule_rank(n) certified afresh on a corrupted copy of the cached
-    sign table; ``corrupt(cols, rows)`` edits the copy in place."""
-    perms, cols, rows = sign_matrix_int(n)
-    rows = [list(row) for row in rows]
-    corrupt(cols, rows)
-    monkeypatch.setattr(comodule, "_SIGN_MATRIX_CACHE", {n: (perms, cols, rows)})
+@pytest.mark.parametrize("n", range(1, 7))
+def test_whole_table_checks_still_hold(n):
+    # the table certificate the generator certificate replaced: every sign
+    # row S solves against the spanning rows B, and B = T*S
+    perms, _, sign_rows = sign_matrix_int(n)
+    terms, _, _, rows, solver = comodule._spanning_solver(n)
+    assert all(solver.solve(row, ZZ)[1] for row in sign_rows)
+    table = dict(zip(perms, sign_rows))
+    for term, row in zip(terms, rows):
+        combo = [0] * len(row)
+        for perm, c in term.to_poly(ZZ).coeffs.items():
+            combo = [x + c * v for x, v in zip(combo, table[perm])]
+        assert combo == row, term.render()
+
+
+def test_spanning_rows_closed_form_equals_psi():
+    cz = CoeffRing(ZZ)
+    for n in range(1, 8):
+        for term in spanning_terms(n):
+            assert term.sign_image(cz) == psi(term.to_poly(ZZ)), term.render()
+
+
+def test_rank_and_normal_form_never_read_the_sign_table(monkeypatch):
+    def forbidden(n):
+        raise AssertionError("the sign table was read")
+
+    f = to_ml(xvar(3) * xvar(1) * xvar(2) - (xvar(2) * xvar(3) * xvar(1)).scale(2), 3)
+    expected = grassmann_normal_form(f)
+    monkeypatch.setattr(comodule, "sign_matrix_int", forbidden)
+    monkeypatch.setattr(comodule, "_SOLVER_CACHE", {})
+    monkeypatch.setattr(comodule, "_RANK_CACHE", {})
+    for n in range(1, 7):
+        assert comodule_rank(n, ZZ) == 2 ** (n - 1)
+    assert grassmann_normal_form(f) == expected
+
+
+def rank_on_spanning_rows(monkeypatch, n, polys):
+    """comodule_rank(n) certified afresh with the spanning rows B replaced
+    by the given C[eps] polynomials (a corrupted ``_SOLVER_CACHE`` entry)."""
+    terms, cols, index, _, _ = comodule._spanning_solver(n)
+    rows = []
+    for p in polys:
+        row = [0] * len(cols)
+        for key, c in p.terms.items():
+            row[index[key]] = c
+        rows.append(row)
+    entry = (terms, cols, index, rows, SmithSolver(rows))
+    monkeypatch.setattr(comodule, "_SOLVER_CACHE", {n: entry})
     monkeypatch.setattr(comodule, "_RANK_CACHE", {})
     return comodule_rank(n, ZZ)
 
 
-def test_comodule_rank_rejects_row_outside_span(monkeypatch):
-    # theta alone is not in the span of the spanning set
-    def corrupt(cols, rows):
-        rows[-1][cols.index((1, ()))] += 1
-
-    with pytest.raises(InternalError, match="outside"):
-        corrupted_rank(monkeypatch, 3, corrupt)
-
-
-def test_comodule_rank_rejects_table_not_spanning(monkeypatch):
-    # zero rows lie in every span, but cannot give back the spanning rows
-    def corrupt(cols, rows):
-        rows[:] = [[0] * len(cols) for _ in rows]
-
-    with pytest.raises(InternalError, match="differs"):
-        corrupted_rank(monkeypatch, 3, corrupt)
+def test_comodule_rank_rejects_span_not_stable(monkeypatch):
+    # {1, theta} has a unit Smith diagonal and holds 1, but
+    # s_1(theta) = theta - theta*eps1*eps2 leaves its span
+    cz = CoeffRing(ZZ)
+    with pytest.raises(InternalError, match="not stable under s_1"):
+        rank_on_spanning_rows(monkeypatch, 2, [cz.one(), cz.theta()])
+    # stable under s_1, which fixes eps1*eps2 up to sign, but
+    # s_2(1) = 1 - eps2*eps3 leaves the span: the last generator counts
+    e12 = cz.eps(1) * cz.eps(2)
+    rows = [cz.one(), e12, cz.theta(), cz.theta() * e12]
+    with pytest.raises(InternalError, match="not stable under s_2"):
+        rank_on_spanning_rows(monkeypatch, 3, rows)
     monkeypatch.undo()
-    assert comodule_rank(3, ZZ) == 4  # the real table still certifies
+    assert comodule_rank(2, ZZ) == 2  # the real spanning rows still certify
+    assert comodule_rank(3, ZZ) == 4
+
+
+def test_comodule_rank_rejects_span_missing_one(monkeypatch):
+    cz = CoeffRing(ZZ)
+    with pytest.raises(InternalError, match="1 is outside"):
+        rank_on_spanning_rows(monkeypatch, 2, [cz.eps(1) * cz.eps(2), cz.theta()])
+
+
+def test_stability_check_survives_optimize():
+    code = (
+        "from epsgrass import ZZ, comodule\n"
+        "from epsgrass.linalg import SmithSolver\n"
+        "terms, cols, index, _, _ = comodule._spanning_solver(2)\n"
+        "rows = [[0] * len(cols) for _ in range(2)]\n"
+        "rows[0][index[(0, ())]] = rows[1][index[(1, ())]] = 1\n"
+        "comodule._SOLVER_CACHE[2] = (terms, cols, index, rows, SmithSolver(rows))\n"
+        "try:\n"
+        "    comodule.comodule_rank(2, ZZ)\n"
+        "except comodule.InternalError as err:\n"
+        "    print('raised:', err)\n"
+    )
+    src = os.path.dirname(os.path.dirname(comodule.__file__))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised: the spanning set's span is not stable under s_1")
 
 
 def test_spanning_terms_count():
