@@ -27,13 +27,13 @@ from .epsilon import CoeffRing, EpsPoly, all_monomials
 from .grassmann import GrassAlgebra, GrassElem, esgn, word_from_letters
 from .linalg import SmithSolver
 from .rings import BaseRing, IntegerRing, RingMismatchError
-from .terms import TracePoly, add_terms, scale_terms
+from .terms import TracePoly, add_term, add_terms, scale_terms
 from . import epsilon
 
 # The largest arity whose co-module certificate runs cold within 30 s:
-# `comodule --n 11` takes 19-21 s and n = 12 takes 87 s on a shared
-# 2-vCPU VM (BENCH_6.json).
-MAX_COMODULE_ARITY = 11
+# `comodule --n 11` takes 1.6 s and n = 12 takes 5.9 s at 157 MB peak
+# RSS on a shared 2-vCPU VM (BENCH_7.json); n = 13 was not measured.
+MAX_COMODULE_ARITY = 12
 # ``epsgrass signs`` and ``matrix_dump`` list all n! signs of S_n.
 MAX_SIGN_TABLE_ARITY = 8
 
@@ -167,12 +167,14 @@ def unit_words(n: int):
 
 def psi(f: MultilinearPoly) -> EpsPoly:
     """Image of f in the sign module: sum of a_sigma * esgn(e., sigma)."""
-    coeff = CoeffRing(f.ring)
+    ring = f.ring
+    coeff = CoeffRing(ring)
     w = unit_words(f.n)
-    acc = coeff.zero()
+    acc: dict = {}
     for perm, c in f.coeffs.items():
-        acc = acc + esgn(coeff, w, perm).scale(c)
-    return acc
+        for key, v in esgn(coeff, w, perm).terms.items():
+            add_term(ring, acc, key, ring.mul(v, c))
+    return EpsPoly(coeff, acc)
 
 
 def sign_act(pi: Sequence[int], lam: EpsPoly, n: int | None = None) -> EpsPoly:
@@ -188,6 +190,10 @@ def _vectorize(p: EpsPoly, index: dict, ring: BaseRing):
     for key, c in p.terms.items():
         vec[index[key]] = c
     return vec
+
+
+def _sparse(p: EpsPoly, index: dict) -> dict:
+    return {index[key]: c for key, c in p.terms.items()}
 
 
 _SIGN_MATRIX_CACHE: dict = {}
@@ -351,7 +357,7 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
     coeff = CoeffRing(IntegerRing())
 
     def spanned(p: EpsPoly) -> bool:
-        return solver.solve(_vectorize(p, index, coeff.base), coeff.base)[1]
+        return solver.solve(_sparse(p, index), coeff.base)[1]
 
     if not spanned(coeff.one()):  # (b')
         raise InternalError("1 is outside the spanning set's span")
@@ -379,8 +385,7 @@ def grassmann_normal_form(f: MultilinearPoly) -> dict[SpanningTerm, object]:
     if not freeness_certificate(f.n):
         raise InternalError(f"spanning set at arity {f.n} is not certified free")
     terms, _, index, _, solver = _spanning_solver(f.n)
-    vec = _vectorize(psi(f), index, ring)
-    sol, ok = solver.solve(vec, ring)
+    sol, ok = solver.solve(_sparse(psi(f), index), ring)
     if not ok:
         raise InternalError("sign image not in the span of the spanning set")
     coords = {t: c for t, c in zip(terms, sol) if not ring.is_zero(c)}

@@ -7,11 +7,21 @@ normal form.
 
 ``EpsPoly`` instances are immutable by convention: no method mutates an
 existing polynomial, so values can be shared freely.
+
+Products run on integer masks.  The public key (t, eps) of a monomial
+maps to the mask with bit 0 = t and bit i set for each eps_i (memoized
+both ways).  For masks a and b the product monomial is (a|b) without
+bit 0; its theta degree is (a&1) + (b&1) plus one per shared eps, the
+popcount of a & b without bit 0, since eps_i^2 = theta*eps_i; an odd
+degree sets bit 0, and each theta^2 = 2 doubles the coefficient, a left
+shift by half the degree.  There are two arithmetic paths: over Z and
+Z/m (rings with ``int_valued``) the coefficients accumulate as plain
+ints and reduce once per output monomial through ``from_int``; any
+other base ring goes through its ``mul`` and ``add``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations
 from typing import Iterable
 
@@ -123,6 +133,39 @@ def all_monomials(indices: Iterable[int]) -> list[Monomial]:
     return out
 
 
+# The mask of a monomial key (t, eps): bit 0 is t, bit i is eps_i.  A
+# memo of a pure function, so sharing it changes no result; it holds one
+# entry per distinct monomial seen.
+_MASKS: dict = {}  # key -> mask
+_KEYS: dict = {}  # mask -> key
+
+
+def _key_of(mask: int) -> Monomial:
+    key = _KEYS.get(mask)
+    if key is None:
+        key = (mask & 1, tuple(i for i in range(1, mask.bit_length()) if mask >> i & 1))
+        _KEYS[mask] = key
+        _MASKS[key] = mask
+    return key
+
+
+def _masked(terms: dict) -> list:
+    """The (mask, coefficient) pairs of a term map."""
+    masks = _MASKS
+    out = []
+    for key, c in terms.items():
+        m = masks.get(key)
+        if m is None:
+            t, eps = key
+            m = t
+            for i in eps:
+                m |= 1 << i
+            masks[key] = m
+            _KEYS[m] = key
+        out.append((m, c))
+    return out
+
+
 class EpsPoly:
     """Element of C[eps] in reduced form: map monomial -> nonzero scalar."""
 
@@ -168,31 +211,49 @@ class EpsPoly:
 
     def __mul__(self, other: "EpsPoly") -> "EpsPoly":
         self._check_ring(other)
-        base = self.ring.base
-        theta_zero = self.ring.theta_zero
+        ring = self.ring
+        base = ring.base
+        theta_zero = ring.theta_zero
+        lhs = _masked(self.terms)
+        rhs = [(b & ~1, b & 1, c) for b, c in _masked(other.terms)]
         acc: dict = {}
-        for (t1, e1), c1 in self.terms.items():
-            for (t2, e2), c2 in other.terms.items():
-                c = base.mul(c1, c2)
-                s1, s2 = set(e1), set(e2)
-                # eps_i * eps_i -> theta * eps_i for every collision
-                t = t1 + t2 + len(s1 & s2)
-                eps = tuple(sorted(s1 | s2))
-                # theta^2 -> 2
-                if t >= 2:
-                    c = base.mul(c, base.from_int(2 ** (t // 2)))
-                    t = t % 2
-                if theta_zero and t:
-                    continue
-                if base.is_zero(c):
-                    continue
-                key = (t, eps)
-                s = base.add(acc.get(key, base.zero()), c)
-                if base.is_zero(s):
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-        return EpsPoly(self.ring, acc)
+        get = acc.get
+        if base.int_valued:
+            for a, ca in lhs:
+                ta, ea = a & 1, a & ~1
+                for eb, tb, cb in rhs:
+                    t = ta + tb + (ea & eb).bit_count()
+                    m = ea | eb
+                    if t & 1:
+                        if theta_zero:
+                            continue
+                        m |= 1
+                    acc[m] = get(m, 0) + (ca * cb << (t >> 1))
+            frm = base.from_int
+            out = {}
+            for m, c in acc.items():
+                c = frm(c)
+                if c:
+                    out[_key_of(m)] = c
+            return EpsPoly(ring, out)
+        mul, add, frm = base.mul, base.add, base.from_int
+        for a, ca in lhs:
+            ta, ea = a & 1, a & ~1
+            for eb, tb, cb in rhs:
+                t = ta + tb + (ea & eb).bit_count()
+                m = ea | eb
+                if t & 1:
+                    if theta_zero:
+                        continue
+                    m |= 1
+                c = mul(ca, cb)
+                if t > 1:
+                    c = mul(c, frm(1 << (t >> 1)))
+                acc[m] = add(acc[m], c) if m in acc else c
+        is_zero = base.is_zero
+        return EpsPoly(
+            ring, {_key_of(m): c for m, c in acc.items() if not is_zero(c)}
+        )
 
     def scale(self, c) -> "EpsPoly":
         return EpsPoly(self.ring, scale_terms(self.ring.base, self.terms, c))
@@ -273,21 +334,35 @@ def exp_map(ring: CoeffRing, pairs: Iterable[tuple[int, int]]) -> EpsPoly:
     """exp of a sum of eps_i*eps_j pairs: the product of (1 - eps_i*eps_j).
 
     Pair multiplicities reduce mod 2 first (exp(2a) = 1); an (i, i) pair
-    contributes the square-consistent factor (1 - theta*eps_i).
+    contributes the square-consistent factor (1 - theta*eps_i).  The
+    product is expanded over Z on masks, one pass per factor, and mapped
+    into the ring once.
     """
-    counts: Counter = Counter()
+    odd: set = set()  # the mask of eps_i*eps_j, or of theta*eps_i for i = j
     for i, j in pairs:
-        counts[(min(i, j), max(i, j))] += 1
-    result = ring.one()
-    for (i, j), m in sorted(counts.items()):
-        if m % 2 == 0:
-            continue
-        if i == j:
-            factor = ring.one() - ring.theta() * ring.eps(i)
+        if i < 1 or j < 1:
+            raise ValueError("eps indices start at 1")
+        f = 1 << i | 1 << j if i != j else 1 << i | 1
+        if f in odd:
+            odd.remove(f)
         else:
-            factor = ring.one() - ring.eps(i) * ring.eps(j)
-        result = result * factor
-    return result
+            odd.add(f)
+    poly = {0: 1}
+    for f in sorted(odd):
+        ft, fe = f & 1, f & ~1
+        for m, c in list(poly.items()):
+            t = (m & 1) + ft + (m & fe).bit_count()
+            prod = m & ~1 | fe | t & 1
+            poly[prod] = poly.get(prod, 0) - (c << (t >> 1))
+    base = ring.base
+    out = {}
+    for m, c in poly.items():
+        if m & 1 and ring.theta_zero:
+            continue
+        c = base.from_int(c)
+        if not base.is_zero(c):
+            out[_key_of(m)] = c
+    return EpsPoly(ring, out)
 
 
 def phi_sigma(perm, p: EpsPoly) -> EpsPoly:

@@ -188,8 +188,9 @@ class SmithSolver:
     then x = (v*V)[:r] * U.  The solver keeps neither transform: it
     stores, sparse and by rows (one per column of A), the projector
     P = V[:, :r] * U (``projector``) and the cokernel test V[:, r:]
-    (``cokernel``), so a solve skips the zero entries of v and costs ring
-    operations in proportion to the nonzeros of the rows they select.
+    (``cokernel``).  The vector comes as a sparse {column: value} map,
+    so a solve walks only the columns it holds and costs ring operations
+    in proportion to the nonzeros of the rows they select.
     """
 
     def __init__(self, rows: list[list[int]]):
@@ -215,23 +216,24 @@ class SmithSolver:
             self.projector = [tuple(row.items()) for row in proj]
             self.cokernel = [tuple(row.items()) for row in coker]
 
-    def solve(self, vec, ring):
-        """Solve x*A = vec over ``ring``; vec has ring elements.
+    def solve(self, vec: dict, ring):
+        """Solve x*A = vec over ``ring``; vec is a sparse vector
+        {column: nonzero ring element}.
 
         Returns (x, residual_ok).  residual_ok is False when vec is not
-        in the row span, in which case x is None.
+        in the row span, in which case x is None.  A column outside
+        0..ncols-1 raises ``ValueError``.
         """
         if not self.certified:
             raise ValueError("matrix is not Smith-certified; cannot solve universally")
-        if len(vec) != self.ncols:
-            raise ValueError(f"vector has length {len(vec)}, expected {self.ncols}")
         add, mul, frm, is_zero = ring.add, ring.mul, ring.from_int, ring.is_zero
         zero = ring.zero()
         x = [zero] * self.nrows
         test: dict = {}  # the coordinates of (vec*V)[r:] that vec reaches
-        for i, c in enumerate(vec):
-            if is_zero(c):
-                continue
+        ncols = self.ncols
+        for i, c in vec.items():
+            if not 0 <= i < ncols:
+                raise ValueError(f"column {i} is outside 0..{ncols - 1}")
             for k, v in self.cokernel[i]:
                 test[k] = add(test.get(k, zero), mul(c, frm(v)))
             for k, v in self.projector[i]:

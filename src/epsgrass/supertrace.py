@@ -72,6 +72,13 @@ class TraceInternalError(Exception):
 # trace argument may be rotated at the cost of an exp factor.  The four
 # defining identities hold here, so evaluation kills exactly their
 # consequences (on multilinear input).
+#
+# Every reordering cost is exp of a list of eps-index pairs, and
+# exp(p)*exp(q) = exp(p + q): C[eps] is commutative and each factor
+# 1 - eps_i*eps_j squares to 1, over every ring and in the theta=0
+# quotient alike.  So the helpers below only append their pairs to a
+# list the caller passes in, and a product or trace of one term pair
+# expands the joined list with a single ``exp_map``.
 
 
 class TraceModel:
@@ -87,47 +94,34 @@ class TraceModel:
     def letter(self, i: int) -> "ModelElem":
         return ModelElem(self, {((i,), ()): self.coeff.one()})
 
-    def _sorted_insert(self, traces: tuple, word: tuple) -> tuple[tuple, EpsPoly]:
+    def _sorted_insert(self, traces: tuple, word: tuple, pairs: list) -> tuple:
         """Insert a trace word arriving from the right end; swapping two
-        trace values costs exp(eps_v eps_v')."""
-        factor = self.coeff.one()
+        trace values costs exp(eps_v eps_v'), whose pairs go to ``pairs``."""
         pos = len(traces)
         while pos > 0 and traces[pos - 1] > word:
-            factor = factor * exp_map(
-                self.coeff, word_parity_pairs(traces[pos - 1], word)
-            )
+            pairs.extend(word_parity_pairs(traces[pos - 1], word))
             pos -= 1
-        return traces[:pos] + (word,) + traces[pos:], factor
+        return traces[:pos] + (word,) + traces[pos:]
 
-    def _sorted_insert_left(self, traces: tuple, word: tuple) -> tuple[tuple, EpsPoly]:
-        """Insert a trace word arriving from the left end."""
-        factor = self.coeff.one()
+    def _sorted_insert_left(self, traces: tuple, word: tuple, pairs: list) -> tuple:
+        """Insert a trace word arriving from the left end; the swaps'
+        pairs go to ``pairs``."""
         pos = 0
         while pos < len(traces) and traces[pos] < word:
-            factor = factor * exp_map(
-                self.coeff, word_parity_pairs(word, traces[pos])
-            )
+            pairs.extend(word_parity_pairs(word, traces[pos]))
             pos += 1
-        return traces[:pos] + (word,) + traces[pos:], factor
+        return traces[:pos] + (word,) + traces[pos:]
 
-    def _canonical_rotation(self, word: tuple) -> tuple[tuple, EpsPoly]:
-        """Rotate to the lexicographically minimal linearization; each
-        left-rotation by one letter costs exp(eps_letter eps_rest)."""
-        best = word
-        best_factor = self.coeff.one()
-        current = word
-        factor = self.coeff.one()
+    def _canonical_rotation(self, word: tuple, pairs: list) -> tuple:
+        """Rotate to the lexicographically minimal linearization (the
+        first one, if several are equal); each left-rotation by one
+        letter costs exp(eps_letter eps_rest), whose pairs go to
+        ``pairs``."""
+        shift = min(range(len(word)), key=lambda k: word[k:] + word[:k])
         all_letters = set(word)
-        for _ in range(len(word) - 1):
-            head = current[0]
-            factor = factor * exp_map(
-                self.coeff, word_parity_pairs([head], all_letters - {head})
-            )
-            current = current[1:] + (current[0],)
-            if current < best:
-                best = current
-                best_factor = factor
-        return best, best_factor
+        for head in word[:shift]:
+            pairs.extend(word_parity_pairs([head], all_letters - {head}))
+        return word[shift:] + word[:shift]
 
 
 class ModelElem:
@@ -147,18 +141,17 @@ class ModelElem:
         out: dict = {}
         for (w0a, ta), ca in self.terms.items():
             for (w0b, tb), cb in other.terms.items():
+                pairs: list = []
                 # move the left trace factors past the right plain word
-                c = ca * cb
-                if ta and w0b:
-                    pairs = []
+                if w0b:
                     for v in ta:
                         pairs.extend(word_parity_pairs(v, w0b))
-                    c = c * exp_map(coeff, pairs)
                 traces = ta
                 for v in tb:
-                    traces, factor = model._sorted_insert(traces, v)
-                    if not factor.is_one():
-                        c = c * factor
+                    traces = model._sorted_insert(traces, v, pairs)
+                c = ca * cb
+                if pairs:
+                    c = c * exp_map(coeff, pairs)
                 add_term(coeff, out, (w0a + w0b, traces), c)
         return ModelElem(model, out)
 
@@ -176,12 +169,12 @@ class ModelElem:
                 raise TraceArgumentError(
                     "trace argument has no letters at its own nesting level"
                 )
-            word, factor = model._canonical_rotation(w0)
-            c = c * factor if not factor.is_one() else c
+            pairs: list = []
+            word = model._canonical_rotation(w0, pairs)
             # the fresh trace value sits to the left of the existing ones
-            new_traces, sort_factor = model._sorted_insert_left(traces, word)
-            if not sort_factor.is_one():
-                c = c * sort_factor
+            new_traces = model._sorted_insert_left(traces, word, pairs)
+            if pairs:
+                c = c * exp_map(model.coeff, pairs)
             add_term(model.coeff, out, ((), new_traces), c)
         return ModelElem(model, out)
 
@@ -634,7 +627,7 @@ def trace_normalize(f: TracePoly) -> StandardForm:
     items: dict = {}
     for pattern, part_terms in groups.items():
         basis, columns, solver = _block_solver(*pattern)
-        vec = [ring.zero()] * len(columns)
+        vec: dict = {}
         for mono_key, poly in part_terms.items():
             for eps_key, c in poly.terms.items():
                 col = columns.get((mono_key, eps_key))

@@ -1,0 +1,106 @@
+"""Plain-int oracles for exp, the generalized sign and the C[eps] product.
+
+Nothing here imports epsgrass.  A polynomial is a dict
+{(theta_deg, eps tuple): nonzero coefficient}, the same keys as
+``EpsPoly.terms``, with int (or Fraction) coefficients.
+
+``exp_graph`` is the closed form of exp(sum over E of eps_a*eps_b) for a
+simple graph E: the coefficient of theta^(|S| mod 2)*eps_S is
+
+    2^(-ceil(|S|/2)) * sum over T in S of (-1)^(|S| - |T| + e(T)),
+
+where e(T) counts the edges of E inside T, and every other monomial is
+0.  The sum is the character sum of the GF(2) quadratic form
+q(x) = sum x_v + sum_E x_a*x_b on S.  ``naive_mul`` multiplies by
+counting letters: eps_i^k = theta^(k-1)*eps_i and theta^k =
+2^(k//2)*theta^(k%2).
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from itertools import combinations
+
+ONE = (0, ())
+
+
+def naive_mul(p: dict, q: dict) -> dict:
+    """The product of two C[eps] polynomials over Z (or Q)."""
+    out: dict = {}
+    for (t1, e1), c1 in p.items():
+        for (t2, e2), c2 in q.items():
+            letters = Counter(e1) + Counter(e2)
+            theta = t1 + t2 + sum(k - 1 for k in letters.values())
+            key = (theta % 2, tuple(sorted(letters)))
+            out[key] = out.get(key, 0) + c1 * c2 * 2 ** (theta // 2)
+    return {k: c for k, c in out.items() if c}
+
+
+def binomial(i: int, j: int) -> dict:
+    """1 - eps_i*eps_j, or 1 - theta*eps_i when i = j."""
+    if i == j:
+        return {ONE: 1, (1, (i,)): -1}
+    return {ONE: 1, (0, tuple(sorted((i, j)))): -1}
+
+
+def exp_graph(edges) -> dict:
+    """exp of a simple graph's edges over Z, by the closed form."""
+    edges = [tuple(e) for e in {frozenset(e) for e in edges}]
+    if any(len(e) != 2 for e in edges):
+        raise ValueError("a simple graph has no loops")
+    vertices = sorted({v for e in edges for v in e})
+    out = {}
+    for size in range(len(vertices) + 1):
+        for subset in combinations(vertices, size):
+            total = 0
+            for k in range(size + 1):
+                for inner in combinations(subset, k):
+                    inside = set(inner)
+                    e_t = sum(1 for a, b in edges if a in inside and b in inside)
+                    total += (-1) ** (size - k + e_t)
+            if total:
+                den = 2 ** ((size + 1) // 2)
+                if total % den:
+                    raise ValueError(f"character sum {total} not divisible by {den}")
+                out[(size % 2, subset)] = total // den
+    return out
+
+
+def exp_pairs(pairs) -> dict:
+    """exp of a list of index pairs over Z: pairs cancel mod 2, the
+    distinct-index pairs go through the closed form, and each (i, i)
+    pair multiplies by 1 - theta*eps_i."""
+    odd = Counter(tuple(sorted(p)) for p in pairs)
+    edges = [p for p, k in odd.items() if k % 2 and p[0] != p[1]]
+    out = exp_graph(edges)
+    for (i, j), k in sorted(odd.items()):
+        if k % 2 and i == j:
+            out = naive_mul(out, binomial(i, i))
+    return out
+
+
+def inversion_pairs(supports, sigma) -> list:
+    """The pairs of esgn(sigma) on words with the given parity supports:
+    one per letter pair of each inversion i < j, sigma(i) > sigma(j)."""
+    pairs = []
+    n = len(sigma)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if sigma[i] > sigma[j]:
+                u, v = supports[sigma[i] - 1], supports[sigma[j] - 1]
+                pairs.extend((a, b) for a in u for b in v)
+    return pairs
+
+
+def reduce(poly: dict, modulus: int | None = None, theta_zero: bool = False) -> dict:
+    """The image of a Z polynomial in Z/modulus, optionally also in the
+    theta=0 quotient."""
+    out = {}
+    for (t, eps), c in poly.items():
+        if theta_zero and t:
+            continue
+        if modulus is not None:
+            c %= modulus
+        if c:
+            out[(t, eps)] = c
+    return out

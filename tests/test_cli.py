@@ -240,10 +240,10 @@ def test_trace_check_json_agreement(capsys):
 
 def test_cli_limits(capsys):
     cases = [
-        (("comodule", "--n"), ("0", "12"), "arity must be between 1 and 11"),
+        (("comodule", "--n"), ("0", "13"), "arity must be between 1 and 12"),
         (
             ("comodule", "--dump-matrix", "--n"),
-            ("9", "11"),
+            ("9", "12"),
             "arity with --dump-matrix must be between 1 and 8",
         ),
         (("idempotents", "--X"), ("-1", "7"), "--X must be between 0 and 6"),

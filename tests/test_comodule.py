@@ -174,8 +174,9 @@ def test_comodule_rank_small(ring):
 
 
 def test_comodule_rank_guard():
+    assert MAX_COMODULE_ARITY == 12
     with pytest.raises(ValueError):
-        comodule_rank(MAX_COMODULE_ARITY + 1, ZZ)
+        comodule_rank(13, ZZ)
     with pytest.raises(ValueError):
         comodule_rank(0, ZZ)
 
@@ -202,7 +203,9 @@ def test_whole_table_checks_still_hold(n):
     # row S solves against the spanning rows B, and B = T*S
     perms, _, sign_rows = sign_matrix_int(n)
     terms, _, _, rows, solver = comodule._spanning_solver(n)
-    assert all(solver.solve(row, ZZ)[1] for row in sign_rows)
+    assert all(
+        solver.solve({j: v for j, v in enumerate(row) if v}, ZZ)[1] for row in sign_rows
+    )
     table = dict(zip(perms, sign_rows))
     for term, row in zip(terms, rows):
         combo = [0] * len(row)

@@ -267,8 +267,8 @@ def test_smith_solver_matches_dense_formula():
             ]
             outside = [ring.sample(rng) for _ in range(c)]  # mostly not in the span
             for vec in (inside, outside):
-                assert solver.solve(vec, ring) == _dense_solve(a, vec, ring)
-            assert solver.solve(inside, ring) == (x, True)
+                assert solver.solve(sparse(vec, ring), ring) == _dense_solve(a, vec, ring)
+            assert solver.solve(sparse(inside, ring), ring) == (x, True)
 
 
 def test_smith_solver_signed_permutation_is_sparse():
@@ -288,10 +288,12 @@ def test_smith_solver_signed_permutation_is_sparse():
 def test_smith_solver_rejects_wrong_length():
     from epsgrass import ZZ
 
+    # a sparse vector with a column outside 0..ncols-1 is malformed
     solver = SmithSolver([[1, 0, 0], [0, 1, 0]])
-    for vec in ([1, 2], [1, 2, 0, 0]):
+    for vec in ({0: 1, 3: 1}, {-1: 1}, {5: 0}):
         with pytest.raises(ValueError):
             solver.solve(vec, ZZ)
+    assert solver.solve({0: 1, 1: 2}, ZZ) == ([1, 2], True)
 
 
 def test_smith_solver_over_various_rings():
@@ -316,8 +318,13 @@ def test_smith_solver_over_various_rings():
                 ring_sum(ring, (ring.mul(x[i], ring.from_int(a[i][j])) for i in range(n)))
                 for j in range(c)
             ]
-            sol, ok = solver.solve(v, ring)
+            sol, ok = solver.solve(sparse(v, ring), ring)
             assert ok and sol == x
+
+
+def sparse(vec, ring) -> dict:
+    """The {column: value} map of a dense vector's nonzero entries."""
+    return {i: c for i, c in enumerate(vec) if not ring.is_zero(c)}
 
 
 def ring_sum(ring, items):
@@ -331,7 +338,7 @@ def test_smith_solver_detects_inconsistency():
     from epsgrass import ZZ
 
     solver = SmithSolver([[1, 0, 0]])
-    sol, ok = solver.solve([0, 1, 0], ZZ)
+    sol, ok = solver.solve({1: 1}, ZZ)
     assert not ok and sol is None
 
 
