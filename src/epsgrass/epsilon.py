@@ -13,11 +13,10 @@ maps to the mask with bit 0 = t and bit i set for each eps_i (memoized
 both ways).  For masks a and b the product monomial is (a|b) without
 bit 0; its theta degree is (a&1) + (b&1) plus one per shared eps, the
 popcount of a & b without bit 0, since eps_i^2 = theta*eps_i; an odd
-degree sets bit 0, and each theta^2 = 2 doubles the coefficient, a left
-shift by half the degree.  There are two arithmetic paths: over Z and
-Z/m (rings with ``int_valued``) the coefficients accumulate as plain
-ints and reduce once per output monomial through ``from_int``; any
-other base ring goes through its ``mul`` and ``add``.
+degree sets bit 0, and each theta^2 = 2 doubles the coefficient, a
+factor 2 ** (degree // 2).  Coefficients accumulate with Python ``+``
+and ``*`` (ints for Z and Z/m, Fractions for Q) and reduce once per
+output monomial through ``from_int``.
 """
 
 from __future__ import annotations
@@ -217,26 +216,6 @@ class EpsPoly:
         lhs = _masked(self.terms)
         rhs = [(b & ~1, b & 1, c) for b, c in _masked(other.terms)]
         acc: dict = {}
-        get = acc.get
-        if base.int_valued:
-            for a, ca in lhs:
-                ta, ea = a & 1, a & ~1
-                for eb, tb, cb in rhs:
-                    t = ta + tb + (ea & eb).bit_count()
-                    m = ea | eb
-                    if t & 1:
-                        if theta_zero:
-                            continue
-                        m |= 1
-                    acc[m] = get(m, 0) + (ca * cb << (t >> 1))
-            frm = base.from_int
-            out = {}
-            for m, c in acc.items():
-                c = frm(c)
-                if c:
-                    out[_key_of(m)] = c
-            return EpsPoly(ring, out)
-        mul, add, frm = base.mul, base.add, base.from_int
         for a, ca in lhs:
             ta, ea = a & 1, a & ~1
             for eb, tb, cb in rhs:
@@ -246,14 +225,17 @@ class EpsPoly:
                     if theta_zero:
                         continue
                     m |= 1
-                c = mul(ca, cb)
+                c = ca * cb
                 if t > 1:
-                    c = mul(c, frm(1 << (t >> 1)))
-                acc[m] = add(acc[m], c) if m in acc else c
-        is_zero = base.is_zero
-        return EpsPoly(
-            ring, {_key_of(m): c for m, c in acc.items() if not is_zero(c)}
-        )
+                    c *= 1 << (t >> 1)
+                acc[m] = acc[m] + c if m in acc else c
+        frm = base.from_int
+        out = {}
+        for m, c in acc.items():
+            c = frm(c)
+            if c:
+                out[_key_of(m)] = c
+        return EpsPoly(ring, out)
 
     def scale(self, c) -> "EpsPoly":
         return EpsPoly(self.ring, scale_terms(self.ring.base, self.terms, c))

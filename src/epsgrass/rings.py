@@ -27,9 +27,6 @@ class CapabilityError(RingError):
 class BaseRing:
     name = "?"
     is_field = False
-    # Elements are ints and from_int maps an integer result to its
-    # residue, so integer arithmetic may run first and reduce once.
-    int_valued = False
 
     def zero(self):
         return self.from_int(0)
@@ -81,7 +78,6 @@ class BaseRing:
 
 class IntegerRing(BaseRing):
     name = "Z"
-    int_valued = True
 
     def from_int(self, n: int):
         return int(n)
@@ -139,8 +135,6 @@ def _is_prime(m: int) -> bool:
 
 class ModRing(BaseRing):
     """Residues modulo m, m >= 2.  Elements are ints in [0, m)."""
-
-    int_valued = True
 
     def __init__(self, m: int):
         if m < 2:
