@@ -2,8 +2,9 @@
 
 A multilinear polynomial is an identity iff it vanishes on the
 generators themselves; the space of sign values is a free module of
-rank 2^(n-1), certified by an integer Smith normal form, and normal
-forms modulo the identities are exact coordinates in the spanning set.
+rank 2^(n-1), certified by an integer elimination on +-1 pivots (which
+proves an all-ones Smith diagonal), and normal forms modulo the
+identities are exact coordinates in the spanning set.
 """
 
 from epsgrass import GF, QQ, ZZ

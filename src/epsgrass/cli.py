@@ -49,8 +49,8 @@ EXIT_INTERNAL = 4
 # The bounds of the integer options, checked before any work: command ->
 # [(option, name in messages, lowest, highest or None, flag or None)]; a
 # bound with a flag applies only when that flag is set.  The co-module
-# certificate reaches arity 11 in about 20 s, but the sign table behind
-# signs and --dump-matrix holds n! rows (about 240 s at n = 8).
+# certificate reaches arity 12 in 5.9 s cold (BENCH_7.json), but the sign
+# table behind signs and --dump-matrix holds n! rows (9-14 s at n = 8).
 # idempotents costs O(4^X) products (16 s over Q at --X 6); a witness
 # search that exhausts its attempts takes 7.5 s at --max-n 6.  The
 # expression text bounds the work of check-identity, so --vars has no

@@ -10,12 +10,13 @@ commutators in ascending disjoint pairs), whose sign images have a
 closed form with one esgn each (``SpanningTerm.sign_image``).  One
 integer certificate per arity proves freeness and the rank over every
 base ring at once, from the generators of S_n and without the n!-row
-sign table: the spanning rows have a unit Smith diagonal, their span
-holds 1 and is stable under the twisted action of every adjacent
-transposition, and by the closed-form lemma it lies in the span of the
-signs.  The integer sign table (``sign_matrix_int``) serves only
-``matrix_dump``.  Normal forms modulo the identities are computed by
-solving against the sign images of the spanning set.
+sign table: a unit-pivot elimination keeps every spanning row, which
+proves an all-ones Smith diagonal, their span holds 1 and is stable
+under the twisted action of every adjacent transposition, and by the
+closed-form lemma it lies in the span of the signs.  The integer sign
+table (``sign_matrix_int``) serves only ``matrix_dump``.  Normal forms
+modulo the identities are computed by solving against the sign images
+of the spanning set.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .epsilon import CoeffRing, EpsPoly, all_monomials
 from .grassmann import GrassAlgebra, GrassElem, esgn, word_from_letters
-from .linalg import SmithSolver
+from .linalg import NoUnitPivot, SmithSolver
 from .rings import BaseRing, IntegerRing, RingMismatchError
 from .terms import TracePoly, add_term, add_terms, scale_terms
 from . import epsilon
@@ -297,31 +298,42 @@ def spanning_terms(n: int) -> list[SpanningTerm]:
 
 
 def _spanning_matrix_int(n: int):
+    """Spanning terms, monomial columns, their index, the sign images B
+    and B's sparse integer rows."""
     coeff = CoeffRing(IntegerRing())
     cols = all_monomials(range(1, n + 1))
     index = {m: k for k, m in enumerate(cols)}
     terms = spanning_terms(n)
-    rows = [_vectorize(t.sign_image(coeff), index, coeff.base) for t in terms]
-    return terms, cols, index, rows
+    polys = [t.sign_image(coeff) for t in terms]
+    return terms, cols, index, polys, [_sparse(p, index) for p in polys]
 
 
 _SOLVER_CACHE: dict = {}
 
 
 def _spanning_solver(n: int):
+    """(terms, cols, index, sign images B, solver over B), cached."""
     if n not in _SOLVER_CACHE:
-        terms, cols, index, rows = _spanning_matrix_int(n)
-        _SOLVER_CACHE[n] = (terms, cols, index, rows, SmithSolver(rows))
+        terms, cols, index, polys, rows = _spanning_matrix_int(n)
+        try:
+            solver = SmithSolver(rows, len(cols))
+        except NoUnitPivot as err:
+            raise InternalError(
+                f"spanning set at arity {n} is not certified free: {err}"
+            ) from err
+        _SOLVER_CACHE[n] = (terms, cols, index, polys, solver)
     return _SOLVER_CACHE[n]
 
 
 def freeness_certificate(n: int) -> bool:
-    """Smith normal form of the spanning-set sign matrix has an all-ones
-    diagonal of length 2^(n-1): the span is free over every base ring."""
+    """The unit-pivot elimination of the spanning-set sign rows keeps all
+    2^(n-1) of them, so they have an all-ones Smith diagonal: the span is
+    free over every base ring.  A row without a unit pivot raises
+    ``InternalError``."""
     if not 1 <= n <= MAX_COMODULE_ARITY:
         raise ValueError(f"arity must be between 1 and {MAX_COMODULE_ARITY}")
     terms, _, _, _, solver = _spanning_solver(n)
-    return solver.certified and solver.nrows == 2 ** (n - 1) == len(terms)
+    return len(solver.kept) == len(terms) == 2 ** (n - 1)
 
 
 _RANK_CACHE: dict = {}
@@ -334,8 +346,9 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
     the answer.  The rank is proved once per arity, without the sign
     table, by exact integer checks on the spanning rows B:
 
-    (a) B has a unit Smith diagonal of length 2^(n-1), so its span is a
-        direct summand of that rank;
+    (a) a unit-pivot elimination keeps all 2^(n-1) rows of B, so B has
+        an all-ones Smith diagonal and its span is a direct summand of
+        that rank;
     (b') 1 solves against B, and so does sign_act(s_k, b) for every
         adjacent transposition s_k = (k k+1) and every row b of B.
 
@@ -353,7 +366,7 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
         return _RANK_CACHE[n]
     if not freeness_certificate(n):  # (a); rejects an arity out of range
         raise InternalError(f"spanning set at arity {n} is not certified free")
-    _, cols, index, rows, solver = _spanning_solver(n)
+    _, _, index, polys, solver = _spanning_solver(n)
     coeff = CoeffRing(IntegerRing())
 
     def spanned(p: EpsPoly) -> bool:
@@ -361,7 +374,6 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
 
     if not spanned(coeff.one()):  # (b')
         raise InternalError("1 is outside the spanning set's span")
-    polys = [EpsPoly(coeff, {m: v for m, v in zip(cols, row) if v}) for row in rows]
     for k in range(1, n):
         s_k = tuple(range(1, k)) + (k + 1, k) + tuple(range(k + 2, n + 1))
         for b in polys:

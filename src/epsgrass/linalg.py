@@ -1,31 +1,26 @@
 """Exact integer linear algebra whose certificates hold over every ring.
 
-Dense matrices are lists of int rows (arbitrary precision); there is no
-floating point and no fixed-width fast path, so every result is exact.
-Nothing here ranks a matrix over a particular ring: a rank over every
-base ring at once follows from a Smith certificate with unit diagonal
-and integer solves against it (``comodule.comodule_rank`` solves 1 and
-the images of the spanning rows under the generators of S_n).
+There is no floating point and no fixed-width fast path: entries are
+Python ints of arbitrary precision, so every result is exact.  Nothing
+here ranks a matrix over a particular ring: a rank over every base ring
+at once follows from a unimodular certificate and integer solves against
+it (``comodule.comodule_rank`` solves 1 and the images of the spanning
+rows under the generators of S_n).
 
-The Smith normal form works on sparse rows and keeps both transforms
-sparse (U by rows, V by columns), which is what the freeness
-certificates and the universal (base-ring independent) linear solves
-need.  Each step pivots on the first entry of smallest absolute value in
-row-major order; since no entry is smaller than a unit, the search stops
-at the first row holding a +-1, so a block that offers a unit at every
-step, as the trace blocks do, costs work in proportion to its nonzeros.
-``SmithSolver`` then keeps only the sparse solve projector V[:, :r]*U and
-the cokernel test V[:, r:], not the transforms themselves.
+``SmithSolver`` is that certificate: one sparse elimination that pivots
+on +-1 entries only.  Such an elimination is a unimodular row transform,
+so it proves that the kept rows have an all-ones Smith diagonal without
+computing a general Smith normal form, and it yields a solve that is
+valid after base change to any commutative ring.  ``RationalEchelon``
+and ``LatticeReducer`` give canonical residues for the quotient algebras
+of ``salg``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from heapq import heapify, heappop, heappush
 from math import gcd
-
-
-# -- Smith normal form -------------------------------------------------
 
 
 def _axpy(dst: dict, src: dict, q: int) -> None:
@@ -40,181 +35,98 @@ def _axpy(dst: dict, src: dict, q: int) -> None:
             del dst[k]
 
 
-def _pivot(a: list[dict], t: int):
-    """(row, col) of the first entry of smallest absolute value in rows
-    t.., in row-major order, or None if they are zero.  Those rows are
-    zero left of column t.  No entry is smaller than a unit, so the scan
-    stops at the first row that holds a +-1."""
-    best = None  # (abs value, row, col)
-    for i in range(t, len(a)):
-        cand = min(((abs(v), j) for j, v in a[i].items()), default=None)
-        if cand is not None and (best is None or cand[0] < best[0]):
-            best = (cand[0], i, cand[1])
-            if cand[0] == 1:
-                break
-    return None if best is None else best[1:]
+# -- unit-pivot elimination ---------------------------------------------
 
 
-def smith_normal_form(mat: list[list[int]]):
-    """Return (diag, U, V) with U*A*V diagonal, U and V unimodular.
-
-    ``diag`` lists the diagonal entries d_1 | d_2 | ... (nonzero first).
-    The transforms are sparse: U (r x r) as a list of its rows and V
-    (c x c) as a list of its columns, each a dict {index: nonzero entry}.
-    Every step takes as pivot the first entry of smallest absolute value
-    in row-major order; the work is proportional to the nonzeros touched,
-    not to the size of the block.
-    """
-    nr = len(mat)
-    nc = len(mat[0]) if nr else 0
-    a = [{j: int(row[j]) for j in compress(range(nc), row)} for row in mat]
-    U = [{i: 1} for i in range(nr)]
-    V = [{j: 1} for j in range(nc)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j, rows):
-        for k in rows:
-            row = a[k]
-            vi, vj = row.pop(i, 0), row.pop(j, 0)
-            if vj:
-                row[i] = vj
-            if vi:
-                row[j] = vi
-        V[i], V[j] = V[j], V[i]
-
-    def addmul_row(dst, src, q):
-        # row_dst += q * row_src
-        _axpy(a[dst], a[src], q)
-        _axpy(U[dst], U[src], q)
-
-    def addmul_col(dst, src, q, rows):
-        # col_dst += q * col_src; ``rows`` holds every nonzero of col_src
-        for k in rows:
-            v = a[k].get(src)
-            if v:
-                _axpy(a[k], {dst: v}, q)
-        _axpy(V[dst], V[src], q)
-
-    def negate_row(i):
-        a[i] = {k: -v for k, v in a[i].items()}
-        U[i] = {k: -v for k, v in U[i].items()}
-
-    t = 0
-    while t < min(nr, nc):
-        piv = _pivot(a, t)
-        if piv is None:
-            break
-        bi, bj = piv
-        swap_rows(t, bi)
-        swap_cols(t, bj, range(t, nr))  # rows above t are zero from column t on
-        while True:
-            p = a[t][t]
-            done = True
-            for i in range(t + 1, nr):
-                if a[i].get(t):
-                    q = a[i][t] // p
-                    addmul_row(i, t, -q)
-                    if a[i].get(t):
-                        swap_rows(t, i)
-                        p = a[t][t]
-                        done = False
-            # column ops change only columns t and j, so later columns of
-            # row t keep their entries
-            live = [i for i in range(t, nr) if t in a[i]]
-            for j in sorted(k for k in a[t] if k > t):
-                if a[t].get(j):
-                    q = a[t][j] // p
-                    addmul_col(j, t, -q, live)
-                    if a[t].get(j):
-                        swap_cols(t, j, range(t, nr))
-                        live = [i for i in range(t, nr) if t in a[i]]
-                        p = a[t][t]
-                        done = False
-            if done:
-                break
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    # enforce the divisibility chain d_i | d_{i+1}; the block is diagonal
-    # now, so each 2x2 step touches rows i and i+1 only
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            pair = (i, i + 1)
-            d1, d2 = a[i].get(i, 0), a[i + 1].get(i + 1, 0)
-            if d1 and d2 % d1 != 0:
-                addmul_col(i, i + 1, 1, pair)
-                # re-clear the 2x2 block
-                while True:
-                    p = a[i][i]
-                    if a[i + 1].get(i):
-                        q = a[i + 1][i] // p
-                        addmul_row(i + 1, i, -q)
-                        if a[i + 1].get(i):
-                            swap_rows(i, i + 1)
-                            continue
-                    if a[i].get(i + 1):
-                        q = a[i][i + 1] // p
-                        addmul_col(i + 1, i, -q, pair)
-                        if a[i].get(i + 1):
-                            swap_cols(i, i + 1, pair)
-                            continue
-                    break
-                if a[i][i] < 0:
-                    negate_row(i)
-                if a[i + 1].get(i + 1, 0) < 0:
-                    negate_row(i + 1)
-                changed = True
-    diag = [a[k].get(k, 0) for k in range(min(nr, nc))]
-    return diag, U, V
+class NoUnitPivot(ArithmeticError):
+    """A row leaves a nonzero residue with no +-1 entry to pivot on."""
 
 
 class SmithSolver:
-    """Solve x * A = v over any base ring, for an integer matrix A whose
-    Smith normal form has an all-ones diagonal (full row rank, unimodular
-    content).  The integer transforms make the solution universal: the
-    same U, V work after base change to any commutative ring.
+    """Pick a basis of the span of integer rows and solve x * A = v
+    against it over any base ring.
 
-    The certificate comes from ``smith_normal_form``, which pivots on the
-    first unit it meets in row-major order, so a block that offers a unit
-    at every step costs work in proportion to its nonzeros.
+    ``rows`` is an iterable of sparse rows {column: int} with columns in
+    0..ncols-1.  Each row is reduced against the rows kept so far; a zero
+    residue means the row lies in their span (over Q, since every pivot
+    is a unit) and the row is skipped, otherwise the row is kept, with
+    pivot the first +-1 entry of its residue, and its index is appended
+    to ``kept``.  A residue with no +-1 entry raises ``NoUnitPivot``.
+    So the kept rows A are chosen exactly as a rational echelon would
+    choose them, and the elimination, a unimodular integer row transform
+    W with W*A equal to the identity on the pivot columns, is itself the
+    proof that A has an all-ones Smith diagonal: the same W works after
+    base change to any commutative ring.
 
-    With U*A*V = [I 0], x*A = v holds exactly when (v*V)[r:] = 0, and
-    then x = (v*V)[:r] * U.  The solver keeps neither transform: it
-    stores, sparse and by rows (one per column of A), the projector
-    P = V[:, :r] * U (``projector``) and the cokernel test V[:, r:]
+    The test is incomplete: a matrix with unit Smith diagonal may offer
+    no +-1 entry, as [[2, 3]] does.  The code never builds such a block;
+    every block it certifies has a unit pivot at each step.
+
+    With R = W*A, x*A = v holds exactly when v equals sum_i v[p_i]*R_i
+    off the pivot columns p_i, and then x = sum_i v[p_i]*W_i.  The
+    solver keeps, sparse and by rows (one per column of A), only the
+    projector v[p_i] -> W_i (``projector``) and the cokernel test
     (``cokernel``).  The vector comes as a sparse {column: value} map,
     so a solve walks only the columns it holds and costs ring operations
     in proportion to the nonzeros of the rows they select.
     """
 
-    def __init__(self, rows: list[list[int]]):
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        diag, U, V = smith_normal_form(rows)
-        self.diag = diag
-        self.certified = (
-            len([d for d in diag if d != 0]) == self.nrows
-            and all(d == 1 for d in diag[: self.nrows])
-        )
-        self.projector = self.cokernel = None
-        if self.certified:
-            r = self.nrows
-            proj: list[dict] = [{} for _ in range(self.ncols)]
-            coker: list[dict] = [{} for _ in range(self.ncols)]
-            for j, col in enumerate(V):
-                for i, v in col.items():
-                    if j < r:
-                        _axpy(proj[i], U[j], v)
-                    else:
-                        coker[i][j] = v
-            self.projector = [tuple(row.items()) for row in proj]
-            self.cokernel = [tuple(row.items()) for row in coker]
+    def __init__(self, rows, ncols: int):
+        self.ncols = ncols
+        self.kept: list[int] = []
+        # (pivot column, residue R_i, its combination W_i of kept rows);
+        # each residue is zero at the pivots of the rows before it
+        echelon: list[tuple[int, dict, dict]] = []
+        where: dict = {}  # pivot column -> index in echelon
+        for k, row in enumerate(rows):
+            res = {j: c for j, c in row.items() if c}
+            # clear pivots in echelon order; row i adds entries only at
+            # the pivots of later rows
+            todo = [where[j] for j in res if j in where]
+            heapify(todo)
+            steps = []
+            while todo:
+                i = heappop(todo)
+                p, r, _ = echelon[i]
+                c = res.get(p)
+                if c:
+                    q = c * r[p]  # r[p] is +-1, its own inverse
+                    _axpy(res, r, -q)
+                    steps.append((i, q))
+                    for j in r:
+                        if where.get(j, i) > i:
+                            heappush(todo, where[j])
+            if not res:
+                continue
+            p = min((j for j, c in res.items() if c in (1, -1)), default=None)
+            if p is None:
+                raise NoUnitPivot(f"row {k} leaves a residue with no unit entry")
+            combo = {len(echelon): 1}
+            for i, q in steps:
+                _axpy(combo, echelon[i][2], -q)
+            where[p] = len(echelon)
+            self.kept.append(k)
+            echelon.append((p, res, combo))
+        self.nrows = len(self.kept)
+        # back-substitute once, bottom up: the rows below are reduced, zero
+        # at every pivot but their own, so each clears one column here;
+        # then scale the pivot to 1
+        for i in range(len(echelon) - 1, -1, -1):
+            p, r, w = echelon[i]
+            for j in [j for j in r if where.get(j, i) > i]:
+                _, below, w_below = echelon[where[j]]
+                c = r[j]
+                _axpy(r, below, -c)
+                _axpy(w, w_below, -c)
+            if r[p] < 0:
+                for d in (r, w):
+                    for j in d:
+                        d[j] = -d[j]
+        self.projector = [()] * ncols
+        self.cokernel = [((j, 1),) for j in range(ncols)]
+        for p, r, w in echelon:
+            self.projector[p] = tuple(w.items())
+            self.cokernel[p] = tuple((j, -c) for j, c in r.items() if j != p)
 
     def solve(self, vec: dict, ring):
         """Solve x*A = vec over ``ring``; vec is a sparse vector
@@ -224,12 +136,10 @@ class SmithSolver:
         in the row span, in which case x is None.  A column outside
         0..ncols-1 raises ``ValueError``.
         """
-        if not self.certified:
-            raise ValueError("matrix is not Smith-certified; cannot solve universally")
         add, mul, frm, is_zero = ring.add, ring.mul, ring.from_int, ring.is_zero
         zero = ring.zero()
         x = [zero] * self.nrows
-        test: dict = {}  # the coordinates of (vec*V)[r:] that vec reaches
+        test: dict = {}  # the coordinates of the residual that vec reaches
         ncols = self.ncols
         for i, c in vec.items():
             if not 0 <= i < ncols:

@@ -18,8 +18,9 @@ The reduction is computed semantically: polynomials are evaluated in a
 graded model (a free algebra whose trace values twist-commute past
 everything, with trace arguments identified up to twisted rotation) and
 the coordinates in the basis are recovered by an exact integer linear
-solve.  A Smith-normal-form certificate, computed once per block of the
-basis, guarantees the coordinates are unique and valid over every base
+solve.  One elimination per block of the basis, on +-1 pivots only,
+both picks the basis and certifies it: it is a unimodular integer
+transform, so the coordinates are unique and valid over every base
 ring.  Four defining identities generate everything:
 
     F(F(x)y) = F(x)F(y)        F(xF(y)) = F(x)F(y)
@@ -39,7 +40,7 @@ from typing import NamedTuple, Sequence
 from .epsilon import CoeffRing, EpsPoly, exp_map
 from .grassmann import GrassAlgebra, GrassElem, word_parity_pairs
 from .hull import Matrix
-from .linalg import RationalEchelon, SmithSolver
+from .linalg import NoUnitPivot, SmithSolver
 from .rings import BaseRing, IntegerRing
 from .terms import (
     NonMultilinearError,
@@ -571,10 +572,12 @@ def _block_solver(outer: frozenset, parts: frozenset):
     """Basis and integer solver for one block of the standard form.
 
     Candidates are taken in order: the five-block structured terms
-    first, then irreducible nested monomials; a candidate joins the
-    basis when its model value leaves the rational span of the earlier
-    ones.  The Smith certificate of the chosen rows makes the
-    coordinates valid over every base ring."""
+    first, then irreducible nested monomials.  Their model values go to
+    one unit-pivot elimination (``SmithSolver``), which keeps a candidate
+    exactly when its value leaves the rational span of the earlier ones;
+    the kept candidates are the basis.  The elimination is a unimodular
+    integer certificate, so the coordinates are valid over every base
+    ring; a block that offers no +-1 pivot raises ``TraceInternalError``."""
     key = (outer, parts)
     if key in _BLOCK_CACHE:
         return _BLOCK_CACHE[key]
@@ -585,8 +588,6 @@ def _block_solver(outer: frozenset, parts: frozenset):
     zz = IntegerRing()
     coeff = CoeffRing(zz)
     columns: dict = {}
-    span = RationalEchelon()
-    basis = []
     vectors = []
     for cand in candidates:
         value = model_eval(cand.to_trace_poly(zz), coeff)
@@ -595,15 +596,14 @@ def _block_solver(outer: frozenset, parts: frozenset):
             for eps_key, c in poly.terms.items():
                 col = columns.setdefault((mono_key, eps_key), len(columns))
                 vec[col] = c
-        if span.add_if_new(vec):
-            basis.append(cand)
-            vectors.append(vec)
-    rows = [[v.get(j, 0) for j in range(len(columns))] for v in vectors]
-    solver = SmithSolver(rows)
-    if not solver.certified:
+        vectors.append(vec)
+    try:
+        solver = SmithSolver(vectors, len(columns))
+    except NoUnitPivot as err:
         raise TraceInternalError(
-            f"standard basis for block {key} is not unimodularly independent"
-        )
+            f"standard basis for block {key} is not unimodularly independent: {err}"
+        ) from err
+    basis = [candidates[k] for k in solver.kept]
     _BLOCK_CACHE[key] = (basis, columns, solver)
     return _BLOCK_CACHE[key]
 

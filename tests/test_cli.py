@@ -189,6 +189,26 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert code == 4 and err.startswith("internal error: certificate check failed")
 
 
+def test_no_unit_pivot_exits_4(capsys, monkeypatch):
+    # a certificate without a unit pivot is an internal error, not bad input
+    from epsgrass import comodule, supertrace
+    from epsgrass.linalg import NoUnitPivot
+
+    def no_unit_pivot(rows, ncols):
+        raise NoUnitPivot("row 0 leaves a residue with no unit entry")
+
+    monkeypatch.setattr(comodule, "_SOLVER_CACHE", {})
+    monkeypatch.setattr(comodule, "_RANK_CACHE", {})
+    monkeypatch.setattr(supertrace, "_BLOCK_CACHE", {})
+    monkeypatch.setattr(comodule, "SmithSolver", no_unit_pivot)
+    monkeypatch.setattr(supertrace, "SmithSolver", no_unit_pivot)
+    code, _, err = run_cli(capsys, "comodule", "--n", "3")
+    assert code == 4
+    assert err.startswith("internal error: spanning set at arity 3 is not certified free")
+    code, _, err = run_cli(capsys, "trace-check", "Tr(x1*x2)")
+    assert code == 4 and "is not unimodularly independent" in err
+
+
 def test_signs_arity_bounds(capsys):
     for n in ("-1", "0", "9"):
         code, out, err = run_cli(capsys, "signs", "--n", n)

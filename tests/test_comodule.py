@@ -26,11 +26,12 @@ from epsgrass.comodule import (
     unit_words,
 )
 from epsgrass.epsilon import all_monomials
-from epsgrass.linalg import SmithSolver, smith_normal_form
+from epsgrass.linalg import SmithSolver
 from epsgrass.terms import TracePoly
 
 from conftest import random_perm, zz_algebra
 from rank_oracle import fraction_rank
+from smith_oracle import smith_full_scan
 
 
 A = zz_algebra()
@@ -190,7 +191,7 @@ def test_comodule_rank_matches_elimination_oracles(n):
     # the whole sign table has Smith diagonal 2^(n-1) ones, then zeros
     rows = sign_matrix_int(n)[2]
     r = 2 ** (n - 1)
-    diag, _, _ = smith_normal_form(rows)
+    diag, _, _ = smith_full_scan(rows)
     assert diag == [1] * r + [0] * (len(diag) - r)
     assert comodule_rank(n, ZZ) == r
     if n <= 5:
@@ -201,17 +202,17 @@ def test_comodule_rank_matches_elimination_oracles(n):
 def test_whole_table_checks_still_hold(n):
     # the table certificate the generator certificate replaced: every sign
     # row S solves against the spanning rows B, and B = T*S
-    perms, _, sign_rows = sign_matrix_int(n)
-    terms, _, _, rows, solver = comodule._spanning_solver(n)
+    perms, cols, sign_rows = sign_matrix_int(n)
+    terms, _, index, polys, solver = comodule._spanning_solver(n)
     assert all(
         solver.solve({j: v for j, v in enumerate(row) if v}, ZZ)[1] for row in sign_rows
     )
     table = dict(zip(perms, sign_rows))
-    for term, row in zip(terms, rows):
-        combo = [0] * len(row)
+    for term, poly in zip(terms, polys):
+        combo = [0] * len(cols)
         for perm, c in term.to_poly(ZZ).coeffs.items():
             combo = [x + c * v for x, v in zip(combo, table[perm])]
-        assert combo == row, term.render()
+        assert {cols[j]: v for j, v in enumerate(combo) if v} == poly.terms, term.render()
 
 
 def test_spanning_rows_closed_form_equals_psi():
@@ -239,13 +240,8 @@ def rank_on_spanning_rows(monkeypatch, n, polys):
     """comodule_rank(n) certified afresh with the spanning rows B replaced
     by the given C[eps] polynomials (a corrupted ``_SOLVER_CACHE`` entry)."""
     terms, cols, index, _, _ = comodule._spanning_solver(n)
-    rows = []
-    for p in polys:
-        row = [0] * len(cols)
-        for key, c in p.terms.items():
-            row[index[key]] = c
-        rows.append(row)
-    entry = (terms, cols, index, rows, SmithSolver(rows))
+    rows = [{index[key]: c for key, c in p.terms.items()} for p in polys]
+    entry = (terms, cols, index, polys, SmithSolver(rows, len(cols)))
     monkeypatch.setattr(comodule, "_SOLVER_CACHE", {n: entry})
     monkeypatch.setattr(comodule, "_RANK_CACHE", {})
     return comodule_rank(n, ZZ)
@@ -276,12 +272,14 @@ def test_comodule_rank_rejects_span_missing_one(monkeypatch):
 
 def test_stability_check_survives_optimize():
     code = (
-        "from epsgrass import ZZ, comodule\n"
+        "from epsgrass import ZZ, CoeffRing, comodule\n"
         "from epsgrass.linalg import SmithSolver\n"
         "terms, cols, index, _, _ = comodule._spanning_solver(2)\n"
-        "rows = [[0] * len(cols) for _ in range(2)]\n"
-        "rows[0][index[(0, ())]] = rows[1][index[(1, ())]] = 1\n"
-        "comodule._SOLVER_CACHE[2] = (terms, cols, index, rows, SmithSolver(rows))\n"
+        "cz = CoeffRing(ZZ)\n"
+        "polys = [cz.one(), cz.theta()]\n"
+        "rows = [{index[(0, ())]: 1}, {index[(1, ())]: 1}]\n"
+        "solver = SmithSolver(rows, len(cols))\n"
+        "comodule._SOLVER_CACHE[2] = (terms, cols, index, polys, solver)\n"
         "try:\n"
         "    comodule.comodule_rank(2, ZZ)\n"
         "except comodule.InternalError as err:\n"
@@ -315,14 +313,12 @@ def test_spanning_term_validation():
 
 def test_freeness_certificate_small():
     # n=2: psi(x1x2) = 1, psi([x1,x2]) = eps1*eps2; Smith diagonal (1, 1)
-    from epsgrass.linalg import smith_normal_form
-
     cz = CoeffRing(ZZ)
     t_word = SpanningTerm((1, 2), ())
     t_comm = SpanningTerm((), (1, 2))
     assert psi(t_word.to_poly(ZZ)) == cz.one()
     assert psi(t_comm.to_poly(ZZ)) == cz.eps(1) * cz.eps(2)
-    diag, _, _ = smith_normal_form([[1, 0], [0, 1]])
+    diag, _, _ = smith_full_scan([[1, 0], [0, 1]])
     assert diag == [1, 1]
     for n in (1, 2, 3, 4):
         assert freeness_certificate(n)
@@ -431,7 +427,8 @@ def test_freeness_basis_matches_known_rank4_span():
     from epsgrass.comodule import _spanning_matrix_int
     from epsgrass.linalg import LatticeReducer
 
-    terms, cols, index, rows = _spanning_matrix_int(3)
+    terms, cols, index, _, sparse_rows = _spanning_matrix_int(3)
+    rows = [[row.get(j, 0) for j in range(len(cols))] for row in sparse_rows]
     cz = CoeffRing(ZZ)
     expected_polys = [
         cz.one(),

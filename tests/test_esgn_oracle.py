@@ -1,7 +1,8 @@
 """Differential tests of the sign kernel against the plain-int oracles of
 ``esgn_oracle``: exp_map on arbitrary pair lists, esgn, and the C[eps]
 product, over Z and reduced to Z/4, Z/6 and GF(3) (the product also over
-Q and the GF(2) theta=0 quotient)."""
+Q and the GF(2) theta=0 quotient), and the co-module's integer sign rows:
+the sign table and the closed-form spanning rows B."""
 
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from itertools import permutations
 import pytest
 
 from epsgrass import GF, QQ, ZZ, CoeffRing, EpsPoly, esgn, exp_map
+from epsgrass.comodule import sign_matrix_int, spanning_terms
 from epsgrass.rings import ModRing
 
 from esgn_oracle import binomial, exp_graph, exp_pairs, inversion_pairs, naive_mul, reduce
@@ -154,3 +156,29 @@ def test_mul_matches_naive_product(coeff, modulus):
         got = (as_eps_poly(coeff, p) * as_eps_poly(coeff, q)).terms
         want = reduce(naive_mul(p, q), modulus, coeff.theta_zero)
         assert got == want
+
+
+def oracle_sign(sigma) -> dict:
+    """esgn of sigma on the generators e_1..e_n, by the oracle."""
+    return exp_pairs(inversion_pairs([frozenset({k}) for k in range(1, len(sigma) + 1)], sigma))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sign_matrix_rows_match_oracle(n):
+    perms, cols, rows = sign_matrix_int(n)
+    assert perms == sorted(permutations(range(1, n + 1)))
+    for sigma, row in zip(perms, rows):
+        assert {cols[j]: v for j, v in enumerate(row) if v} == oracle_sign(sigma)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_spanning_rows_match_oracle(n):
+    # psi of each spanning term summed monomial by monomial, without the
+    # closed-form lemma that ``sign_image`` uses
+    cz = CoeffRing(ZZ)
+    for term in spanning_terms(n):
+        want: dict = {}
+        for sigma, c in term.to_poly(ZZ).coeffs.items():
+            for key, v in oracle_sign(sigma).items():
+                want[key] = want.get(key, 0) + c * v
+        assert term.sign_image(cz).terms == {k: v for k, v in want.items() if v}

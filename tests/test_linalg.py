@@ -1,207 +1,56 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from epsgrass.linalg import (
     LatticeReducer,
+    NoUnitPivot,
     RationalEchelon,
     SmithSolver,
-    smith_normal_form,
 )
 
 from rank_oracle import fraction_rank
+from smith_oracle import assert_smith_certificate, smith_full_scan
 
 
 def random_matrix(rng, nrows, ncols, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(ncols)] for _ in range(nrows)]
 
 
-def mat_mul(a, b):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
+def sparse_rows(a) -> list[dict]:
+    return [{j: v for j, v in enumerate(row) if v} for row in a]
 
 
-def dense_transforms(U, V):
-    """U from its sparse rows and V from its sparse columns, as dense lists."""
-    nr, nc = len(U), len(V)
-    return (
-        [[row.get(j, 0) for j in range(nr)] for row in U],
-        [[V[j].get(i, 0) for j in range(nc)] for i in range(nc)],
-    )
+def unit_pivot_solver(a):
+    """SmithSolver over the rows of a dense matrix, or None when it finds
+    no unit pivot."""
+    try:
+        return SmithSolver(sparse_rows(a), len(a[0]))
+    except NoUnitPivot:
+        return None
 
 
-def assert_smith_certificate(a, diag, U, V):
-    nr, nc = len(a), len(a[0])
-    prod = mat_mul(mat_mul(U, a), V)
-    for i in range(nr):
-        for j in range(nc):
-            expect = diag[i] if i == j and i < len(diag) else 0
-            assert prod[i][j] == expect
-    # divisibility chain
-    nz = [d for d in diag if d]
-    for x, y in zip(nz, nz[1:]):
-        assert y % x == 0
-    assert abs(_det(U)) == 1 and abs(_det(V)) == 1
+def rational_choice(a) -> list[int]:
+    """The rows that a rational echelon keeps, in order."""
+    echelon = RationalEchelon()
+    return [k for k, row in enumerate(sparse_rows(a)) if echelon.add_if_new(row)]
 
 
 def test_smith_normal_form_properties():
+    # the oracle itself: U*A*V is diagonal with a divisibility chain
     rng = random.Random(9)
     for _ in range(40):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         a = random_matrix(rng, nr, nc)
-        diag, U, V = smith_normal_form(a)
-        assert_smith_certificate(a, diag, *dense_transforms(U, V))
-
-
-def _det(m):
-    n = len(m)
-    rows = [[Fraction(v) for v in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                c = rows[r][col] * inv
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[col])]
-    return det
-
-
-# -- differential tests against the full-scan Smith form ---------------------
-
-
-def _dense_identity(n) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_full_scan(mat):
-    """Reference Smith normal form: dense U and V, and a scan of the whole
-    remaining block for its smallest pivot.  The library's sparse version,
-    which stops its scan at the first unit, must reproduce it exactly.
-
-    Return (diag, U, V) with U*A*V diagonal, U and V unimodular.
-
-    ``diag`` lists the diagonal entries d_1 | d_2 | ... (nonzero first).
-    Row/column operations are tracked in U (left, r x r) and V (right,
-    c x c).
-    """
-    a = [list(map(int, row)) for row in mat]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    U = _dense_identity(nr)
-    V = _dense_identity(nc)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, q):
-        # row_dst += q * row_src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
-
-    def addmul_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
-
-    t = 0
-    while t < min(nr, nc):
-        # locate a minimal nonzero entry in the remaining block
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                v = abs(a[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        swap_rows(t, bi)
-        swap_cols(t, bj)
-        while True:
-            p = a[t][t]
-            done = True
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // p
-                    addmul_row(i, t, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        p = a[t][t]
-                        done = False
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // p
-                    addmul_col(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        p = a[t][t]
-                        done = False
-            if done:
-                break
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            d1, d2 = a[i][i], a[i + 1][i + 1]
-            if d1 and d2 % d1 != 0:
-                addmul_col(i, i + 1, 1)
-                # re-clear the 2x2 block
-                while True:
-                    p = a[i][i]
-                    if a[i + 1][i]:
-                        q = a[i + 1][i] // p
-                        addmul_row(i + 1, i, -q)
-                        if a[i + 1][i]:
-                            swap_rows(i, i + 1)
-                            continue
-                    if a[i][i + 1]:
-                        q = a[i][i + 1] // p
-                        addmul_col(i + 1, i, -q)
-                        if a[i][i + 1]:
-                            swap_cols(i, i + 1)
-                            continue
-                    break
-                if a[i][i] < 0:
-                    negate_row(i)
-                if a[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
-    diag = [a[k][k] for k in range(min(nr, nc))]
-    return diag, U, V
+        assert_smith_certificate(a, *smith_full_scan(a))
 
 
 def smith_test_matrices():
     """Seeded matrices with and without units, rank-deficient ones, 1 x n and
-    n x 1.  Shapes stay within 5 x 5 and entries small: on larger dense
-    blocks that run out of units the elimination grows its entries without
-    bound."""
+    n x 1.  Shapes stay within 5 x 5 and entries small, for the dense
+    oracle's sake."""
     rng = random.Random(33)
     out = []
     for _ in range(60):
@@ -221,15 +70,68 @@ def smith_test_matrices():
     return out
 
 
-def test_smith_normal_form_matches_full_scan():
+def test_unit_pivot_elimination_keeps_the_rational_choice():
+    # kept rows are exactly the rows a rational echelon keeps, and the
+    # kept block has an all-ones Smith diagonal
+    solved = 0
     for a in smith_test_matrices():
-        diag, U, V = smith_normal_form(a)
-        ref_diag, ref_U, ref_V = smith_full_scan(a)
-        assert diag == ref_diag
-        U, V = dense_transforms(U, V)
-        assert_smith_certificate(a, diag, U, V)
-        # the first unit in row-major order is the first minimum: same pivots
-        assert (U, V) == (ref_U, ref_V)
+        solver = unit_pivot_solver(a)
+        if solver is None:
+            continue
+        solved += 1
+        assert solver.kept == rational_choice(a)
+        kept = [a[k] for k in solver.kept]
+        assert solver.nrows == len(kept) == fraction_rank(a)
+        if kept:
+            assert smith_full_scan(kept)[0] == [1] * len(kept)
+    assert solved > 40
+
+
+def test_unit_pivot_elimination_on_seeded_random_matrices():
+    rng = random.Random(41)
+    solved = refused = 0
+    for _ in range(300):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        a = [[rng.choice((0, 0, 0, 1, -1, 1, 2, -3)) for _ in range(nc)] for _ in range(nr)]
+        solver = unit_pivot_solver(a)
+        if solver is None:
+            refused += 1
+            continue
+        solved += 1
+        assert solver.kept == rational_choice(a)
+    assert solved > 100 and refused > 100
+
+
+def test_unit_pivot_refuses_blocks_without_units():
+    # entries grew past 4300 digits under the old Euclid-style loop
+    found = [
+        [-2, 0, 7, 7, -2, -1],
+        [5, -3, 0, 4, -5, -2],
+        [9, 2, 0, -1, -1, 11],
+        [-1, 0, -6, 4, 5, -10],
+        [1, -1, 2, 4, 9, 3],
+        [-2, -2, -3, -8, -6, 14],
+        [7, 3, -1, 10, 10, 7],
+    ]
+    start = time.perf_counter()
+    with pytest.raises(NoUnitPivot):
+        SmithSolver(sparse_rows(found), 6)
+    assert time.perf_counter() - start < 1.0
+    # Smith diagonal (1), but no +-1 entry: incomplete by design
+    assert smith_full_scan([[2, 3]])[0] == [1]
+    with pytest.raises(NoUnitPivot):
+        SmithSolver([{0: 2, 1: 3}], 2)
+
+
+def test_unit_pivot_skips_dependent_rows():
+    from epsgrass import ZZ
+
+    rows = [{0: 1, 1: 2}, {0: 3, 1: 6}, {}, {1: 1, 2: -1}, {0: 1, 1: 1, 2: 1}]
+    solver = SmithSolver(rows, 3)
+    assert solver.kept == [0, 3]
+    # row 4 = row 0 - row 3
+    assert solver.solve({0: 1, 1: 1, 2: 1}, ZZ) == ([1, -1], True)
+    assert solver.solve({0: 1}, ZZ) == (None, False)
 
 
 def _dense_solve(a, vec, ring):
@@ -254,10 +156,13 @@ def test_smith_solver_matches_dense_formula():
     from epsgrass.rings import ModRing
 
     rng = random.Random(8)
-    certified = [a for a in smith_test_matrices() if SmithSolver(a).certified]
+    certified = []
+    for a in smith_test_matrices():
+        solver = unit_pivot_solver(a)
+        if solver is not None and solver.kept:
+            certified.append(([a[k] for k in solver.kept], solver))
     assert len(certified) > 20
-    for a in certified:
-        solver = SmithSolver(a)
+    for a, solver in certified:
         n, c = len(a), len(a[0])
         for ring in (ZZ, QQ, GF(5), ModRing(4)):
             x = [ring.sample(rng) for _ in range(n)]
@@ -276,11 +181,9 @@ def test_smith_solver_signed_permutation_is_sparse():
     n = 200
     perm = list(range(n))
     rng.shuffle(perm)
-    a = [[0] * n for _ in range(n)]
-    for i, j in enumerate(perm):
-        a[i][j] = rng.choice((1, -1))
-    solver = SmithSolver(a)
-    assert solver.certified and solver.diag == [1] * n
+    rows = [{j: rng.choice((1, -1))} for j in perm]
+    solver = SmithSolver(rows, n)
+    assert solver.kept == list(range(n))
     assert sum(len(row) for row in solver.projector) == n
     assert sum(len(row) for row in solver.cokernel) == 0
 
@@ -289,7 +192,7 @@ def test_smith_solver_rejects_wrong_length():
     from epsgrass import ZZ
 
     # a sparse vector with a column outside 0..ncols-1 is malformed
-    solver = SmithSolver([[1, 0, 0], [0, 1, 0]])
+    solver = SmithSolver([{0: 1}, {1: 1}], 3)
     for vec in ({0: 1, 3: 1}, {-1: 1}, {5: 0}):
         with pytest.raises(ValueError):
             solver.solve(vec, ZZ)
@@ -303,15 +206,15 @@ def test_smith_solver_over_various_rings():
     for _ in range(30):
         n = rng.randint(1, 4)
         c = n + rng.randint(0, 3)
-        # build a full-row-rank matrix with unimodular content
-        a = None
-        while a is None:
+        # a full-row-rank matrix with unimodular content and a unit pivot
+        # at each step
+        solver = None
+        while solver is None:
             cand = random_matrix(rng, n, c, -3, 3)
-            diag, _, _ = smith_normal_form(cand)
+            diag = smith_full_scan(cand)[0]
             if len([d for d in diag if d]) == n and all(d == 1 for d in diag[:n]):
-                a = cand
-        solver = SmithSolver(a)
-        assert solver.certified
+                a, solver = cand, unit_pivot_solver(cand)
+        assert solver.kept == list(range(n))
         for ring in (ZZ, QQ, GF(5)):
             x = [ring.sample(rng) for _ in range(n)]
             v = [
@@ -337,7 +240,7 @@ def ring_sum(ring, items):
 def test_smith_solver_detects_inconsistency():
     from epsgrass import ZZ
 
-    solver = SmithSolver([[1, 0, 0]])
+    solver = SmithSolver([{0: 1}], 3)
     sol, ok = solver.solve({1: 1}, ZZ)
     assert not ok and sol is None
 

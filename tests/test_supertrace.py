@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
-from epsgrass import CoeffRing, GF, GrassAlgebra, QQ, ZZ
+from epsgrass import CoeffRing, GF, GrassAlgebra, QQ, ZZ, supertrace
 from epsgrass.hull import Matrix
+from epsgrass.linalg import RationalEchelon
 from epsgrass.rings import IntegerRing
 from epsgrass.supertrace import (
     MonomialTerm,
@@ -468,3 +470,49 @@ def test_identity_decision_composite_modulus():
     two_comm = (x1 * x2 - x2 * x1).scale(ring.from_int(2))
     # 2[x1,x2] is still not an identity over Z/4
     assert not is_trace_identity(two_comm)
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for p in set_partitions(rest):
+        for i in range(len(p)):
+            yield p[:i] + [[first] + p[i]] + p[i + 1:]
+        yield [[first]] + p
+
+
+def all_blocks(max_letters):
+    """Every block (outer letters, trace parts) on 1..n, n <= max_letters."""
+    for n in range(1, max_letters + 1):
+        letters = list(range(1, n + 1))
+        for k in range(n + 1):
+            for outer in combinations(letters, k):
+                rest = [i for i in letters if i not in outer]
+                for parts in set_partitions(rest):
+                    yield frozenset(outer), frozenset(frozenset(p) for p in parts)
+
+
+def test_block_basis_is_the_rational_choice():
+    # the unit-pivot elimination keeps exactly the candidates whose model
+    # values leave the rational span of the earlier ones
+    coeff = CoeffRing(ZZr)
+    blocks = list(all_blocks(4))
+    assert len(blocks) == 74
+    for outer, parts in blocks:
+        candidates = list(supertrace.enumerate_block_basis(outer, parts))
+        candidates.extend(supertrace.enumerate_nested_monomials(outer, parts))
+        echelon = RationalEchelon()
+        columns: dict = {}
+        chosen = []
+        for cand in candidates:
+            value = supertrace.model_eval(cand.to_trace_poly(ZZr), coeff)
+            vec = {
+                columns.setdefault((mono, eps), len(columns)): c
+                for mono, poly in value.terms.items()
+                for eps, c in poly.terms.items()
+            }
+            if echelon.add_if_new(vec):
+                chosen.append(cand)
+        assert supertrace._block_solver(outer, parts)[0] == chosen, (outer, parts)
