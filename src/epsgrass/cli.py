@@ -121,7 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload):
+            sys.stdout.write(chunk)
+        sys.stdout.write("\n")
     else:
         for line in text_lines:
             print(line)
@@ -187,24 +189,25 @@ def _run(args) -> int:
         return EXIT_OK if free else EXIT_NEGATIVE
 
     if command == "signs":
+        # rows are rendered one at a time: text prints each as it comes,
+        # and JSON keeps only the rendered strings of its payload
         coeff = CoeffRing(ring)
         words = unit_words(args.n)
-        table = []
-        for sigma in sorted(permutations(range(1, args.n + 1))):
-            table.append((sigma, esgn(coeff, words, sigma).render()))
+        rows = (
+            (sigma, esgn(coeff, words, sigma).render())
+            for sigma in permutations(range(1, args.n + 1))
+        )
+        if args.format == "text":
+            for sigma, value in rows:
+                print(f"{''.join(map(str, sigma))}: {value}")
+            return EXIT_OK
         payload = {
             "command": command,
             "ring": ring.name,
-            "result": [
-                {"sigma": list(sigma), "esgn": value} for sigma, value in table
-            ],
+            "result": [{"sigma": list(sigma), "esgn": value} for sigma, value in rows],
             "details": {"n": args.n},
         }
-        _emit(
-            args,
-            payload,
-            [f"{''.join(map(str, sigma))}: {value}" for sigma, value in table],
-        )
+        _emit(args, payload, [])
         return EXIT_OK
 
     if command == "idempotents":

@@ -86,13 +86,15 @@ class SAlgebra:
         ambient = set(coeff.indices())
         for g in repeated_grades:
             ambient |= g
-        reduce = self._get_reducer(frozenset(repeated_grades), frozenset(ambient))
-        monos = all_monomials(ambient)
-        index = {m: k for k, m in enumerate(monos)}
+        monos, index, reduce = self._get_reducer(
+            frozenset(repeated_grades), frozenset(ambient)
+        )
         reduced = reduce({index[key]: c for key, c in coeff.terms.items()})
         return EpsPoly(self.coeff, {monos[k]: c for k, c in reduced.items()})
 
     def _get_reducer(self, grades: frozenset, ambient: frozenset):
+        """The ambient monomials, their column index and the torsion
+        reducer on those columns, cached per (grades, ambient)."""
         cache_key = (tuple(sorted(tuple(sorted(g)) for g in grades)), tuple(sorted(ambient)))
         if cache_key in self._reducers:
             return self._reducers[cache_key]
@@ -138,8 +140,8 @@ class SAlgebra:
 
         else:
             raise NotImplementedError(f"no torsion reducer over {base}")
-        self._reducers[cache_key] = reduce
-        return reduce
+        self._reducers[cache_key] = (monos, index, reduce)
+        return self._reducers[cache_key]
 
     def _accumulate(self, terms: dict, word, coeff: EpsPoly):
         coeff = self._reduce_coeff(word, coeff)

@@ -18,10 +18,14 @@ The reduction is computed semantically: polynomials are evaluated in a
 graded model (a free algebra whose trace values twist-commute past
 everything, with trace arguments identified up to twisted rotation) and
 the coordinates in the basis are recovered by an exact integer linear
-solve.  One elimination per block of the basis, on +-1 pivots only,
-both picks the basis and certifies it: it is a unimodular integer
-transform, so the coordinates are unique and valid over every base
-ring.  Four defining identities generate everything:
+solve.  A monomial evaluates to exactly one model monomial times
+exp(P), P the eps-index pairs of every reordering on the way: each
+factor 1 - eps_i*eps_j squares to 1, so the exps of the steps compose
+into the exp of their joined pairs, one ``exp_map`` per monomial.  One
+elimination per block of the basis, on +-1 pivots only, both picks the
+basis and certifies it: it is a unimodular integer transform, so the
+coordinates are unique and valid over every base ring.  Four defining
+identities generate everything:
 
     F(F(x)y) = F(x)F(y)        F(xF(y)) = F(x)F(y)
     [x, F([y,z])] = 0          [F(x), [F(y), z]] = 0
@@ -37,7 +41,7 @@ import random
 from itertools import permutations, product as iproduct
 from typing import NamedTuple, Sequence
 
-from .epsilon import CoeffRing, EpsPoly, exp_map
+from .epsilon import CoeffRing, exp_map
 from .grassmann import GrassAlgebra, GrassElem, word_parity_pairs
 from .hull import Matrix
 from .linalg import NoUnitPivot, SmithSolver
@@ -49,8 +53,6 @@ from .terms import (
     _render_term,
     _term_sort_key,
     add_term,
-    add_terms,
-    scale_terms,
 )
 
 MAX_TRACE_ARITY = 6
@@ -67,138 +69,88 @@ class TraceInternalError(Exception):
 
 # -- the graded evaluation model -----------------------------------------
 #
-# Elements are C[eps]-combinations of monomials (w0, traces): a plain
-# word of letters followed by formal trace factors.  Letters are graded
-# by their own index; trace values twist-commute past everything, and a
-# trace argument may be rotated at the cost of an exp factor.  The four
-# defining identities hold here, so evaluation kills exactly their
-# consequences (on multilinear input).
+# Values are C[eps]-combinations of monomials (w0, traces): a plain word
+# of letters followed by formal trace factors, as a term map
+# {(w0, traces): EpsPoly}.  Letters are graded by their own index; trace
+# values twist-commute past everything, and a trace argument may be
+# rotated at the cost of an exp factor.  The four defining identities
+# hold here, so evaluation kills exactly their consequences (on
+# multilinear input).
 #
-# Every reordering cost is exp of a list of eps-index pairs, and
-# exp(p)*exp(q) = exp(p + q): C[eps] is commutative and each factor
-# 1 - eps_i*eps_j squares to 1, over every ring and in the theta=0
-# quotient alike.  So the helpers below only append their pairs to a
-# list the caller passes in, and a product or trace of one term pair
-# expands the joined list with a single ``exp_map``.
+# A monomial of f evaluates to exactly one model monomial times exp(P),
+# where P joins the eps-index pairs of every reordering on the way:
+# C[eps] is commutative and each factor 1 - eps_i*eps_j squares to 1,
+# over every ring and in the theta=0 quotient alike, so
+# exp(p)*exp(q) = exp(p + q).  The helpers below only append their pairs
+# to one list per term, which a single ``exp_map`` expands.
 
 
-class TraceModel:
-    def __init__(self, coeff: CoeffRing):
-        self.coeff = coeff
-
-    def zero(self) -> "ModelElem":
-        return ModelElem(self, {})
-
-    def one(self) -> "ModelElem":
-        return ModelElem(self, {((), ()): self.coeff.one()})
-
-    def letter(self, i: int) -> "ModelElem":
-        return ModelElem(self, {((i,), ()): self.coeff.one()})
-
-    def _sorted_insert(self, traces: tuple, word: tuple, pairs: list) -> tuple:
-        """Insert a trace word arriving from the right end; swapping two
-        trace values costs exp(eps_v eps_v'), whose pairs go to ``pairs``."""
-        pos = len(traces)
-        while pos > 0 and traces[pos - 1] > word:
-            pairs.extend(word_parity_pairs(traces[pos - 1], word))
-            pos -= 1
-        return traces[:pos] + (word,) + traces[pos:]
-
-    def _sorted_insert_left(self, traces: tuple, word: tuple, pairs: list) -> tuple:
-        """Insert a trace word arriving from the left end; the swaps'
-        pairs go to ``pairs``."""
-        pos = 0
-        while pos < len(traces) and traces[pos] < word:
-            pairs.extend(word_parity_pairs(word, traces[pos]))
-            pos += 1
-        return traces[:pos] + (word,) + traces[pos:]
-
-    def _canonical_rotation(self, word: tuple, pairs: list) -> tuple:
-        """Rotate to the lexicographically minimal linearization (the
-        first one, if several are equal); each left-rotation by one
-        letter costs exp(eps_letter eps_rest), whose pairs go to
-        ``pairs``."""
-        shift = min(range(len(word)), key=lambda k: word[k:] + word[:k])
-        all_letters = set(word)
-        for head in word[:shift]:
-            pairs.extend(word_parity_pairs([head], all_letters - {head}))
-        return word[shift:] + word[:shift]
+def _sorted_insert(traces: tuple, word: tuple, pairs: list) -> tuple:
+    """Insert a trace word arriving from the right end; swapping two
+    trace values costs exp(eps_v eps_v'), whose pairs go to ``pairs``."""
+    pos = len(traces)
+    while pos > 0 and traces[pos - 1] > word:
+        pairs.extend(word_parity_pairs(traces[pos - 1], word))
+        pos -= 1
+    return traces[:pos] + (word,) + traces[pos:]
 
 
-class ModelElem:
-    __slots__ = ("model", "terms")
-
-    def __init__(self, model: TraceModel, terms: dict):
-        self.model = model
-        self.terms = terms
-
-    def __add__(self, other: "ModelElem") -> "ModelElem":
-        model = self.model
-        return ModelElem(model, add_terms(model.coeff, self.terms, other.terms))
-
-    def __mul__(self, other: "ModelElem") -> "ModelElem":
-        model = self.model
-        coeff = model.coeff
-        out: dict = {}
-        for (w0a, ta), ca in self.terms.items():
-            for (w0b, tb), cb in other.terms.items():
-                pairs: list = []
-                # move the left trace factors past the right plain word
-                if w0b:
-                    for v in ta:
-                        pairs.extend(word_parity_pairs(v, w0b))
-                traces = ta
-                for v in tb:
-                    traces = model._sorted_insert(traces, v, pairs)
-                c = ca * cb
-                if pairs:
-                    c = c * exp_map(coeff, pairs)
-                add_term(coeff, out, (w0a + w0b, traces), c)
-        return ModelElem(model, out)
-
-    def scale(self, c: EpsPoly) -> "ModelElem":
-        model = self.model
-        return ModelElem(model, scale_terms(model.coeff, self.terms, c))
-
-    def estr(self) -> "ModelElem":
-        """Apply the formal trace: pull existing trace factors out, then
-        trace the plain word, canonically rotated."""
-        model = self.model
-        out: dict = {}
-        for (w0, traces), c in self.terms.items():
-            if not w0:
-                raise TraceArgumentError(
-                    "trace argument has no letters at its own nesting level"
-                )
-            pairs: list = []
-            word = model._canonical_rotation(w0, pairs)
-            # the fresh trace value sits to the left of the existing ones
-            new_traces = model._sorted_insert_left(traces, word, pairs)
-            if pairs:
-                c = c * exp_map(model.coeff, pairs)
-            add_term(model.coeff, out, ((), new_traces), c)
-        return ModelElem(model, out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+def _sorted_insert_left(traces: tuple, word: tuple, pairs: list) -> tuple:
+    """Insert a trace word arriving from the left end; the swaps'
+    pairs go to ``pairs``."""
+    pos = 0
+    while pos < len(traces) and traces[pos] < word:
+        pairs.extend(word_parity_pairs(word, traces[pos]))
+        pos += 1
+    return traces[:pos] + (word,) + traces[pos:]
 
 
-def model_eval(f: TracePoly, coeff: CoeffRing) -> ModelElem:
-    model = TraceModel(coeff)
+def _canonical_rotation(word: tuple, pairs: list) -> tuple:
+    """Rotate to the lexicographically minimal linearization (the
+    first one, if several are equal); each left-rotation by one
+    letter costs exp(eps_letter eps_rest), whose pairs go to
+    ``pairs``."""
+    shift = min(range(len(word)), key=lambda k: word[k:] + word[:k])
+    all_letters = set(word)
+    for head in word[:shift]:
+        pairs.extend(word_parity_pairs([head], all_letters - {head}))
+    return word[shift:] + word[:shift]
 
-    def eval_term(term) -> ModelElem:
-        acc = model.one()
-        for atom in term:
-            if isinstance(atom, int):
-                acc = acc * model.letter(atom)
-            else:
-                acc = acc * eval_term(atom[1]).estr()
-        return acc
 
-    result = model.zero()
+def _model_monomial(term: tuple, pairs: list) -> tuple:
+    """The model monomial (w0, traces) of one term; the pairs of every
+    reordering on the way go to ``pairs``."""
+    w0: tuple = ()
+    traces: tuple = ()
+    for atom in term:
+        if isinstance(atom, int):
+            # the trace factors collected so far move past the letter
+            for v in traces:
+                pairs.extend(word_parity_pairs(v, (atom,)))
+            w0 += (atom,)
+            continue
+        arg, inner = _model_monomial(atom[1], pairs)
+        if not arg:
+            raise TraceArgumentError(
+                "trace argument has no letters at its own nesting level"
+            )
+        # Tr(arg * inner) = Tr(arg) * inner: the fresh trace value sits
+        # to the left of the inner ones, which then join the outer ones
+        inner = _sorted_insert_left(inner, _canonical_rotation(arg, pairs), pairs)
+        for v in inner:
+            traces = _sorted_insert(traces, v, pairs)
+    return w0, traces
+
+
+def model_eval(f: TracePoly, coeff: CoeffRing) -> dict:
+    """The model value of f: a term map {(w0, traces): EpsPoly}, with one
+    ``exp_map`` per term of f."""
+    out: dict = {}
     for term, c in f.terms.items():
-        result = result + eval_term(term).scale(coeff.scalar(c))
-    return result
+        pairs: list = []
+        key = _model_monomial(term, pairs)
+        add_term(coeff, out, key, exp_map(coeff, pairs).scale(c))
+    return out
 
 
 # -- the standard form -----------------------------------------------------
@@ -592,7 +544,7 @@ def _block_solver(outer: frozenset, parts: frozenset):
     for cand in candidates:
         value = model_eval(cand.to_trace_poly(zz), coeff)
         vec: dict = {}
-        for mono_key, poly in value.terms.items():
+        for mono_key, poly in value.items():
             for eps_key, c in poly.terms.items():
                 col = columns.setdefault((mono_key, eps_key), len(columns))
                 vec[col] = c
@@ -621,7 +573,7 @@ def trace_normalize(f: TracePoly) -> StandardForm:
     value = model_eval(f, CoeffRing(ring))
     # group the value by block pattern
     groups: dict = {}
-    for (w0, traces), poly in value.terms.items():
+    for (w0, traces), poly in value.items():
         pattern = (frozenset(w0), frozenset(frozenset(v) for v in traces))
         groups.setdefault(pattern, {})[(w0, traces)] = poly
     items: dict = {}

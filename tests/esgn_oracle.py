@@ -14,6 +14,11 @@ where e(T) counts the edges of E inside T, and every other monomial is
 q(x) = sum x_v + sum_E x_a*x_b on S.  ``naive_mul`` multiplies by
 counting letters: eps_i^k = theta^(k-1)*eps_i and theta^k =
 2^(k//2)*theta^(k%2).
+
+``model_value`` evaluates a multilinear trace polynomial in the graded
+trace model one reordering step at a time: every rotation of a trace
+argument by one letter and every swap of a trace value past a letter or
+past a larger trace value multiplies by its own ``exp_pairs`` factor.
 """
 
 from __future__ import annotations
@@ -104,3 +109,54 @@ def reduce(poly: dict, modulus: int | None = None, theta_zero: bool = False) -> 
         if c:
             out[(t, eps)] = c
     return out
+
+
+def _model_monomial(term) -> tuple:
+    """(w0, traces, poly) of one term: the letters in order, the sorted
+    trace values and the product of the exp factors of every step."""
+    factors = []  # letters as ints, trace values as tuples of letters
+    poly = {ONE: 1}
+    for atom in term:
+        if isinstance(atom, int):
+            factors.append(atom)
+            continue
+        word, traces, inner = _model_monomial(atom[1])
+        if not word:
+            raise ValueError("trace argument without letters of its own")
+        poly = naive_mul(poly, inner)
+        # rotate left one letter at a time to the minimal rotation
+        while word != min(word[k:] + word[:k] for k in range(len(word))):
+            poly = naive_mul(poly, exp_pairs([(word[0], b) for b in word[1:]]))
+            word = word[1:] + word[:1]
+        # Tr(word * traces) = Tr(word) * traces
+        factors.append(word)
+        factors.extend(traces)
+    # adjacent swaps: trace values move right past letters, then sort
+    swapped = True
+    while swapped:
+        swapped = False
+        for k in range(len(factors) - 1):
+            a, b = factors[k], factors[k + 1]
+            if isinstance(a, tuple) and (isinstance(b, int) or a > b):
+                right = (b,) if isinstance(b, int) else b
+                poly = naive_mul(poly, exp_pairs([(i, j) for i in a for j in right]))
+                factors[k], factors[k + 1] = b, a
+                swapped = True
+    w0 = tuple(f for f in factors if isinstance(f, int))
+    traces = tuple(f for f in factors if isinstance(f, tuple))
+    return w0, traces, poly
+
+
+def model_value(terms: dict) -> dict:
+    """The model value {(w0, traces): polynomial} of a multilinear trace
+    polynomial's term map {term: coefficient} over Z (or Q); a term is a
+    tuple of letters and ("F", term) atoms.  Raises ValueError on a trace
+    argument without letters of its own."""
+    out: dict = {}
+    for term, c in terms.items():
+        w0, traces, poly = _model_monomial(term)
+        acc = out.setdefault((w0, traces), {})
+        for key, v in poly.items():
+            acc[key] = acc.get(key, 0) + c * v
+    out = {mono: {k: v for k, v in p.items() if v} for mono, p in out.items()}
+    return {mono: p for mono, p in out.items() if p}

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from epsgrass import CoeffRing, GF, GrassAlgebra, QQ, ZZ, supertrace
 from epsgrass.hull import Matrix
 from epsgrass.linalg import RationalEchelon
-from epsgrass.rings import IntegerRing
+from epsgrass.rings import IntegerRing, ModRing
 from epsgrass.supertrace import (
     MonomialTerm,
     NonMultilinearError,
@@ -24,6 +25,7 @@ from epsgrass.supertrace import (
 )
 
 from conftest import random_grass_elem
+from esgn_oracle import model_value, reduce
 
 ZZr = IntegerRing()
 
@@ -494,6 +496,50 @@ def all_blocks(max_letters):
                     yield frozenset(outer), frozenset(frozenset(p) for p in parts)
 
 
+def model_terms(value):
+    return {mono: poly.terms for mono, poly in value.items()}
+
+
+def test_model_eval_matches_stepwise_oracle_on_block_candidates():
+    # every candidate of the blocks with at most 4 letters, over Z
+    coeff = CoeffRing(ZZr)
+    checked = 0
+    for outer, parts in all_blocks(4):
+        candidates = list(supertrace.enumerate_block_basis(outer, parts))
+        candidates.extend(supertrace.enumerate_nested_monomials(outer, parts))
+        for cand in candidates:
+            f = cand.to_trace_poly(ZZr)
+            got = model_terms(supertrace.model_eval(f, coeff))
+            assert got == model_value(f.terms), cand.render()
+            checked += 1
+    assert checked == 1650
+
+
+@pytest.mark.parametrize("ring", [ModRing(4), ModRing(6), QQ], ids=["Z4", "Z6", "Q"])
+def test_model_eval_matches_stepwise_oracle_on_random_polys(ring, rng):
+    coeff = CoeffRing(ring)
+    raised = 0
+    for _ in range(150):
+        f = _random_trace_poly(rng, rng.randint(1, 5))
+        terms = {}
+        for term, c in f.terms.items():
+            scale = Fraction(rng.randint(1, 5), rng.randint(1, 4)) if ring is QQ else 1
+            terms[term] = ring.from_int(c) * scale
+        f = TracePoly(ring, terms)
+        try:
+            want = model_value(terms)
+        except ValueError:
+            with pytest.raises(TraceArgumentError):
+                supertrace.model_eval(f, coeff)
+            raised += 1
+            continue
+        if ring is not QQ:
+            want = {mono: reduce(p, ring.m) for mono, p in want.items()}
+            want = {mono: p for mono, p in want.items() if p}
+        assert model_terms(supertrace.model_eval(f, coeff)) == want, f.render()
+    assert 0 < raised < 150
+
+
 def test_block_basis_is_the_rational_choice():
     # the unit-pivot elimination keeps exactly the candidates whose model
     # values leave the rational span of the earlier ones
@@ -510,7 +556,7 @@ def test_block_basis_is_the_rational_choice():
             value = supertrace.model_eval(cand.to_trace_poly(ZZr), coeff)
             vec = {
                 columns.setdefault((mono, eps), len(columns)): c
-                for mono, poly in value.terms.items()
+                for mono, poly in value.items()
                 for eps, c in poly.terms.items()
             }
             if echelon.add_if_new(vec):
