@@ -20,7 +20,7 @@ from .rings import (
     RingMismatchError,
     ring_from_spec,
 )
-from .epsilon import CoeffRing, EpsPoly, exp_map, phi_sigma
+from .epsilon import CoeffRing, EpsPoly, exp_map, exp_sum, phi_sigma
 from .grassmann import (
     GrassAlgebra,
     GrassElem,
@@ -53,6 +53,7 @@ __all__ = [
     "CoeffRing",
     "EpsPoly",
     "exp_map",
+    "exp_sum",
     "phi_sigma",
     "GrassAlgebra",
     "GrassElem",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from itertools import permutations
 
 from .comodule import (
@@ -52,9 +53,11 @@ EXIT_INTERNAL = 4
 # certificate reaches arity 12 in 5.9 s cold (BENCH_7.json), but the sign
 # table behind signs and --dump-matrix holds n! rows (9-14 s at n = 8).
 # idempotents costs O(4^X) products (16 s over Q at --X 6); a witness
-# search that exhausts its attempts takes 7.5 s at --max-n 6.  The
-# expression text bounds the work of check-identity, so --vars has no
-# upper bound.
+# search that exhausts its attempts takes 7.5 s at --max-n 6.
+# check-identity costs one subset transform per vertex set of the
+# inversion graphs of its monomials, 2^vars fields at most and never more
+# than expanding each monomial's sign; the expression text bounds the
+# work, so --vars has no upper bound.
 CLI_LIMITS = {
     "comodule": [
         ("n", "arity", 1, MAX_COMODULE_ARITY, None),
@@ -78,7 +81,10 @@ def _common_flags(sub):
     )
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``main`` parses every
+    call with it, and parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="epsgrass",
         description="exact computations in sign-twisted Grassmann algebras",
@@ -161,7 +167,7 @@ def _run(args) -> int:
             f = MultilinearPoly.from_word_poly(poly, args.vars)
         except ValueError as err:
             raise _Usage(str(err)) from None
-        verdict = f.is_zero() or is_identity(f, truncated=args.truncated)
+        verdict = is_identity(f)
         payload = {
             "command": command,
             "ring": ring.name,

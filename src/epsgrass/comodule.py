@@ -3,11 +3,14 @@
 A multilinear polynomial of arity n is a map from permutations of
 {1..n} to coefficients; x_{s(1)}...x_{s(n)} is keyed by the image tuple
 s.  Substituting the generators e_1..e_n decides membership in the
-identity ideal of the twisted Grassmann algebra; the corresponding
-vector of generalized signs spans a free module of rank 2^(n-1), with
-an explicit spanning set (ascending prefix times a product of
-commutators in ascending disjoint pairs), whose sign images have a
-closed form with one esgn each (``SpanningTerm.sign_image``).  One
+identity ideal of the twisted Grassmann algebra: f(e_1, ..., e_n) =
+psi(f)*e_1...e_n, where the sign image psi(f) = sum of a_s*esgn(s) is
+computed by one ``epsilon.exp_sum`` over the inversion graphs (a
+subset transform per vertex set, with no esgn and no algebra product),
+so f is an identity iff psi(f) = 0.  The generalized signs span a free
+module of rank 2^(n-1), with an explicit spanning set (ascending prefix
+times a product of commutators in ascending disjoint pairs), whose sign
+images have a closed form with one esgn each (``SpanningTerm.sign_image``).  One
 integer certificate per arity proves freeness and the rank over every
 base ring at once, from the generators of S_n and without the n!-row
 sign table: a unit-pivot elimination keeps every spanning row, which
@@ -15,8 +18,8 @@ proves an all-ones Smith diagonal, their span holds 1 and is stable
 under the twisted action of every adjacent transposition, and by the
 closed-form lemma it lies in the span of the signs.  The integer sign
 table (``sign_matrix_int``) serves only ``matrix_dump``.  Normal forms
-modulo the identities are computed by solving against the sign images
-of the spanning set.
+modulo the identities are computed by solving psi(f) against the sign
+images of the spanning set, and checked by psi of the residual.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .epsilon import CoeffRing, EpsPoly, all_monomials
-from .grassmann import GrassAlgebra, GrassElem, esgn, word_from_letters
+from .epsilon import CoeffRing, EpsPoly, InternalError, all_monomials, exp_sum
+from .grassmann import GrassElem, esgn, word_from_letters
 from .linalg import NoUnitPivot, SmithSolver
 from .rings import BaseRing, IntegerRing, RingMismatchError
 from .terms import TracePoly, add_term, add_terms, scale_terms
@@ -37,10 +40,6 @@ from . import epsilon
 MAX_COMODULE_ARITY = 12
 # ``epsgrass signs`` and ``matrix_dump`` list all n! signs of S_n.
 MAX_SIGN_TABLE_ARITY = 8
-
-
-class InternalError(Exception):
-    """A contract the certified linear algebra guarantees was violated."""
 
 
 class MultilinearPoly:
@@ -142,12 +141,17 @@ def evaluate(f: MultilinearPoly, subs: Sequence[GrassElem]) -> GrassElem:
     return result
 
 
-def is_identity(f: MultilinearPoly, truncated: bool = False) -> bool:
+def is_identity(f: MultilinearPoly) -> bool:
     """Membership in the identity ideal: f is an identity iff it vanishes
-    on the generic substitution x_i -> e_i."""
-    algebra = GrassAlgebra(f.ring, truncated=truncated)
-    subs = [algebra.gen(i) for i in range(1, f.n + 1)]
-    return evaluate(f, subs).is_zero()
+    on the generic substitution x_i -> e_i.
+
+    Reordering e_sigma(1)...e_sigma(n) to e_1...e_n costs esgn(sigma), so
+    ``evaluate(f, [e_1, ..., e_n]) = psi(f) * e_1...e_n``, and that word
+    carries no torsion: f is an identity iff psi(f) = 0.  No generator
+    repeats, so the quotient by the generator squares has the same
+    multilinear identities.
+    """
+    return psi(f).is_zero()
 
 
 def sn_act_poly(pi: Sequence[int], f: MultilinearPoly) -> MultilinearPoly:
@@ -166,16 +170,17 @@ def unit_words(n: int):
     return [word_from_letters([i]) for i in range(1, n + 1)]
 
 
+def _inversion_graph(sigma: Sequence[int]) -> list[tuple[int, int]]:
+    """The letter pairs {sigma(i), sigma(j)} of the inversions i < j,
+    sigma(i) > sigma(j): esgn(sigma) on unit words is their exp."""
+    return [(b, a) for k, a in enumerate(sigma) for b in sigma[k + 1:] if b < a]
+
+
 def psi(f: MultilinearPoly) -> EpsPoly:
-    """Image of f in the sign module: sum of a_sigma * esgn(e., sigma)."""
-    ring = f.ring
-    coeff = CoeffRing(ring)
-    w = unit_words(f.n)
-    acc: dict = {}
-    for perm, c in f.coeffs.items():
-        for key, v in esgn(coeff, w, perm).terms.items():
-            add_term(ring, acc, key, ring.mul(v, c))
-    return EpsPoly(coeff, acc)
+    """Image of f in the sign module: sum of a_sigma * esgn(e., sigma),
+    by one ``exp_sum`` over the inversion graphs."""
+    items = [(_inversion_graph(perm), c) for perm, c in f.coeffs.items()]
+    return exp_sum(CoeffRing(f.ring), items)
 
 
 def sign_act(pi: Sequence[int], lam: EpsPoly, n: int | None = None) -> EpsPoly:
@@ -259,12 +264,14 @@ class SpanningTerm(tuple):
         return len(self.prefix) + len(self.tail)
 
     def to_poly(self, ring: BaseRing) -> MultilinearPoly:
-        p = TracePoly.const(ring, ring.one())
-        for i in self.prefix:
-            p = p * TracePoly.letter(ring, i)
+        """x_P*[x_a1,x_b1]*...: each commutator appends x_a*x_b, or x_b*x_a
+        with the opposite sign, so the 2^(len(tail)/2) words are distinct."""
+        coeffs = {self.prefix: ring.one()}
         for a, b in zip(self.tail[::2], self.tail[1::2]):
-            p = p * TracePoly.letter(ring, a).commutator(TracePoly.letter(ring, b))
-        return MultilinearPoly.from_word_poly(p, self.arity())
+            swapped = {w + (b, a): ring.neg(c) for w, c in coeffs.items()}
+            coeffs = {w + (a, b): c for w, c in coeffs.items()}
+            coeffs.update(swapped)
+        return MultilinearPoly(self.arity(), ring, coeffs)
 
     def sign_image(self, coeff: CoeffRing) -> EpsPoly:
         """psi(self.to_poly(ring)) in closed form, with one esgn.
@@ -401,9 +408,10 @@ def grassmann_normal_form(f: MultilinearPoly) -> dict[SpanningTerm, object]:
     if not ok:
         raise InternalError("sign image not in the span of the spanning set")
     coords = {t: c for t, c in zip(terms, sol) if not ring.is_zero(c)}
-    residual = f
+    residual = dict(f.coeffs)
     for t, c in coords.items():
-        residual = residual - t.to_poly(ring).scale(c)
-    if not (residual.is_zero() or is_identity(residual)):
+        for key, v in t.to_poly(ring).coeffs.items():
+            add_term(ring, residual, key, ring.neg(ring.mul(v, c)))
+    if not is_identity(MultilinearPoly(f.n, ring, residual)):
         raise InternalError("normal-form residual is not an identity")
     return coords

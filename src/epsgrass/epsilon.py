@@ -16,12 +16,15 @@ popcount of a & b without bit 0, since eps_i^2 = theta*eps_i; an odd
 degree sets bit 0, and each theta^2 = 2 doubles the coefficient, a
 factor 2 ** (degree // 2).  Coefficients accumulate with Python ``+``
 and ``*`` (ints for Z and Z/m, Fractions for Q) and reduce once per
-output monomial through ``from_int``.
+output monomial through ``from_int``.  ``exp_sum`` adds up many exps
+with no product at all, by one subset transform per vertex set.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from fractions import Fraction
+from itertools import chain, combinations
+from math import lcm
 from typing import Iterable
 
 from .rings import BaseRing, RingMismatchError
@@ -32,6 +35,11 @@ from .terms import add_term, add_terms, scale_terms
 Monomial = tuple[int, tuple[int, ...]]
 
 ONE_MONOMIAL: Monomial = (0, ())
+
+
+class InternalError(Exception):
+    """A contract that an exact kernel or the certified linear algebra
+    guarantees was violated."""
 
 
 class CoeffRing:
@@ -343,6 +351,167 @@ def exp_map(ring: CoeffRing, pairs: Iterable[tuple[int, int]]) -> EpsPoly:
             continue
         c = base.from_int(c)
         if not base.is_zero(c):
+            out[_key_of(m)] = c
+    return EpsPoly(ring, out)
+
+
+# _FIELD_MASKS[k, nbytes] packs one field of nbytes bytes per subset T of
+# a k-vertex set, T indexed by its bit pattern: the masks whose field T
+# holds bit p of T (the T that contain the vertex at position p), one
+# per p, and the mask whose every field holds 1.  A memo of a pure
+# function, one entry per shape seen.
+_FIELD_MASKS: dict = {}
+
+
+def _field_masks(k: int, nbytes: int) -> tuple:
+    got = _FIELD_MASKS.get((k, nbytes))
+    if got is None:
+        one, zero = (1).to_bytes(nbytes, "little"), bytes(nbytes)
+        size = 1 << k
+        masks = [
+            # 2^p fields of 0, then 2^p fields of 1, repeated
+            int.from_bytes((zero * run + one * run) * (size // (2 * run)), "little")
+            for run in (1 << p for p in range(k))
+        ]
+        got = _FIELD_MASKS[k, nbytes] = (masks, int.from_bytes(one * size, "little"))
+    return got
+
+
+def _add_subset_image(acc: dict, vertices: tuple, members: list) -> None:
+    """acc[mask] += the coefficients of sum c*exp(E) over the (edges, c)
+    members, whose edges all lie on ``vertices``; ints only."""
+    size = 1 << len(vertices)
+    total = negative = 0
+    for _, c in members:
+        total += c
+        if c < 0:
+            negative -= c
+    base = total + 2 * negative  # sum |c|, the largest field value
+    nbytes = base.bit_length() + 7 >> 3
+    masks, ones = _field_masks(len(vertices), nbytes)
+    at = dict(zip(vertices, masks))
+    # Field T of a member's parity is e(T) mod 2, e(T) the number of its
+    # edges inside T: the XOR of its edges' masks.  Scattering c into the
+    # set fields is one multiply; a negative c scatters |c| into the clear
+    # fields, so no field goes below 0 or above sum |c|.
+    packed = 0
+    for edges, c in members:
+        parity = 0
+        for a, b in edges:
+            parity ^= at[a] & at[b]
+        packed += c * parity if c > 0 else -c * (parity ^ ones)
+    # g(T) = sum c*(-1)^e(T) = sum c - 2 * (sum of c over the odd e(T)),
+    # and that sum is field T minus ``negative``
+    data = packed.to_bytes(size * nbytes, "little")
+    if nbytes == 1:
+        g = [base - 2 * h for h in data]
+    else:
+        g = [
+            base - 2 * int.from_bytes(data[i:i + nbytes], "little")
+            for i in range(0, len(data), nbytes)
+        ]
+    # Moebius transform: x(S) = sum over T in S of (-1)^(|S|-|T|) g(T)
+    run = 1
+    while run < size:
+        for lo in range(run, size, 2 * run):
+            for s in range(lo, lo + run):
+                g[s] -= g[s - run]
+        run *= 2
+    eps = [0]  # the eps mask of each subset S
+    for v in vertices:
+        eps += [m | 1 << v for m in eps]
+    for s, x in enumerate(g):
+        if x:
+            d = s.bit_count()
+            q, r = divmod(x, 1 << (d + 1 >> 1))
+            if r:
+                raise InternalError(
+                    f"character sum {x} on {vertices} is not divisible by 2^{d + 1 >> 1}"
+                )
+            m = eps[s] | d & 1
+            acc[m] = acc[m] + q if m in acc else q
+
+
+def _components(edges: list) -> list:
+    """The (vertices, edges) of each connected component of a graph."""
+    part: dict = {}  # vertex -> the vertex list of its component, shared
+    for a, b in edges:
+        pa = part.setdefault(a, [a])
+        pb = part.setdefault(b, [b])
+        if pa is not pb:
+            if len(pa) < len(pb):
+                pa, pb = pb, pa
+            pa.extend(pb)
+            for v in pb:
+                part[v] = pa
+    out: dict = {}  # id of a vertex list -> (sorted vertices, edges)
+    for a, b in edges:
+        pa = part[a]
+        entry = out.get(id(pa))
+        if entry is None:
+            entry = out[id(pa)] = (tuple(sorted(pa)), [])
+        entry[1].append((a, b))
+    return list(out.values())
+
+
+def exp_sum(ring: CoeffRing, items: Iterable) -> EpsPoly:
+    """sum of c*exp(E) over (graph, c) items, a graph a list of index
+    pairs (i, j) as in ``exp_map``: (i, i) stands for theta*eps_i, and
+    pairs count mod 2.
+
+    Lemma: s_i = 1 - theta*eps_i squares to 1, and on the characters
+    s_i -> (-1)^(x_i) of GF(2)^V, 1 - eps_a*eps_b = (1 + s_a + s_b -
+    s_a*s_b)/2 takes the value (-1)^(x_a*x_b) and 1 - theta*eps_a the
+    value (-1)^(x_a).  So exp(E) evaluates to (-1)^e(T) on the character
+    of T, e(T) the number of pairs inside T, and inverting the change of
+    basis gives the coefficient of theta^(|S| mod 2)*eps_S as
+    2^(-ceil(|S|/2)) * sum over T in S of (-1)^(|S|-|T|) * (-1)^e(T);
+    every other monomial is 0.  The sum is the character sum of a GF(2)
+    quadratic form on S, so it is 0 or divisible by 2^ceil(|S|/2).
+
+    Items are grouped by the vertex set V of their graph.  A group adds
+    c*(-1)^e(T) for all T in V at once, in one int with a field per T,
+    and runs one Moebius transform: no ``EpsPoly`` product and no
+    per-item expansion.  A graph with fewer than |V| - 1 pairs is
+    disconnected, and its exp is the product of its components' exps, so
+    the work stays within that of expanding the product of binomials.  Coefficients accumulate as
+    Python ints (a Fraction's are scaled by the common denominator) and
+    map into the ring once; a non-exact division raises ``InternalError``.
+    """
+    items = [(list(edges), c) for edges, c in items if c]
+    den = lcm(*(c.denominator for _, c in items))
+    groups: dict = {}  # vertex tuple -> [(edges, int coefficient)]
+    acc: dict = {}  # mask -> int
+    for edges, c in items:
+        c = c.numerator * (den // c.denominator)
+        vertices = set(chain.from_iterable(edges))
+        if vertices and min(vertices) < 1:
+            raise ValueError("eps indices start at 1")
+        if len(edges) + 1 >= len(vertices):
+            groups.setdefault(tuple(sorted(vertices)), []).append((edges, c))
+            continue
+        poly = {0: c}
+        for part_vertices, part_edges in _components(edges):
+            part: dict = {}
+            _add_subset_image(part, part_vertices, [(part_edges, 1)])
+            # disjoint eps supports, so a ^ b is the product monomial
+            # and theta*theta = 2 doubles it
+            poly = {
+                a ^ b: ca * cb << (a & b & 1)
+                for a, ca in poly.items()
+                for b, cb in part.items()
+            }
+        for m, v in poly.items():
+            acc[m] = acc[m] + v if m in acc else v
+    for vertices, members in groups.items():
+        _add_subset_image(acc, vertices, members)
+    frm = ring.base.from_int
+    out = {}
+    for m, c in acc.items():
+        if m & 1 and ring.theta_zero:
+            continue
+        c = frm(c if den == 1 else Fraction(c, den))
+        if c:
             out[_key_of(m)] = c
     return EpsPoly(ring, out)
 

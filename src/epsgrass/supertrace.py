@@ -109,11 +109,13 @@ def _canonical_rotation(word: tuple, pairs: list) -> tuple:
     """Rotate to the lexicographically minimal linearization (the
     first one, if several are equal); each left-rotation by one
     letter costs exp(eps_letter eps_rest), whose pairs go to
-    ``pairs``."""
+    ``pairs``.  The rest is the other letters as a multiset: a
+    repeated letter moves past each of its other copies."""
     shift = min(range(len(word)), key=lambda k: word[k:] + word[:k])
-    all_letters = set(word)
     for head in word[:shift]:
-        pairs.extend(word_parity_pairs([head], all_letters - {head}))
+        rest = list(word)
+        rest.remove(head)
+        pairs.extend(word_parity_pairs([head], rest))
     return word[shift:] + word[:shift]
 
 
@@ -144,12 +146,14 @@ def _model_monomial(term: tuple, pairs: list) -> tuple:
 
 def model_eval(f: TracePoly, coeff: CoeffRing) -> dict:
     """The model value of f: a term map {(w0, traces): EpsPoly}, with one
-    ``exp_map`` per term of f."""
+    ``exp_map`` per term of f, scaled only by a coefficient other than 1."""
+    one = coeff.base.one()
     out: dict = {}
     for term, c in f.terms.items():
         pairs: list = []
         key = _model_monomial(term, pairs)
-        add_term(coeff, out, key, exp_map(coeff, pairs).scale(c))
+        value = exp_map(coeff, pairs)
+        add_term(coeff, out, key, value if c == one else value.scale(c))
     return out
 
 

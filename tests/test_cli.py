@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import epsgrass
 from epsgrass import cli
 from epsgrass.cli import main
@@ -172,6 +174,34 @@ def test_exit_code_matrix(capsys):
     capsys.readouterr()
     assert main(["idempotents", "--X", "1", "--ring", "mod:6"]) == 3
     capsys.readouterr()
+
+
+def test_main_runs_several_commands_with_one_parser(capsys):
+    # the parser is built once per process; runs in a row, with usage
+    # errors between them, give the same output, errors and exit codes as
+    # a parser built afresh
+    assert cli.build_parser() is cli.build_parser()
+    runs = [
+        ["normalize", "e2*e1"],
+        ["check-identity", "x1"],  # --vars missing: argparse exits 2
+        ["check-identity", "[x1,[x2,x3]]", "--vars", "3", "--format", "json"],
+        ["comodule", "--n", "0"],  # outside CLI_LIMITS
+        ["no-such-command"],
+        ["comodule", "--n", "3"],
+        ["--help"],
+        ["trace-check", "Tr(x1*x2) - Tr(x2*x1)"],  # not an identity: exits 1
+    ]
+    first = [run_cli(capsys, *argv) for argv in runs]
+    assert [code for code, _, _ in first] == [0, 2, 0, 2, 2, 0, 0, 1]
+    assert "the following arguments are required: --vars" in first[1][2]
+    assert first[1][2].startswith("usage: epsgrass check-identity")
+    assert [run_cli(capsys, *argv) for argv in runs] == first
+    fresh = cli.build_parser.__wrapped__()
+    for argv in (["check-identity", "x1"], ["no-such-command"], ["--help"]):
+        with pytest.raises(SystemExit):
+            fresh.parse_args(argv)
+        out = capsys.readouterr()
+        assert (out.out, out.err) == first[runs.index(argv)][1:]
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -6,7 +6,8 @@ from itertools import permutations
 
 import pytest
 
-from epsgrass import GF, QQ, ZZ, CoeffRing, ModRing, comodule, esgn
+from epsgrass import GF, QQ, ZZ, CoeffRing, GrassAlgebra, GrassElem, ModRing, comodule, esgn
+from epsgrass import epsilon, grassmann
 from epsgrass.comodule import (
     MAX_COMODULE_ARITY,
     InternalError,
@@ -149,19 +150,48 @@ def test_sign_act_is_an_action_on_every_monomial():
                 assert sign_act(s_k, image[s_k, i], n) == m
 
 
-def test_is_identity_iff_psi_zero(rng):
+@pytest.mark.parametrize(
+    "ring", [ZZ, QQ, ModRing(4), ModRing(6), GF(3)], ids=["Z", "Q", "Z4", "Z6", "F3"]
+)
+def test_is_identity_agrees_with_evaluation(rng, ring):
+    # is_identity reads psi(f); the oracle multiplies out f(e_1, ..., e_n)
+    # in the algebra, which equals psi(f) * e_1...e_n
+    algebra = GrassAlgebra(CoeffRing(ring))
     for _ in range(60):
         n = rng.randint(2, 4)
-        p = TracePoly.const(ZZ, 0)
+        p = TracePoly.const(ring, ring.zero())
         for _ in range(rng.randint(1, 3)):
-            mono = TracePoly.const(ZZ, rng.choice([-2, -1, 1, 2]))
+            mono = TracePoly.const(ring, ring.from_int(rng.choice([-2, -1, 1, 2])))
             for i in random_perm(rng, n):
-                mono = mono * xvar(i)
+                mono = mono * xvar(i, ring)
             p = p + mono
         if not p.terms:
             continue
         f = to_ml(p, n)
-        assert is_identity(f) == psi(f).is_zero()
+        gens = [algebra.gen(i) for i in range(1, n + 1)]
+        value = evaluate(f, gens)
+        assert is_identity(f) == value.is_zero()
+        word = algebra.one()
+        for g in gens:
+            word = word * g
+        assert value == word.scale_coeff(psi(f))
+
+
+def test_identity_tests_make_no_esgn_call_and_no_product(monkeypatch):
+    f = to_ml(xvar(3) * xvar(1) * xvar(2) - (xvar(2) * xvar(3) * xvar(1)).scale(2), 3)
+    coords = grassmann_normal_form(f)  # builds and caches the spanning rows
+
+    def forbidden(*args):
+        raise AssertionError("esgn or a GrassElem product was called")
+
+    monkeypatch.setattr(comodule, "esgn", forbidden)
+    monkeypatch.setattr(grassmann, "esgn", forbidden)
+    monkeypatch.setattr(epsilon, "exp_map", forbidden)
+    monkeypatch.setattr(GrassElem, "__mul__", forbidden)
+    assert not is_identity(f)
+    assert is_identity(grassmann_poly())
+    assert psi(grassmann_poly()).is_zero()
+    assert grassmann_normal_form(f) == coords
 
 
 @pytest.mark.parametrize(
@@ -418,7 +448,9 @@ def test_truncated_mode_agrees_on_identity_testing(rng):
         if not p.terms:
             continue
         f = to_ml(p, n)
-        assert is_identity(f) == is_identity(f, truncated=True)
+        truncated = zz_algebra(truncated=True)
+        gens = [truncated.gen(i) for i in range(1, n + 1)]
+        assert is_identity(f) == evaluate(f, gens).is_zero()
 
 
 def test_freeness_basis_matches_known_rank4_span():

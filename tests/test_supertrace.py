@@ -540,6 +540,33 @@ def test_model_eval_matches_stepwise_oracle_on_random_polys(ring, rng):
     assert 0 < raised < 150
 
 
+def test_model_eval_rotates_repeated_letters_as_a_multiset(rng):
+    # moving a letter past the rest of a trace argument passes every other
+    # copy of a repeated letter: Tr(x2*x1*x1) rotates x2 past x1 twice,
+    # which costs exp(2*eps1*eps2) = 1
+    coeff = CoeffRing(ZZr)
+    for f in (word(2, 1, 1).trace(), word(2, 1, 2, 3).trace()):
+        assert model_terms(supertrace.model_eval(f, coeff)) == model_value(f.terms)
+    assert model_terms(supertrace.model_eval(word(2, 1, 1).trace(), coeff)) == {
+        ((), ((1, 1, 2),)): {(0, ()): 1}
+    }
+    z4 = CoeffRing(ModRing(4))
+    for _ in range(200):
+        letters = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 7)))
+        cut = rng.randint(0, len(letters) - 2)
+        arg = letters[cut:]
+        if len(arg) >= 3 and rng.random() < 0.5:
+            arg = (arg[0], ("F", arg[1:-1]), arg[-1])
+        terms = {letters[:cut] + (("F", arg),): rng.choice([-3, -1, 1, 2])}
+        want = model_value(terms)
+        got = supertrace.model_eval(TracePoly(ZZr, terms), coeff)
+        assert model_terms(got) == want, terms
+        reduced = {key: ModRing(4).from_int(c) for key, c in terms.items()}
+        got = supertrace.model_eval(TracePoly(ModRing(4), reduced), z4)
+        want = {mono: reduce(p, 4) for mono, p in want.items()}
+        assert model_terms(got) == {mono: p for mono, p in want.items() if p}, terms
+
+
 def test_block_basis_is_the_rational_choice():
     # the unit-pivot elimination keeps exactly the candidates whose model
     # values leave the rational span of the earlier ones
