@@ -5,9 +5,9 @@ A multilinear polynomial of arity n is a map from permutations of
 s.  Substituting the generators e_1..e_n decides membership in the
 identity ideal of the twisted Grassmann algebra: f(e_1, ..., e_n) =
 psi(f)*e_1...e_n, where the sign image psi(f) = sum of a_s*esgn(s) is
-computed by one ``epsilon.exp_sum`` over the inversion graphs (a
-subset transform per vertex set, with no esgn and no algebra product),
-so f is an identity iff psi(f) = 0.  The generalized signs span a free
+computed by one ``epsilon.exp_sum`` over the inversion graphs (grouped
+by vertex set, with no esgn and no algebra product), so f is an
+identity iff psi(f) = 0.  The generalized signs span a free
 module of rank 2^(n-1), with an explicit spanning set (ascending prefix
 times a product of commutators in ascending disjoint pairs), whose sign
 images have a closed form with one esgn each (``SpanningTerm.sign_image``).  One

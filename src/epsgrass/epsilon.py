@@ -17,14 +17,15 @@ degree sets bit 0, and each theta^2 = 2 doubles the coefficient, a
 factor 2 ** (degree // 2).  Coefficients accumulate with Python ``+``
 and ``*`` (ints for Z and Z/m, Fractions for Q) and reduce once per
 output monomial through ``from_int``.  ``exp_sum`` adds up many exps
-with no product at all, by one subset transform per vertex set.
+with no product at all: per vertex set, by expanding each exp until
+that costs half as much as one subset transform, which takes the rest.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations
-from math import lcm
+from math import inf, lcm
 from typing import Iterable
 
 from .rings import BaseRing, RingMismatchError
@@ -326,12 +327,24 @@ def exp_map(ring: CoeffRing, pairs: Iterable[tuple[int, int]]) -> EpsPoly:
     Pair multiplicities reduce mod 2 first (exp(2a) = 1); an (i, i) pair
     contributes the square-consistent factor (1 - theta*eps_i).  The
     product is expanded over Z on masks, one pass per factor, and mapped
-    into the ring once.
+    into the ring once.  ``exp_sum`` of the one item (pairs, 1) runs the
+    same expansion behind a grouping step, which made the trace
+    workload's cold pass 20-30 % slower, so a single exp skips it.
     """
-    odd: set = set()  # the mask of eps_i*eps_j, or of theta*eps_i for i = j
+    pairs = list(pairs)
     for i, j in pairs:
         if i < 1 or j < 1:
             raise ValueError("eps indices start at 1")
+    poly, _ = _expand(pairs)
+    return _to_poly(ring, poly)
+
+
+def _expand(pairs: list, budget: float = inf) -> tuple:
+    """(terms, budget left) of the product of the pairs' binomials, the
+    terms a map mask -> int; (None, 0) once the passes have visited more
+    than ``budget`` terms."""
+    odd: set = set()  # the mask of eps_i*eps_j, or of theta*eps_i for i = j
+    for i, j in pairs:
         f = 1 << i | 1 << j if i != j else 1 << i | 1
         if f in odd:
             odd.remove(f)
@@ -339,18 +352,26 @@ def exp_map(ring: CoeffRing, pairs: Iterable[tuple[int, int]]) -> EpsPoly:
             odd.add(f)
     poly = {0: 1}
     for f in sorted(odd):
+        budget -= len(poly)
+        if budget < 0:
+            return None, 0
         ft, fe = f & 1, f & ~1
         for m, c in list(poly.items()):
             t = (m & 1) + ft + (m & fe).bit_count()
             prod = m & ~1 | fe | t & 1
             poly[prod] = poly.get(prod, 0) - (c << (t >> 1))
-    base = ring.base
+    return poly, budget
+
+
+def _to_poly(ring: CoeffRing, acc: dict, den: int = 1) -> EpsPoly:
+    """The EpsPoly of the int terms acc (mask -> int), divided by den."""
+    frm = ring.base.from_int
     out = {}
-    for m, c in poly.items():
+    for m, c in acc.items():
         if m & 1 and ring.theta_zero:
             continue
-        c = base.from_int(c)
-        if not base.is_zero(c):
+        c = frm(c if den == 1 else Fraction(c, den))
+        if c:
             out[_key_of(m)] = c
     return EpsPoly(ring, out)
 
@@ -359,8 +380,11 @@ def exp_map(ring: CoeffRing, pairs: Iterable[tuple[int, int]]) -> EpsPoly:
 # a k-vertex set, T indexed by its bit pattern: the masks whose field T
 # holds bit p of T (the T that contain the vertex at position p), one
 # per p, and the mask whose every field holds 1.  A memo of a pure
-# function, one entry per shape seen.
+# function, one entry per shape seen with at most _MEMO_VERTICES
+# vertices; a larger shape is rebuilt per call, for a transform that
+# costs far more than building it.
 _FIELD_MASKS: dict = {}
+_MEMO_VERTICES = 12
 
 
 def _field_masks(k: int, nbytes: int) -> tuple:
@@ -373,7 +397,9 @@ def _field_masks(k: int, nbytes: int) -> tuple:
             int.from_bytes((zero * run + one * run) * (size // (2 * run)), "little")
             for run in (1 << p for p in range(k))
         ]
-        got = _FIELD_MASKS[k, nbytes] = (masks, int.from_bytes(one * size, "little"))
+        got = (masks, int.from_bytes(one * size, "little"))
+        if k <= _MEMO_VERTICES:
+            _FIELD_MASKS[k, nbytes] = got
     return got
 
 
@@ -403,13 +429,10 @@ def _add_subset_image(acc: dict, vertices: tuple, members: list) -> None:
     # g(T) = sum c*(-1)^e(T) = sum c - 2 * (sum of c over the odd e(T)),
     # and that sum is field T minus ``negative``
     data = packed.to_bytes(size * nbytes, "little")
-    if nbytes == 1:
-        g = [base - 2 * h for h in data]
-    else:
-        g = [
-            base - 2 * int.from_bytes(data[i:i + nbytes], "little")
-            for i in range(0, len(data), nbytes)
-        ]
+    g = [
+        base - 2 * int.from_bytes(data[i:i + nbytes], "little")
+        for i in range(0, len(data), nbytes)
+    ]
     # Moebius transform: x(S) = sum over T in S of (-1)^(|S|-|T|) g(T)
     run = 1
     while run < size:
@@ -432,26 +455,21 @@ def _add_subset_image(acc: dict, vertices: tuple, members: list) -> None:
             acc[m] = acc[m] + q if m in acc else q
 
 
-def _components(edges: list) -> list:
-    """The (vertices, edges) of each connected component of a graph."""
-    part: dict = {}  # vertex -> the vertex list of its component, shared
-    for a, b in edges:
-        pa = part.setdefault(a, [a])
-        pb = part.setdefault(b, [b])
-        if pa is not pb:
-            if len(pa) < len(pb):
-                pa, pb = pb, pa
-            pa.extend(pb)
-            for v in pb:
-                part[v] = pa
-    out: dict = {}  # id of a vertex list -> (sorted vertices, edges)
-    for a, b in edges:
-        pa = part[a]
-        entry = out.get(id(pa))
-        if entry is None:
-            entry = out[id(pa)] = (tuple(sorted(pa)), [])
-        entry[1].append((a, b))
-    return list(out.values())
+def _add_group(acc: dict, vertices: tuple, members: list) -> None:
+    """acc[mask] += the coefficients of sum c*exp(E) over the (edges, c)
+    members, graphs on ``vertices``: their products of binomials,
+    expanded one by one while that has cost less than half the subset
+    transform of ``vertices`` would, then the transform for the members
+    left.  The transform takes k*2^(k-1) steps on k vertices, and a step
+    costs about as much as one term visited by an expansion pass."""
+    budget = len(vertices) << len(vertices) >> 2
+    for index, (edges, c) in enumerate(members):
+        poly, budget = _expand(edges, budget)
+        if poly is None:
+            _add_subset_image(acc, vertices, members[index:])
+            return
+        for m, v in poly.items():
+            acc[m] = acc[m] + c * v if m in acc else c * v
 
 
 def exp_sum(ring: CoeffRing, items: Iterable) -> EpsPoly:
@@ -472,48 +490,29 @@ def exp_sum(ring: CoeffRing, items: Iterable) -> EpsPoly:
     Items are grouped by the vertex set V of their graph.  A group adds
     c*(-1)^e(T) for all T in V at once, in one int with a field per T,
     and runs one Moebius transform: no ``EpsPoly`` product and no
-    per-item expansion.  A graph with fewer than |V| - 1 pairs is
-    disconnected, and its exp is the product of its components' exps, so
-    the work stays within that of expanding the product of binomials.  Coefficients accumulate as
-    Python ints (a Fraction's are scaled by the common denominator) and
-    map into the ring once; a non-exact division raises ``InternalError``.
+    per-item expansion.  The transform costs about |V|*2^|V| steps
+    whatever the graphs, so a group first expands its items' products
+    of binomials, as ``exp_map`` does, and turns to the transform only
+    once that has cost half as much: a sparse or disconnected graph on
+    many vertices (a path, disjoint triangles) is expanded, and no group
+    costs more than about three times expanding each of its items.
+    Coefficients accumulate as Python ints (a Fraction's are scaled by
+    the common denominator) and map into the ring once; a non-exact
+    division raises ``InternalError``.
     """
     items = [(list(edges), c) for edges, c in items if c]
     den = lcm(*(c.denominator for _, c in items))
     groups: dict = {}  # vertex tuple -> [(edges, int coefficient)]
-    acc: dict = {}  # mask -> int
     for edges, c in items:
-        c = c.numerator * (den // c.denominator)
         vertices = set(chain.from_iterable(edges))
         if vertices and min(vertices) < 1:
             raise ValueError("eps indices start at 1")
-        if len(edges) + 1 >= len(vertices):
-            groups.setdefault(tuple(sorted(vertices)), []).append((edges, c))
-            continue
-        poly = {0: c}
-        for part_vertices, part_edges in _components(edges):
-            part: dict = {}
-            _add_subset_image(part, part_vertices, [(part_edges, 1)])
-            # disjoint eps supports, so a ^ b is the product monomial
-            # and theta*theta = 2 doubles it
-            poly = {
-                a ^ b: ca * cb << (a & b & 1)
-                for a, ca in poly.items()
-                for b, cb in part.items()
-            }
-        for m, v in poly.items():
-            acc[m] = acc[m] + v if m in acc else v
+        c = c.numerator * (den // c.denominator)
+        groups.setdefault(tuple(sorted(vertices)), []).append((edges, c))
+    acc: dict = {}  # mask -> int
     for vertices, members in groups.items():
-        _add_subset_image(acc, vertices, members)
-    frm = ring.base.from_int
-    out = {}
-    for m, c in acc.items():
-        if m & 1 and ring.theta_zero:
-            continue
-        c = frm(c if den == 1 else Fraction(c, den))
-        if c:
-            out[_key_of(m)] = c
-    return EpsPoly(ring, out)
+        _add_group(acc, vertices, members)
+    return _to_poly(ring, acc, den)
 
 
 def phi_sigma(perm, p: EpsPoly) -> EpsPoly:

@@ -75,8 +75,41 @@ def test_exp_sum_matches_products_of_binomials(ring):
         assert exp_sum(coeff, ring_items).terms == want, items
 
 
+def test_subset_transform_matches_products_of_binomials():
+    # the transform alone, which exp_sum reaches only once expanding the
+    # binomials has cost as much as it would
+    rng = random.Random(42)
+    for _ in range(150):
+        vertices = tuple(sorted(rng.sample(range(1, 9), rng.randint(1, 6))))
+        members = []
+        for _ in range(rng.randint(1, 6)):
+            pairs = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(rng.randint(0, 9))]
+            members.append((pairs, rng.choice((-5, -3, -2, -1, 1, 2, 3, 7))))
+        acc: dict = {}
+        epsilon._add_subset_image(acc, vertices, members)
+        got = {epsilon._key_of(m): c for m, c in acc.items() if c}
+        assert got == oracle_sum(members), members
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_exp_sum_of_many_graphs_on_one_vertex_set(ring):
+    # enough items per vertex set that some are expanded and the rest
+    # go through the transform
+    rng = random.Random(44)
+    coeff = CoeffRing(ring)
+    supports = [frozenset({k}) for k in range(1, 7)]
+    for _ in range(4):
+        items = []
+        for _ in range(40):
+            sigma = list(range(1, 7))
+            rng.shuffle(sigma)
+            items.append((inversion_pairs(supports, sigma), sample_coefficient(rng, ring)))
+        want = in_ring(ring, oracle_sum(items))
+        ring_items = [(pairs, ring.from_int(c) if ring is not QQ else c) for pairs, c in items]
+        assert exp_sum(coeff, ring_items).terms == want
+
+
 def test_exp_sum_of_disconnected_graphs():
-    # fewer than |V| - 1 pairs: the kernel multiplies the components' exps
     rng = random.Random(43)
     coeff = CoeffRing(ZZ)
     for _ in range(100):
@@ -160,7 +193,7 @@ def test_psi_of_identity_permutations(ring):
 def test_psi_of_disjoint_transpositions_is_fast(n):
     # (1 2)(3 4)...: the inversion graph is a perfect matching on n letters,
     # whose exp has 2^(n/2) monomials; a transform over all 2^n subsets of
-    # its vertex set would not finish
+    # its vertex set would take minutes
     sigma = tuple(k + 1 + (1 if k % 2 == 0 else -1) for k in range(n))
     shifted = (1,) + tuple(k + 1 + (1 if k % 2 == 1 else -1) for k in range(1, n - 1)) + (n,)
     f = MultilinearPoly(n, ZZ, {sigma: 3, shifted: -1})
@@ -171,17 +204,67 @@ def test_psi_of_disjoint_transpositions_is_fast(n):
     assert dict(got.terms) == oracle_sum([(matching, 3), ([(k, k + 1) for k in range(2, n - 1, 2)], -1)])
 
 
+def reversed_triples(n):
+    """(3 2 1)(6 5 4)...: n/3 disjoint triangles, whose exps have 5 terms."""
+    return tuple(3 * (k // 3) + 3 - k % 3 for k in range(n))
+
+
+def path_permutation(n):
+    """2 4 1 6 3 8 5 ... n n-3 n-1, for even n: the inversion graph is the
+    path 2-1-4-3-6-5-..., connected and with n - 1 edges."""
+    sigma = [2]
+    for k in range(4, n + 1, 2):
+        sigma += [k, k - 3]
+    return tuple(sigma + [n - 1])
+
+
+@pytest.mark.parametrize("sigma", [reversed_triples(18), reversed_triples(21), path_permutation(20)],
+                         ids=["triples18", "triples21", "path20"])
+def test_psi_of_large_sparse_inversion_graphs_is_fast(monkeypatch, sigma):
+    # a transform over all 2^n subsets of the vertex set would take
+    # seconds and hundreds of MB; these graphs' products of binomials
+    # expand with 5^(n/3) and about 1.7^n terms
+    def no_transform(acc, vertices, members):
+        raise AssertionError(f"subset transform on {len(vertices)} vertices")
+
+    monkeypatch.setattr(epsilon, "_add_subset_image", no_transform)
+    f = MultilinearPoly(len(sigma), ZZ, {sigma: 1})
+    start = time.perf_counter()
+    got = psi(f)
+    assert time.perf_counter() - start < 1.0
+    supports = [frozenset({k}) for k in range(1, len(sigma) + 1)]
+    pairs = inversion_pairs(supports, sigma)
+    if sigma == path_permutation(20):
+        walk = [k + 1 if k % 2 else k - 1 for k in range(1, 21)]  # 2 1 4 3 ... 20 19
+        assert sorted(map(sorted, pairs)) == sorted(map(sorted, zip(walk, walk[1:])))
+        assert got == epsilon.exp_map(CoeffRing(ZZ), pairs)
+    else:
+        # disjoint supports: the product of the triangles' exps
+        triangle = oracle_exp([(1, 2), (1, 3), (2, 3)])
+        want = {ONE: 1}
+        for k in range(0, len(sigma), 3):
+            shifted = {(t, tuple(i + k for i in eps)): c for (t, eps), c in triangle.items()}
+            want = {
+                (ta + tb, ea + eb): ca * cb for (ta, ea), ca in want.items() for (tb, eb), cb in shifted.items()
+            }
+        want = {((t & 1), eps): c << (t >> 1) for (t, eps), c in want.items()}
+        assert len(want) == 5 ** (len(sigma) // 3)
+        assert dict(got.terms) == want
+
+
 def test_non_divisible_character_sum_raises_under_optimize():
     # The character sum of a GF(2) quadratic form on S is 0 or divisible
     # by 2^ceil(|S|/2), so no graph reaches the check; breaking the subset
     # masks makes the parity of the triangle on 1, 2, 3 odd on the full set
-    # only, a cubic form whose sum is 2, not divisible by 4.
+    # only, a cubic form whose sum is 2, not divisible by 4.  exp_sum
+    # expands so small a graph as a product of binomials, so the test
+    # calls the transform itself.
     code = (
-        "from epsgrass import ZZ, CoeffRing, epsilon\n"
+        "from epsgrass import epsilon\n"
         "masks, ones = epsilon._field_masks(3, 1)\n"
         "epsilon._FIELD_MASKS[3, 1] = ([1 << 56] * 3, ones)\n"
         "try:\n"
-        "    epsilon.exp_sum(CoeffRing(ZZ), [([(1, 2), (2, 3), (1, 3)], 1)])\n"
+        "    epsilon._add_subset_image({}, (1, 2, 3), [([(1, 2), (2, 3), (1, 3)], 1)])\n"
         "except epsilon.InternalError as err:\n"
         "    print('raised:', err)\n"
     )
