@@ -50,8 +50,8 @@ EXIT_INTERNAL = 4
 # The bounds of the integer options, checked before any work: command ->
 # [(option, name in messages, lowest, highest or None, flag or None)]; a
 # bound with a flag applies only when that flag is set.  The co-module
-# certificate reaches arity 12 in 5.9 s cold (BENCH_7.json), but the sign
-# table behind signs and --dump-matrix holds n! rows (9-14 s at n = 8).
+# certificate reaches arity 12 in 2.6-2.9 s cold (BENCH_11.json), but the
+# sign table behind signs and --dump-matrix holds n! rows (9-14 s at 8).
 # idempotents costs O(4^X) products (16 s over Q at --X 6); a witness
 # search that exhausts its attempts takes 7.5 s at --max-n 6.
 # check-identity costs, per vertex set of the inversion graphs of its

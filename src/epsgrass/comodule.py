@@ -7,36 +7,34 @@ identity ideal of the twisted Grassmann algebra: f(e_1, ..., e_n) =
 psi(f)*e_1...e_n, where the sign image psi(f) = sum of a_s*esgn(s) is
 computed by one ``epsilon.exp_sum`` over the inversion graphs (grouped
 by vertex set, with no esgn and no algebra product), so f is an
-identity iff psi(f) = 0.  The generalized signs span a free
-module of rank 2^(n-1), with an explicit spanning set (ascending prefix
-times a product of commutators in ascending disjoint pairs), whose sign
-images have a closed form with one esgn each (``SpanningTerm.sign_image``).  One
-integer certificate per arity proves freeness and the rank over every
-base ring at once, from the generators of S_n and without the n!-row
-sign table: a unit-pivot elimination keeps every spanning row, which
-proves an all-ones Smith diagonal, their span holds 1 and is stable
-under the twisted action of every adjacent transposition, and by the
-closed-form lemma it lies in the span of the signs.  The integer sign
-table (``sign_matrix_int``) serves only ``matrix_dump``.  Normal forms
-modulo the identities are computed by solving psi(f) against the sign
-images of the spanning set, and checked by psi of the residual.
+identity iff psi(f) = 0.
+
+The generalized signs span a free module of rank 2^(n-1).  The sign
+images B of an explicit spanning set (ascending prefix times
+commutators in ascending disjoint pairs) have a closed form
+(``SpanningTerm.sign_image``), and B is unitriangular: row T holds 1 at
+eps_T, and its other theta-free monomials sit at strict supersets of T.
+That proves an all-ones Smith diagonal over every base ring with no
+elimination, and makes a solve against B a triangular reduction, for
+the rank certificate (``comodule_rank``, which reads no n!-row sign
+table) and for normal forms, checked by psi of the residual.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .epsilon import CoeffRing, EpsPoly, InternalError, all_monomials, exp_sum
+from .epsilon import CoeffRing, EpsPoly, InternalError, all_monomials, exp_map, exp_sum
 from .grassmann import GrassElem, esgn, word_from_letters
-from .linalg import NoUnitPivot, SmithSolver
 from .rings import BaseRing, IntegerRing, RingMismatchError
 from .terms import TracePoly, add_term, add_terms, scale_terms
 from . import epsilon
 
 # The largest arity whose co-module certificate runs cold within 30 s:
-# `comodule --n 11` takes 1.6 s and n = 12 takes 5.9 s at 157 MB peak
-# RSS on a shared 2-vCPU VM (BENCH_7.json); n = 13 was not measured.
+# `comodule --n 11` takes 0.8-1.1 s and n = 12 takes 2.6-2.9 s at 24 MB
+# peak RSS on a shared 2-vCPU VM (BENCH_11.json); n = 13 was not measured.
 MAX_COMODULE_ARITY = 12
 # ``epsgrass signs`` and ``matrix_dump`` list all n! signs of S_n.
 MAX_SIGN_TABLE_ARITY = 8
@@ -184,22 +182,13 @@ def psi(f: MultilinearPoly) -> EpsPoly:
 
 
 def sign_act(pi: Sequence[int], lam: EpsPoly, n: int | None = None) -> EpsPoly:
-    """Twisted action on the sign module: pi(lam) = esgn(pi) phi_pi(lam)."""
+    """Twisted action on the sign module: pi(lam) = esgn(pi) phi_pi(lam),
+    esgn(pi) on unit words being the exp of pi's inversion graph."""
     n = len(pi) if n is None else n
-    coeff = lam.ring
+    if sorted(pi) != list(range(1, n + 1)):
+        raise ValueError(f"{pi} is not a permutation of 1..{n}")
     pmap = {i + 1: pi[i] for i in range(n)}
-    return esgn(coeff, unit_words(n), pi) * epsilon.phi_sigma(pmap, lam)
-
-
-def _vectorize(p: EpsPoly, index: dict, ring: BaseRing):
-    vec = [ring.zero()] * len(index)
-    for key, c in p.terms.items():
-        vec[index[key]] = c
-    return vec
-
-
-def _sparse(p: EpsPoly, index: dict) -> dict:
-    return {index[key]: c for key, c in p.terms.items()}
+    return exp_map(lam.ring, _inversion_graph(pi)) * epsilon.phi_sigma(pmap, lam)
 
 
 _SIGN_MATRIX_CACHE: dict = {}
@@ -214,7 +203,10 @@ def sign_matrix_int(n: int) -> tuple[list, list, list[list[int]]]:
     cols = all_monomials(range(1, n + 1))
     index = {m: k for k, m in enumerate(cols)}
     perms = sorted(permutations(range(1, n + 1)))
-    rows = [_vectorize(esgn(coeff, w, s), index, IntegerRing()) for s in perms]
+    rows = [[0] * len(cols) for _ in perms]
+    for row, s in zip(rows, perms):
+        for key, c in esgn(coeff, w, s).terms.items():
+            row[index[key]] = c
     _SIGN_MATRIX_CACHE[n] = (perms, cols, rows)
     return perms, cols, rows
 
@@ -274,18 +266,27 @@ class SpanningTerm(tuple):
         return MultilinearPoly(self.arity(), ring, coeffs)
 
     def sign_image(self, coeff: CoeffRing) -> EpsPoly:
-        """psi(self.to_poly(ring)) in closed form, with one esgn.
+        """psi(self.to_poly(ring)) in closed form, with no esgn: with T
+        the tail and Q the letters of the prefix P above an odd number of
+        letters of T, it is eps_T * prod_{p in Q} (1 - theta*eps_p).
 
-        Lemma: [e_a, e_b] = eps_a*eps_b*e_a*e_b, and the C[eps]
-        coefficients are central, so the image of x_P*[x_a1,x_b1]*... is
-        (prod eps_a*eps_b) * e_P*e_a1*e_b1*..., that is
-        psi(self) = (prod eps_a*eps_b) * esgn(P a1 b1 a2 b2 ...).
-        The tail is ascending and its pairs are disjoint, so the product
-        of the eps factors is the single monomial eps_tail.
+        Proof: [e_a, e_b] = eps_a*eps_b*e_a*e_b with central
+        coefficients, so psi(self) = eps_T * esgn(P T).  P and T ascend,
+        so esgn(P T) is the product of 1 - eps_t*eps_p over t < p, t in
+        T, p in P.  Next to eps_T that factor is 1 - theta*eps_p (as
+        eps_t^2 = theta*eps_t), which squares to 1 (as theta^2 = 2), so
+        only the p in Q remain.  Each R in Q gives (-1)^|R| *
+        2^floor(|R|/2) at theta^(|R| mod 2) * eps_(T+R): 1 at eps_T, and
+        theta-free monomials only at strict supersets of T besides.
         """
-        word = self.prefix + self.tail
-        esgn_word = esgn(coeff, unit_words(len(word)), word)
-        return coeff.monomial(0, self.tail) * esgn_word
+        q = [p for p in self.prefix if sum(t < p for t in self.tail) % 2]
+        terms = {}
+        for r in range(len(q) + 1):
+            c = coeff.base.from_int((-1) ** r << r // 2)
+            if c and not (r % 2 and coeff.theta_zero):
+                for extra in combinations(q, r):
+                    terms[(r % 2, tuple(sorted(self.tail + extra)))] = c
+        return EpsPoly(coeff, terms)
 
     def render(self) -> str:
         parts = [f"x{i}" for i in self.prefix]
@@ -304,43 +305,66 @@ def spanning_terms(n: int) -> list[SpanningTerm]:
     return out
 
 
-def _spanning_matrix_int(n: int):
-    """Spanning terms, monomial columns, their index, the sign images B
-    and B's sparse integer rows."""
-    coeff = CoeffRing(IntegerRing())
-    cols = all_monomials(range(1, n + 1))
-    index = {m: k for k, m in enumerate(cols)}
-    terms = spanning_terms(n)
-    polys = [t.sign_image(coeff) for t in terms]
-    return terms, cols, index, polys, [_sparse(p, index) for p in polys]
+_ROWS_CACHE: dict = {}
 
 
-_SOLVER_CACHE: dict = {}
+def _spanning_rows(n: int):
+    """(spanning terms, their sign images B over Z keyed by the pivot
+    (0, T), T the term's tail), cached.  Check (a) runs on build: row T
+    holds 1 at (0, T), and its other theta-free monomials at strict
+    supersets of T; a row that breaks it raises ``InternalError``."""
+    if n not in _ROWS_CACHE:
+        coeff = CoeffRing(IntegerRing())
+        terms = spanning_terms(n)
+        rows = {}
+        for term in terms:
+            row, tail = term.sign_image(coeff), set(term.tail)
+            if row.terms.get((0, term.tail)) != 1 or any(
+                not (t or tail < set(key)) for t, key in row.terms if key != term.tail
+            ):
+                raise InternalError(
+                    f"spanning set at arity {n} is not certified free: "
+                    f"the row of {term.render()} is not unitriangular"
+                )
+            rows[(0, term.tail)] = row
+        _ROWS_CACHE[n] = (terms, rows)
+    return _ROWS_CACHE[n]
 
 
-def _spanning_solver(n: int):
-    """(terms, cols, index, sign images B, solver over B), cached."""
-    if n not in _SOLVER_CACHE:
-        terms, cols, index, polys, rows = _spanning_matrix_int(n)
-        try:
-            solver = SmithSolver(rows, len(cols))
-        except NoUnitPivot as err:
-            raise InternalError(
-                f"spanning set at arity {n} is not certified free: {err}"
-            ) from err
-        _SOLVER_CACHE[n] = (terms, cols, index, polys, solver)
-    return _SOLVER_CACHE[n]
+def _reduce(rows: dict, p: EpsPoly) -> tuple[dict, dict]:
+    """(coordinates, residual) of p against the rows B: take the smallest
+    pivot left, record its coefficient c and subtract c times its row,
+    which changes only strict supersets of the pivot, until no pivot is
+    left.  p is in the span of B iff the residual is empty, and then its
+    coordinates are unique, over every base ring."""
+    frm = p.ring.base.from_int
+    left = dict(p.terms)  # raw sums, mapped into the ring when read
+    todo = [(len(key[1]), key) for key in left if key in rows]
+    heapify(todo)  # each pivot enters once, when it first enters left
+    coords = {}
+    while todo:
+        pivot = heappop(todo)[1]
+        c = frm(left[pivot])
+        if c:
+            coords[pivot] = c
+            for key, v in rows[pivot].terms.items():
+                if key not in left and key in rows:
+                    heappush(todo, (len(key[1]), key))
+                left[key] = left.get(key, 0) - c * v
+        del left[pivot]
+    left = {key: c for key, c in zip(left, map(frm, left.values())) if c}
+    return coords, left
 
 
 def freeness_certificate(n: int) -> bool:
-    """The unit-pivot elimination of the spanning-set sign rows keeps all
-    2^(n-1) of them, so they have an all-ones Smith diagonal: the span is
-    free over every base ring.  A row without a unit pivot raises
+    """Check (a): the 2^(n-1) spanning rows B are unitriangular on the
+    columns eps_T, |T| even, ordered by inclusion, so B has an all-ones
+    Smith diagonal over every base ring.  A failure raises
     ``InternalError``."""
     if not 1 <= n <= MAX_COMODULE_ARITY:
         raise ValueError(f"arity must be between 1 and {MAX_COMODULE_ARITY}")
-    terms, _, _, _, solver = _spanning_solver(n)
-    return len(solver.kept) == len(terms) == 2 ** (n - 1)
+    terms, rows = _spanning_rows(n)
+    return len(rows) == len(terms) == 2 ** (n - 1)
 
 
 _RANK_CACHE: dict = {}
@@ -353,38 +377,29 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
     the answer.  The rank is proved once per arity, without the sign
     table, by exact integer checks on the spanning rows B:
 
-    (a) a unit-pivot elimination keeps all 2^(n-1) rows of B, so B has
-        an all-ones Smith diagonal and its span is a direct summand of
-        that rank;
-    (b') 1 solves against B, and so does sign_act(s_k, b) for every
-        adjacent transposition s_k = (k k+1) and every row b of B.
+    (a) B is unitriangular (``freeness_certificate``), so it has an
+        all-ones Smith diagonal and spans a direct summand of rank 2^(n-1);
+    (b') 1 and sign_act(s_k, b), for every adjacent transposition
+        s_k = (k k+1) and every row b of B, reduce to zero against B.
 
     By the cocycle law, A_sigma(lam) = esgn(sigma)*phi_sigma(lam) is a
-    Z-linear action of S_n on C[eps] (``sign_act``), and the sign row of
-    sigma is A_sigma(1).  The s_k generate S_n, so (b') puts every sign
-    row in span(B).  Conversely, each row of B is psi of its spanning
-    term, a Z-combination of sign rows (B = T*S): that is the closed-form
-    lemma of ``SpanningTerm.sign_image``.  So span(S) = span(B), which
-    stays free of rank 2^(n-1) after any base change, composite Z/m
-    included.  That is 1 + (n-1)*2^(n-1) solves.  A failed check raises
-    ``InternalError``.
+    Z-linear action of S_n on C[eps] (``sign_act``) with A_sigma(1) the
+    sign row of sigma, and the s_k generate S_n, so (b') puts every sign
+    row in span(B).  Each row of B is psi of its term, a Z-combination of
+    sign rows, so span(S) = span(B), free of rank 2^(n-1) over every
+    ring, composite Z/m included.  A failed check raises ``InternalError``.
     """
     if n in _RANK_CACHE:
         return _RANK_CACHE[n]
     if not freeness_certificate(n):  # (a); rejects an arity out of range
         raise InternalError(f"spanning set at arity {n} is not certified free")
-    _, _, index, polys, solver = _spanning_solver(n)
-    coeff = CoeffRing(IntegerRing())
-
-    def spanned(p: EpsPoly) -> bool:
-        return solver.solve(_sparse(p, index), coeff.base)[1]
-
-    if not spanned(coeff.one()):  # (b')
+    _, rows = _spanning_rows(n)
+    if _reduce(rows, CoeffRing(IntegerRing()).one())[1]:  # (b')
         raise InternalError("1 is outside the spanning set's span")
     for k in range(1, n):
         s_k = tuple(range(1, k)) + (k + 1, k) + tuple(range(k + 2, n + 1))
-        for b in polys:
-            if not spanned(sign_act(s_k, b, n)):
+        for b in rows.values():
+            if _reduce(rows, sign_act(s_k, b, n))[1]:
                 raise InternalError(
                     f"the spanning set's span is not stable under s_{k}: "
                     f"{b.render()} leaves it"
@@ -396,18 +411,19 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
 def grassmann_normal_form(f: MultilinearPoly) -> dict[SpanningTerm, object]:
     """Coordinates of f in the spanning basis, modulo the identity ideal.
 
-    Solves psi(f) = sum c_B psi(B) with the integer certificate, which
-    holds over every base ring, composite Z/m included, then verifies the
-    residual f - sum c_B B is an identity.
+    Reduces psi(f) against the unitriangular sign images B of the
+    spanning set, whose pivots are 1, so the coordinates are unique over
+    every base ring, composite Z/m included; then verifies the residual
+    f - sum c_B B is an identity.
     """
     ring = f.ring
     if not freeness_certificate(f.n):
         raise InternalError(f"spanning set at arity {f.n} is not certified free")
-    terms, _, index, _, solver = _spanning_solver(f.n)
-    sol, ok = solver.solve(_sparse(psi(f), index), ring)
-    if not ok:
+    terms, rows = _spanning_rows(f.n)
+    found, left = _reduce(rows, psi(f))
+    if left:
         raise InternalError("sign image not in the span of the spanning set")
-    coords = {t: c for t, c in zip(terms, sol) if not ring.is_zero(c)}
+    coords = {t: found[key] for t, key in zip(terms, rows) if key in found}
     residual = dict(f.coeffs)
     for t, c in coords.items():
         for key, v in t.to_poly(ring).coeffs.items():

@@ -197,9 +197,6 @@ class EpsPoly:
             out.update(eps)
         return out
 
-    def constant_term(self):
-        return self.terms.get(ONE_MONOMIAL, self.ring.base.zero())
-
     # -- ring operations ---------------------------------------------
 
     def _check_ring(self, other: "EpsPoly"):
@@ -521,14 +518,11 @@ def phi_sigma(perm, p: EpsPoly) -> EpsPoly:
     ``perm`` is a mapping (dict or callable) applied to every index it
     covers; missing indices are fixed.
     """
-    if callable(perm) and not isinstance(perm, dict):
-        image = perm
-    else:
-        image = lambda i: perm.get(i, i)  # noqa: E731
+    get = None if callable(perm) and not isinstance(perm, dict) else perm.get
     out: dict = {}
     base = p.ring.base
     for (t, eps), c in p.terms.items():
-        new = tuple(sorted(image(i) for i in eps))
+        new = tuple(sorted(map(get, eps, eps) if get else map(perm, eps)))
         if len(set(new)) != len(new):
             raise ValueError("index map is not injective on the support")
         add_term(base, out, (t, new), c)

@@ -46,10 +46,6 @@ def word_letters(word: Word) -> list[int]:
     return out
 
 
-def word_length(word: Word) -> int:
-    return sum(m for _, m in word)
-
-
 def word_grade(word: Word) -> frozenset[int]:
     """Z2-grading: the set of indices appearing with odd multiplicity."""
     return frozenset(i for i, m in word if m % 2 == 1)
@@ -183,13 +179,6 @@ class GrassElem(AlgebraElem):
         return hash((self.algebra, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
 
     # -- structure ----------------------------------------------------
-
-    def support_indices(self) -> set[int]:
-        out: set[int] = set()
-        for word, c in self.terms.items():
-            out.update(i for i, _ in word)
-            out.update(c.indices())
-        return out
 
     def grade_components(self) -> dict[frozenset[int], "GrassElem"]:
         parts: dict[frozenset[int], dict] = {}

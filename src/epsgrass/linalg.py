@@ -4,8 +4,7 @@ There is no floating point and no fixed-width fast path: entries are
 Python ints of arbitrary precision, so every result is exact.  Nothing
 here ranks a matrix over a particular ring: a rank over every base ring
 at once follows from a unimodular certificate and integer solves against
-it (``comodule.comodule_rank`` solves 1 and the images of the spanning
-rows under the generators of S_n).
+it (``supertrace`` certifies its trace basis blocks this way).
 
 ``SmithSolver`` is that certificate: one sparse elimination that pivots
 on +-1 entries only.  Such an elimination is a unimodular row transform,

@@ -2,6 +2,10 @@ import random
 
 import pytest
 
+# pytest rewrites the asserts of test modules, which keeps them under
+# python -O; the oracle's Smith certificate check needs the same
+pytest.register_assert_rewrite("smith_oracle")
+
 from epsgrass import CoeffRing, GrassAlgebra, ZZ
 
 

@@ -24,7 +24,6 @@ past a larger trace value multiplies by its own ``exp_pairs`` factor.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 
 ONE = (0, ())
 
@@ -49,25 +48,37 @@ def binomial(i: int, j: int) -> dict:
 
 
 def exp_graph(edges) -> dict:
-    """exp of a simple graph's edges over Z, by the closed form."""
+    """exp of a simple graph's edges over Z, by the closed form.
+
+    A subset of the vertices is a bit mask; (-1)^(|T| + e(T)) is
+    tabulated once per subset T, and the sum for S runs over the
+    submasks T of S."""
     edges = [tuple(e) for e in {frozenset(e) for e in edges}]
     if any(len(e) != 2 for e in edges):
         raise ValueError("a simple graph has no loops")
     vertices = sorted({v for e in edges for v in e})
+    bits = {v: 1 << k for k, v in enumerate(vertices)}
+    edge_masks = [bits[a] | bits[b] for a, b in edges]
+    sign = [
+        (-1) ** (bin(t).count("1") + sum(1 for m in edge_masks if t & m == m))
+        for t in range(1 << len(vertices))
+    ]
     out = {}
-    for size in range(len(vertices) + 1):
-        for subset in combinations(vertices, size):
-            total = 0
-            for k in range(size + 1):
-                for inner in combinations(subset, k):
-                    inside = set(inner)
-                    e_t = sum(1 for a, b in edges if a in inside and b in inside)
-                    total += (-1) ** (size - k + e_t)
-            if total:
-                den = 2 ** ((size + 1) // 2)
-                if total % den:
-                    raise ValueError(f"character sum {total} not divisible by {den}")
-                out[(size % 2, subset)] = total // den
+    for s in range(1 << len(vertices)):
+        subset = tuple(v for v in vertices if s & bits[v])
+        size = len(subset)
+        total, t = 0, s
+        while True:
+            total += sign[t]
+            if not t:
+                break
+            t = t - 1 & s
+        total *= (-1) ** size
+        if total:
+            den = 2 ** ((size + 1) // 2)
+            if total % den:
+                raise ValueError(f"character sum {total} not divisible by {den}")
+            out[(size % 2, subset)] = total // den
     return out
 
 

@@ -227,10 +227,17 @@ def test_no_unit_pivot_exits_4(capsys, monkeypatch):
     def no_unit_pivot(rows, ncols):
         raise NoUnitPivot("row 0 leaves a residue with no unit entry")
 
-    monkeypatch.setattr(comodule, "_SOLVER_CACHE", {})
+    # one spanning row with pivot 2 instead of 1
+    sign_image = comodule.SpanningTerm.sign_image
+
+    def doubled(term, coeff):
+        image = sign_image(term, coeff)
+        return image.scale_int(2) if term.tail == (1, 2) else image
+
+    monkeypatch.setattr(comodule, "_ROWS_CACHE", {})
     monkeypatch.setattr(comodule, "_RANK_CACHE", {})
     monkeypatch.setattr(supertrace, "_BLOCK_CACHE", {})
-    monkeypatch.setattr(comodule, "SmithSolver", no_unit_pivot)
+    monkeypatch.setattr(comodule.SpanningTerm, "sign_image", doubled)
     monkeypatch.setattr(supertrace, "SmithSolver", no_unit_pivot)
     code, _, err = run_cli(capsys, "comodule", "--n", "3")
     assert code == 4

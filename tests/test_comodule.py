@@ -26,8 +26,7 @@ from epsgrass.comodule import (
     spanning_terms,
     unit_words,
 )
-from epsgrass.epsilon import all_monomials
-from epsgrass.linalg import SmithSolver
+from epsgrass.epsilon import EpsPoly, all_monomials
 from epsgrass.terms import TracePoly
 
 from conftest import random_perm, zz_algebra
@@ -231,14 +230,15 @@ def test_comodule_rank_matches_elimination_oracles(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_whole_table_checks_still_hold(n):
     # the table certificate the generator certificate replaced: every sign
-    # row S solves against the spanning rows B, and B = T*S
+    # row S reduces to zero against the spanning rows B, and B = T*S
     perms, cols, sign_rows = sign_matrix_int(n)
-    terms, _, index, polys, solver = comodule._spanning_solver(n)
-    assert all(
-        solver.solve({j: v for j, v in enumerate(row) if v}, ZZ)[1] for row in sign_rows
-    )
+    terms, rows = comodule._spanning_rows(n)
+    cz = CoeffRing(ZZ)
+    for row in sign_rows:
+        sign = EpsPoly(cz, {cols[j]: v for j, v in enumerate(row) if v})
+        assert comodule._reduce(rows, sign)[1] == {}
     table = dict(zip(perms, sign_rows))
-    for term, poly in zip(terms, polys):
+    for term, poly in zip(terms, rows.values()):
         combo = [0] * len(cols)
         for perm, c in term.to_poly(ZZ).coeffs.items():
             combo = [x + c * v for x, v in zip(combo, table[perm])]
@@ -246,20 +246,38 @@ def test_whole_table_checks_still_hold(n):
 
 
 def test_spanning_rows_closed_form_equals_psi():
+    # over Z, Q and Z/4, and over Z/2 in the theta = 0 quotient, where
+    # psi's theta monomials vanish
+    for ring, theta_zero in ((ZZ, False), (QQ, False), (ModRing(4), False), (GF(2), True)):
+        coeff = CoeffRing(ring, theta_zero)
+        for n in range(1, 10):
+            for term in spanning_terms(n):
+                want = psi(term.to_poly(ring)).terms
+                if theta_zero:
+                    want = {key: c for key, c in want.items() if not key[0]}
+                assert term.sign_image(coeff).terms == want, (ring, term.render())
+
+
+def test_spanning_rows_nonzeros_are_fibonacci():
+    # observed, not proved: B has F(2n-1) nonzero entries (F(1) = F(2) = 1)
     cz = CoeffRing(ZZ)
-    for n in range(1, 8):
-        for term in spanning_terms(n):
-            assert term.sign_image(cz) == psi(term.to_poly(ZZ)), term.render()
+    fib = [0, 1]
+    while len(fib) < 2 * MAX_COMODULE_ARITY:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(1, MAX_COMODULE_ARITY + 1):
+        nonzeros = sum(len(t.sign_image(cz).terms) for t in spanning_terms(n))
+        assert nonzeros == fib[2 * n - 1], n
 
 
 def test_rank_and_normal_form_never_read_the_sign_table(monkeypatch):
-    def forbidden(n):
-        raise AssertionError("the sign table was read")
+    def forbidden(*args):
+        raise AssertionError("the sign table or esgn was read")
 
     f = to_ml(xvar(3) * xvar(1) * xvar(2) - (xvar(2) * xvar(3) * xvar(1)).scale(2), 3)
     expected = grassmann_normal_form(f)
     monkeypatch.setattr(comodule, "sign_matrix_int", forbidden)
-    monkeypatch.setattr(comodule, "_SOLVER_CACHE", {})
+    monkeypatch.setattr(comodule, "esgn", forbidden)
+    monkeypatch.setattr(comodule, "_ROWS_CACHE", {})
     monkeypatch.setattr(comodule, "_RANK_CACHE", {})
     for n in range(1, 7):
         assert comodule_rank(n, ZZ) == 2 ** (n - 1)
@@ -267,26 +285,51 @@ def test_rank_and_normal_form_never_read_the_sign_table(monkeypatch):
 
 
 def rank_on_spanning_rows(monkeypatch, n, polys):
-    """comodule_rank(n) certified afresh with the spanning rows B replaced
-    by the given C[eps] polynomials (a corrupted ``_SOLVER_CACHE`` entry)."""
-    terms, cols, index, _, _ = comodule._spanning_solver(n)
-    rows = [{index[key]: c for key, c in p.terms.items()} for p in polys]
-    entry = (terms, cols, index, polys, SmithSolver(rows, len(cols)))
-    monkeypatch.setattr(comodule, "_SOLVER_CACHE", {n: entry})
+    """comodule_rank(n) certified afresh with the spanning rows B, in the
+    order of ``spanning_terms(n)``, replaced by the given C[eps]
+    polynomials (a corrupted ``SpanningTerm.sign_image``)."""
+    images = dict(zip(spanning_terms(n), polys))
+    monkeypatch.setattr(SpanningTerm, "sign_image", lambda term, coeff: images[term])
+    monkeypatch.setattr(comodule, "_ROWS_CACHE", {})
     monkeypatch.setattr(comodule, "_RANK_CACHE", {})
     return comodule_rank(n, ZZ)
 
 
-def test_comodule_rank_rejects_span_not_stable(monkeypatch):
-    # {1, theta} has a unit Smith diagonal and holds 1, but
-    # s_1(theta) = theta - theta*eps1*eps2 leaves its span
+def test_comodule_rank_rejects_rows_not_unitriangular(monkeypatch):
     cz = CoeffRing(ZZ)
-    with pytest.raises(InternalError, match="not stable under s_1"):
-        rank_on_spanning_rows(monkeypatch, 2, [cz.one(), cz.theta()])
-    # stable under s_1, which fixes eps1*eps2 up to sign, but
-    # s_2(1) = 1 - eps2*eps3 leaves the span: the last generator counts
+    rows3 = list(comodule._spanning_rows(3)[1].values())  # before any patch
     e12 = cz.eps(1) * cz.eps(2)
-    rows = [cz.one(), e12, cz.theta(), cz.theta() * e12]
+    for rows in (
+        [cz.one(), e12.scale_int(2)],  # pivot 2
+        [cz.one(), e12 + cz.one()],  # eps_() is not a superset of {1, 2}
+        [cz.one(), cz.theta()],  # no pivot at eps1*eps2
+    ):
+        with pytest.raises(InternalError, match="arity 2 is not certified free"):
+            rank_on_spanning_rows(monkeypatch, 2, rows)
+    # eps3 on the row of eps1*eps2: {3} and {1, 2} are not nested
+    rows3[1] = rows3[1] + cz.eps(3)
+    with pytest.raises(InternalError, match=r"row of x3\*\[x1,x2\] is not unitriangular"):
+        rank_on_spanning_rows(monkeypatch, 3, rows3)
+    monkeypatch.undo()
+    assert comodule_rank(2, ZZ) == 2  # the real spanning rows still certify
+
+
+def test_comodule_rank_rejects_span_not_stable(monkeypatch):
+    # [1, eps1*eps2 + theta] is unitriangular and holds 1, but
+    # s_1(1) = 1 - eps1*eps2 reduces to theta, outside its span
+    cz = CoeffRing(ZZ)
+    e = {(i, j): cz.eps(i) * cz.eps(j) for i, j in ((1, 2), (1, 3), (2, 3))}
+    with pytest.raises(InternalError, match="not stable under s_1"):
+        rank_on_spanning_rows(monkeypatch, 2, [cz.one(), e[1, 2] + cz.theta()])
+    # the extra theta*eps2 and theta*eps1 on the rows of eps1*eps3 and
+    # eps2*eps3 swap under s_1, so the span stays stable under it, but not
+    # under s_2: the last generator counts
+    rows = [
+        cz.one(),
+        e[1, 2],
+        e[1, 3] - cz.theta() * cz.eps(1) * e[2, 3] + cz.theta() * cz.eps(2),
+        e[2, 3] + cz.theta() * cz.eps(1),
+    ]
     with pytest.raises(InternalError, match="not stable under s_2"):
         rank_on_spanning_rows(monkeypatch, 3, rows)
     monkeypatch.undo()
@@ -296,20 +339,35 @@ def test_comodule_rank_rejects_span_not_stable(monkeypatch):
 
 def test_comodule_rank_rejects_span_missing_one(monkeypatch):
     cz = CoeffRing(ZZ)
+    rows = [cz.one() + cz.theta(), cz.eps(1) * cz.eps(2)]
     with pytest.raises(InternalError, match="1 is outside"):
-        rank_on_spanning_rows(monkeypatch, 2, [cz.eps(1) * cz.eps(2), cz.theta()])
+        rank_on_spanning_rows(monkeypatch, 2, rows)
+
+
+def test_comodule_rank_rejects_a_wrong_twist(monkeypatch):
+    # without its factor esgn(pi), the action moves rows out of span(B)
+    def untwisted(pi, lam, n):
+        return epsilon.phi_sigma(dict(zip(range(1, n + 1), pi)), lam)
+
+    monkeypatch.setattr(comodule, "sign_act", untwisted)
+    monkeypatch.setattr(comodule, "_RANK_CACHE", {})
+    with pytest.raises(InternalError, match="not stable under s_1"):
+        comodule_rank(4, ZZ)
 
 
 def test_stability_check_survives_optimize():
+    # under python -O: a row that is not unitriangular exits 4 from the
+    # CLI, and a span that is not stable raises
     code = (
-        "from epsgrass import ZZ, CoeffRing, comodule\n"
-        "from epsgrass.linalg import SmithSolver\n"
-        "terms, cols, index, _, _ = comodule._spanning_solver(2)\n"
+        "from epsgrass import ZZ, CoeffRing, cli, comodule\n"
         "cz = CoeffRing(ZZ)\n"
-        "polys = [cz.one(), cz.theta()]\n"
-        "rows = [{index[(0, ())]: 1}, {index[(1, ())]: 1}]\n"
-        "solver = SmithSolver(rows, len(cols))\n"
-        "comodule._SOLVER_CACHE[2] = (terms, cols, index, polys, solver)\n"
+        "rows = {}\n"
+        "comodule.SpanningTerm.sign_image = lambda term, coeff: rows[term]\n"
+        "terms = comodule.spanning_terms(2)\n"
+        "rows.update(zip(terms, [cz.one(), cz.eps(1) * cz.eps(2) * cz.from_int(2)]))\n"
+        "print('exit', cli.main(['comodule', '--n', '2']))\n"
+        "comodule._ROWS_CACHE.clear()\n"
+        "rows.update(zip(terms, [cz.one(), cz.eps(1) * cz.eps(2) + cz.theta()]))\n"
         "try:\n"
         "    comodule.comodule_rank(2, ZZ)\n"
         "except comodule.InternalError as err:\n"
@@ -324,7 +382,9 @@ def test_stability_check_survives_optimize():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("raised: the spanning set's span is not stable under s_1")
+    assert done.stdout.startswith("exit 4\n"), done.stdout
+    assert "internal error: spanning set at arity 2 is not certified free" in done.stderr
+    assert "raised: the spanning set's span is not stable under s_1" in done.stdout
 
 
 def test_spanning_terms_count():
@@ -456,11 +516,14 @@ def test_truncated_mode_agrees_on_identity_testing(rng):
 def test_freeness_basis_matches_known_rank4_span():
     # at n=3 the sign images of the spanning set generate the lattice
     # spanned by 1, eps1*eps2, eps2*eps3 and eps1*eps3 - theta*eps1*eps2*eps3
-    from epsgrass.comodule import _spanning_matrix_int
     from epsgrass.linalg import LatticeReducer
 
-    terms, cols, index, _, sparse_rows = _spanning_matrix_int(3)
-    rows = [[row.get(j, 0) for j in range(len(cols))] for row in sparse_rows]
+    cols = all_monomials(range(1, 4))
+
+    def vector(p):
+        return [p.terms.get(key, 0) for key in cols]
+
+    _, rows = comodule._spanning_rows(3)
     cz = CoeffRing(ZZ)
     expected_polys = [
         cz.one(),
@@ -468,14 +531,8 @@ def test_freeness_basis_matches_known_rank4_span():
         cz.eps(2) * cz.eps(3),
         cz.eps(1) * cz.eps(3) - cz.theta() * cz.eps(1) * cz.eps(2) * cz.eps(3),
     ]
-    expected_rows = []
-    for p in expected_polys:
-        vec = [0] * len(cols)
-        for key, c in p.terms.items():
-            vec[index[key]] = c
-        expected_rows.append(vec)
-    got = LatticeReducer(rows, len(cols))
-    want = LatticeReducer(expected_rows, len(cols))
+    got = LatticeReducer([vector(p) for p in rows.values()], len(cols))
+    want = LatticeReducer([vector(p) for p in expected_polys], len(cols))
     assert got.hnf == want.hnf
 
 

@@ -171,7 +171,7 @@ def test_sign_matrix_rows_match_oracle(n):
         assert {cols[j]: v for j, v in enumerate(row) if v} == oracle_sign(sigma)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_spanning_rows_match_oracle(n):
     # psi of each spanning term summed monomial by monomial, without the
     # closed-form lemma that ``sign_image`` uses
