@@ -2,14 +2,18 @@
 
 Exit codes: 0 success (or positive check), 1 semantic negative (not an
 identity, failed check, no witness), 2 usage or parse error (an option
-outside ``CLI_LIMITS`` included), 3 missing ring capability, 4 internal
-error (a certificate check failed).
+outside ``CLI_LIMITS`` or a flag of another command included), 3 missing
+ring capability, 4 internal error (a certificate check failed), 141 the
+reader closed the output pipe (as ``epsgrass signs --n 7 | head -1``
+does; nothing more is printed, and 141 = 128 + SIGPIPE is what a shell
+reports for a program that the signal ends).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from itertools import permutations
@@ -46,6 +50,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141
 
 # The bounds of the integer options, checked before any work: command ->
 # [(option, name in messages, lowest, highest or None, flag or None)]; a
@@ -73,12 +78,6 @@ CLI_LIMITS = {
 def _common_flags(sub):
     sub.add_argument("--ring", default="z", help="base ring: z, q or mod:<m>")
     sub.add_argument("--format", default="text", choices=("text", "json"))
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-    sub.add_argument(
-        "--truncated",
-        action="store_true",
-        help="work in the quotient killing all generator squares",
-    )
 
 
 @lru_cache(maxsize=None)
@@ -93,6 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("normalize", help="normal form of an algebra expression")
     p.add_argument("expr")
+    p.add_argument(
+        "--truncated",
+        action="store_true",
+        help="work in the quotient killing all generator squares",
+    )
     _common_flags(p)
 
     p = subs.add_parser("check-identity", help="multilinear identity test")
@@ -120,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("trace-witness", help="search for a nonzero matrix witness")
     p.add_argument("expr")
     p.add_argument("--max-n", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0, help="seed of the witness search")
     _common_flags(p)
 
     return ap
@@ -317,7 +322,16 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return EXIT_USAGE if err.code else EXIT_OK
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # send what is still buffered to nowhere, so that the exit flush
+        # cannot fail on the closed pipe again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (ExprSyntaxError, NonMultilinearError, TraceArgumentError, _Usage, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -156,17 +156,6 @@ def reject_trace(node) -> None:
             reject_trace(child)
 
 
-def ast_grades(node) -> dict[int, tuple]:
-    """Collect grade annotations var index -> indices tuple."""
-    out: dict = {}
-    if node[0] == "var" and node[2] is not None:
-        out[node[1]] = node[2]
-    for child in node[1:]:
-        if isinstance(child, tuple):
-            out.update(ast_grades(child))
-    return out
-
-
 def compile_grass(node, algebra: GrassAlgebra, vars_as_generators: bool = False) -> GrassElem:
     """Evaluate an expression to an algebra element.  Formal variables
     x<k> are admitted only when vars_as_generators is set (they then

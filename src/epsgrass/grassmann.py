@@ -56,6 +56,29 @@ def word_parity_pairs(u_supp, v_supp) -> list[tuple[int, int]]:
     return [(a, b) for a in u_supp for b in v_supp]
 
 
+def theta_eps_residue(coeff: EpsPoly, indices) -> EpsPoly:
+    """The canonical residue of coeff modulo the ideal generated by
+    theta*eps_i for i in ``indices``.
+
+    Over the monomials m that meet the indices the ideal holds theta*m
+    and 2*m (theta*eps_i*theta = 2*eps_i), and nothing else: so theta
+    monomials meeting the indices vanish, and coefficients of theta-free
+    ones meeting them are only defined mod 2.  This is the torsion of a
+    repeated generator in both ``GrassAlgebra`` and ``SAlgebra``.
+    """
+    base = coeff.ring.base
+    out = {}
+    for (t, eps), c in coeff.terms.items():
+        if not indices.isdisjoint(eps):
+            if t:
+                continue
+            c = base.mod2(c)
+            if base.is_zero(c):
+                continue
+        out[(t, eps)] = c
+    return EpsPoly(coeff.ring, out)
+
+
 class GrassAlgebra:
     """Context object: base coefficient ring plus the truncation flag."""
 
@@ -121,17 +144,7 @@ class GrassAlgebra:
         repeated = {i for i, m in word if m >= 2}
         if not repeated or coeff.is_zero():
             return coeff
-        base = self.base
-        out = {}
-        for (t, eps), c in coeff.terms.items():
-            if repeated.intersection(eps):
-                if t:
-                    continue  # theta*eps_i * e_i^2 = 0
-                c = base.mod2(c)  # 2*eps_i * e_i^2 = theta^2*eps_i*e_i^2 = 0
-                if base.is_zero(c):
-                    continue
-            out[(t, eps)] = c
-        return EpsPoly(self.coeff, out)
+        return theta_eps_residue(coeff, repeated)
 
     def _accumulate(self, terms: dict, word: Word, coeff: EpsPoly):
         if self.truncated and any(m >= 2 for _, m in word):
@@ -305,6 +318,23 @@ def eps_circle(a: EpsPoly, b: EpsPoly) -> EpsPoly:
     return a + b - ring.theta() * a * b
 
 
+def substitute_eps(p: EpsPoly, images: dict) -> EpsPoly:
+    """The image of p under eps_i -> images[i], theta and the indices
+    missing from ``images`` fixed.  Each image must satisfy the square
+    law x^2 = theta*x, as circle sums do; then the map is a ring
+    endomorphism of C[eps].  With no image, p itself is returned."""
+    if not images:
+        return p
+    ring = p.ring
+    out = ring.zero()
+    for (t, eps), c in p.terms.items():
+        mono = ring.theta() if t else ring.one()
+        for i in eps:
+            mono = mono * images[i] if i in images else mono * ring.eps(i)
+        out = out + mono.scale(c)
+    return out
+
+
 def word_eps_image(coeff: CoeffRing, word: Word) -> EpsPoly:
     """eps-image of a word under e_i -> word substitution bookkeeping."""
     acc = coeff.zero()
@@ -331,13 +361,7 @@ def eta_endomorphism(
             raise ValueError(f"element uses generator outside e1..e{n}")
         if any(i > n for i in c.indices()):
             raise ValueError(f"coefficient uses eps index outside 1..{n}")
-        # image of the coefficient
-        cimg = coeff.zero()
-        for (t, eps), scalar in c.terms.items():
-            mono = coeff.theta() if t else coeff.one()
-            for i in eps:
-                mono = mono * eps_images[i - 1]
-            cimg = cimg + mono.scale(scalar)
+        cimg = substitute_eps(c, {i: eps_images[i - 1] for i in c.indices()})
         # image of the word
         wimg = algebra.one()
         for i, m in word:

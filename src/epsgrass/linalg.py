@@ -10,16 +10,14 @@ it (``supertrace`` certifies its trace basis blocks this way).
 on +-1 entries only.  Such an elimination is a unimodular row transform,
 so it proves that the kept rows have an all-ones Smith diagonal without
 computing a general Smith normal form, and it yields a solve that is
-valid after base change to any commutative ring.  ``RationalEchelon``
-and ``LatticeReducer`` give canonical residues for the quotient algebras
-of ``salg``.
+valid after base change to any commutative ring.  The torsion residues
+of the quotient algebras need no elimination: ``salg`` computes them in
+closed form.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
 
 
 def _axpy(dst: dict, src: dict, q: int) -> None:
@@ -150,120 +148,3 @@ class SmithSolver:
         if not all(is_zero(s) for s in test.values()):
             return None, False
         return x, True
-
-
-# -- canonical residues modulo a rational or an integer row span --------
-
-
-class RationalEchelon:
-    """Echelon rows over Q, for sparse vectors {column: value}.
-
-    Each row is stored scaled to 1 at its lead, its first nonzero
-    column.  ``reduce`` returns the residue of a vector modulo the row
-    span: the unique vector congruent to it that is zero at every lead
-    column.  ``add_if_new`` keeps a nonzero residue as a new row.
-    """
-
-    def __init__(self, rows=()):
-        self.rows: list[tuple[int, dict]] = []  # (lead column, row)
-        for row in rows:
-            self.add_if_new(row)
-
-    def reduce(self, vec: dict) -> dict:
-        out = {k: Fraction(v) for k, v in vec.items() if v}
-        for lead, row in self.rows:
-            # later rows are zero at earlier leads, so each lead stays cleared
-            _axpy(out, row, -out.get(lead, 0))
-        return out
-
-    def add_if_new(self, vec: dict) -> bool:
-        """Add the residue of vec as a row; False if vec is in the span."""
-        row = self.reduce(vec)
-        if not row:
-            return False
-        lead = min(row)
-        inv = 1 / row[lead]
-        self.rows.append((lead, {k: v * inv for k, v in row.items()}))
-        return True
-
-
-class LatticeReducer:
-    """Canonical representatives modulo the Z-row-span of given vectors.
-
-    Rows are put in Hermite normal form once; ``reduce`` then maps any
-    integer vector to the unique representative with coordinates in
-    [0, pivot) at each pivot column.  Used for coefficient torsion in
-    quotient algebras.
-    """
-
-    def __init__(self, rows: list[list[int]], ncols: int):
-        self.ncols = ncols
-        self.hnf: list[tuple[int, list[int]]] = []  # (pivot col, row), pivot > 0
-        for row in rows:
-            self._insert(list(map(int, row)))
-        self.hnf.sort(key=lambda t: t[0])
-        self._normalize_off_pivots()
-
-    def _insert(self, row: list[int]):
-        while True:
-            lead = next((j for j, v in enumerate(row) if v), None)
-            if lead is None:
-                return
-            found = None
-            for k, (col, _) in enumerate(self.hnf):
-                if col == lead:
-                    found = k
-                    break
-            if found is None:
-                if row[lead] < 0:
-                    row = [-v for v in row]
-                self.hnf.append((lead, row))
-                self.hnf.sort(key=lambda t: t[0])
-                return
-            col, prow = self.hnf[found]
-            a, b = prow[lead], row[lead]
-            g = gcd(a, b)
-            # replace pivot row by the gcd combination, continue with remainder
-            x, y = _bezout(a, b, g)
-            new_pivot = [x * u + y * v for u, v in zip(prow, row)]
-            rem = [(a // g) * v - (b // g) * u for u, v in zip(prow, row)]
-            self.hnf[found] = (col, new_pivot)
-            row = rem
-
-    def _normalize_off_pivots(self):
-        # reduce entries above each pivot into [0, pivot)
-        for k in range(len(self.hnf) - 1, -1, -1):
-            col, row = self.hnf[k]
-            p = row[col]
-            for j in range(k):
-                _, upper = self.hnf[j]
-                q = upper[col] // p
-                if q:
-                    self.hnf[j] = (
-                        self.hnf[j][0],
-                        [u - q * v for u, v in zip(upper, row)],
-                    )
-
-    def reduce(self, vec: list[int]) -> list[int]:
-        out = list(map(int, vec))
-        for col, row in self.hnf:
-            q = out[col] // row[col]
-            if q:
-                out = [u - q * v for u, v in zip(out, row)]
-        return out
-
-
-def _bezout(a: int, b: int, g: int) -> tuple[int, int]:
-    # x*a + y*b == g
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r == g:
-        return old_s, old_t
-    # old_r == -g
-    return -old_s, -old_t

@@ -9,18 +9,33 @@ together with its self-instance, which forces the torsion
 (1 - exp(eps_g eps_g)) x^2 = 0 for every generator x = e_g^(n).
 Normal form: words sorted by (sorted grade support, tag); coefficients
 of words with a repeated generator are reduced to canonical residues
-modulo the corresponding torsion ideal (a Hermite-normal-form lattice
-reduction over Z and Z/m, row reduction over fields).
+modulo the corresponding torsion ideal I, in closed form.
+
+The (a, b) and (b, a) pairs of exp(eps_g eps_g) cancel, so it is the
+product of the (1 - theta*eps_a) over a in g, and the torsion generator
+is theta*eps_g, with eps_g the circle sum of the eps_a (a (+) b =
+a + b - theta*a*b; see ``grassmann.eps_circle``).  Since x (+) x = 0 and
+theta*(x (+) y) = theta*x + theta*y - (theta*x)*(theta*y), I depends
+only on the GF(2) span of the repeated grades.  Let b_k be the span's
+reduced echelon basis with pivots p_k.  The substitution alpha:
+eps_{p_k} -> eps_{b_k}, every other index fixed, is a ring involution
+of C[eps] that maps I onto the ideal of the theta*eps_{p_k}, whose
+residue ``grassmann.theta_eps_residue`` is also the torsion rule of
+``GrassAlgebra``.  The residue modulo I is alpha of that residue of
+alpha(c); for singleton grades alpha is the identity.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .epsilon import CoeffRing, EpsPoly, all_monomials, exp_map
-from .grassmann import word_parity_pairs
-from .linalg import LatticeReducer, RationalEchelon
-from .rings import IntegerRing, ModRing, RationalRing
+from .epsilon import CoeffRing, EpsPoly, exp_map
+from .grassmann import (
+    substitute_eps,
+    theta_eps_residue,
+    word_eps_image,
+    word_parity_pairs,
+)
 from .terms import AlgebraElem, add_term
 
 # generator key: (grade support frozenset, tag)
@@ -32,13 +47,32 @@ def _sort_key(key: GenKey):
     return (tuple(sorted(g)), n)
 
 
+def _span_basis(grades) -> dict:
+    """The reduced echelon basis of the GF(2) span of the grades (index
+    sets under symmetric difference) as {pivot: vector}: each pivot is
+    its vector's least index and lies in no other vector, so the basis
+    depends on the span alone."""
+    rows: dict = {}
+    for g in grades:
+        while g:
+            p = min(g)
+            if p not in rows:
+                rows[p] = g
+                break
+            g = g ^ rows[p]
+    for p in sorted(rows, reverse=True):
+        for q, row in rows.items():
+            if q != p and p in row:
+                rows[q] = row ^ rows[p]
+    return rows
+
+
 class SAlgebra:
     """Context for the free twisted-commutative algebra over C[eps]."""
 
     def __init__(self, base):
         self.coeff = base if isinstance(base, CoeffRing) else CoeffRing(base)
         self.base = self.coeff.base
-        self._reducers: dict = {}
 
     def __eq__(self, other):
         return isinstance(other, SAlgebra) and other.coeff == self.coeff
@@ -83,65 +117,16 @@ class SAlgebra:
         repeated_grades.discard(frozenset())  # exp(0)=1 gives no relation
         if not repeated_grades or coeff.is_zero():
             return coeff
-        ambient = set(coeff.indices())
-        for g in repeated_grades:
-            ambient |= g
-        monos, index, reduce = self._get_reducer(
-            frozenset(repeated_grades), frozenset(ambient)
-        )
-        reduced = reduce({index[key]: c for key, c in coeff.terms.items()})
-        return EpsPoly(self.coeff, {monos[k]: c for k, c in reduced.items()})
-
-    def _get_reducer(self, grades: frozenset, ambient: frozenset):
-        """The ambient monomials, their column index and the torsion
-        reducer on those columns, cached per (grades, ambient)."""
-        cache_key = (tuple(sorted(tuple(sorted(g)) for g in grades)), tuple(sorted(ambient)))
-        if cache_key in self._reducers:
-            return self._reducers[cache_key]
-        monos = all_monomials(ambient)
-        index = {m: k for k, m in enumerate(monos)}
-        # torsion generators 1 - exp(eps_g eps_g), built over Z so the
-        # lattice is independent of the working base ring
-        int_ring = CoeffRing(IntegerRing())
-        int_gens = [
-            int_ring.one() - exp_map(int_ring, word_parity_pairs(g, g))
-            for g in sorted(grades, key=lambda s: tuple(sorted(s)))
-        ]
-        rows = []
-        for u in int_gens:
-            for m in monos:
-                prod = u * EpsPoly(int_ring, {m: 1})
-                row = [0] * len(monos)
-                ok = True
-                for key, c in prod.terms.items():
-                    if key not in index:
-                        ok = False  # escapes the ambient monomial set
-                        break
-                    row[index[key]] = c
-                if ok and any(row):
-                    rows.append(row)
-        base = self.base
-        if isinstance(base, RationalRing):
-            reduce = RationalEchelon([dict(enumerate(r)) for r in rows]).reduce
-        elif isinstance(base, (IntegerRing, ModRing)):
-            ncols = len(monos)
-            if isinstance(base, ModRing):
-                rows += [
-                    [base.m if i == j else 0 for j in range(ncols)] for i in range(ncols)
-                ]
-            lattice = LatticeReducer(rows, ncols)
-
-            def reduce(vec: dict) -> dict:
-                dense = [0] * ncols
-                for k, c in vec.items():
-                    dense[k] = c
-                reduced = (base.from_int(v) for v in lattice.reduce(dense))
-                return {k: c for k, c in enumerate(reduced) if not base.is_zero(c)}
-
-        else:
-            raise NotImplementedError(f"no torsion reducer over {base}")
-        self._reducers[cache_key] = (monos, index, reduce)
-        return self._reducers[cache_key]
+        basis = _span_basis(repeated_grades)
+        # alpha: eps_p -> eps_b for each pivot p of a basis vector b, an
+        # involution that maps theta*eps_b to theta*eps_p
+        alpha = {
+            p: word_eps_image(self.coeff, tuple((i, 1) for i in sorted(b)))
+            for p, b in basis.items()
+            if len(b) > 1
+        }
+        residue = theta_eps_residue(substitute_eps(coeff, alpha), basis.keys())
+        return substitute_eps(residue, alpha)
 
     def _accumulate(self, terms: dict, word, coeff: EpsPoly):
         coeff = self._reduce_coeff(word, coeff)

@@ -172,25 +172,6 @@ class MonomialTerm(NamedTuple):
     def letters(self) -> list[int]:
         return _letters_of_term(self.term)
 
-    def pattern(self):
-        outer = []
-        parts = []
-
-        def walk(term, top):
-            own = []
-            for atom in term:
-                if isinstance(atom, int):
-                    own.append(atom)
-                else:
-                    walk(atom[1], False)
-            if top:
-                outer.extend(own)
-            else:
-                parts.append(frozenset(own))
-
-        walk(self.term, True)
-        return frozenset(outer), frozenset(parts)
-
     def to_trace_poly(self, ring: BaseRing) -> TracePoly:
         return TracePoly(ring, {self.term: ring.one()})
 
@@ -237,22 +218,6 @@ class StandardTerm(NamedTuple):
             out.append(s)
             out.extend(t)
         return out
-
-    def pattern(self):
-        outer = list(self.w)
-        parts = []
-        for _, ui in self.ms:
-            parts.append(frozenset(ui))
-        for wi, _ in self.ms:
-            outer.extend(wi)
-        for v in self.vs:
-            parts.append(frozenset(v))
-        for u, u2 in self.ffs:
-            parts.append(frozenset(u))
-            parts.append(frozenset(u2))
-        for s, t in self.tcs:
-            parts.append(frozenset((s,) + t))
-        return frozenset(outer), frozenset(parts)
 
     def to_trace_poly(self, ring: BaseRing) -> TracePoly:
         acc = TracePoly(ring, {(): ring.one()})
@@ -490,13 +455,18 @@ def _interleavings(letters, fatoms, boundary_letters: bool):
 def enumerate_nested_monomials(outer: frozenset, parts: frozenset) -> list[MonomialTerm]:
     """Irreducible multilinear monomials with the given value pattern:
     each part is the own-letter set of one trace node, nested in every
-    forest shape, with letters guarding every trace boundary."""
+    forest shape with at least one edge, with letters guarding every
+    trace boundary.  A flat monomial, with no trace inside a trace, lies
+    in the span of the five-block terms on every block of at most
+    ``MAX_TRACE_ARITY`` letters, so it is not a candidate."""
     part_list = sorted(parts, key=sorted)
     m = len(part_list)
-    if m == 0:
+    if m < 2:
         return []
     out = []
     for parents in _acyclic_parent_maps(m):
+        if max(parents) < 0:
+            continue
         children: dict = {i: [] for i in range(-1, m)}
         for i, p in enumerate(parents):
             children[p].append(i)

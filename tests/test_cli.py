@@ -154,6 +154,39 @@ def test_truncated_flag(capsys):
     assert out.strip() == "([1]) * e1^2"
 
 
+def test_flags_belong_to_their_command(capsys):
+    # --truncated is read by normalize alone, --seed by trace-witness alone
+    for argv in (
+        ("comodule", "--n", "3", "--truncated"),
+        ("trace-check", "Tr(x1)", "--truncated"),
+        ("normalize", "e1", "--seed", "1"),
+        ("signs", "--n", "2", "--seed", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "unrecognized arguments" in err, argv
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_output_pipe_exits_quietly(fmt):
+    # the reader takes one line and closes the pipe, as ``| head -1``
+    # does; the output (about 600 kB) is far larger than a pipe buffer,
+    # so a later write meets the closed pipe
+    src = os.path.dirname(os.path.dirname(epsgrass.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "epsgrass.cli", "signs", "--n", "6", "--format", fmt],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_PIPE
+    assert first == (b"123456: [1]\n" if fmt == "text" else b"{\n")
+    assert err == b""
+
+
 def test_ring_flag(capsys):
     code, out, _ = run_cli(capsys, "normalize", "2*e1", "--ring", "mod:2")
     assert code == 0 and out.strip() == "(0)"

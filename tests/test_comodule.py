@@ -516,7 +516,7 @@ def test_truncated_mode_agrees_on_identity_testing(rng):
 def test_freeness_basis_matches_known_rank4_span():
     # at n=3 the sign images of the spanning set generate the lattice
     # spanned by 1, eps1*eps2, eps2*eps3 and eps1*eps3 - theta*eps1*eps2*eps3
-    from epsgrass.linalg import LatticeReducer
+    from lattice_oracle import LatticeReducer
 
     cols = all_monomials(range(1, 4))
 

@@ -1,17 +1,11 @@
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
-from epsgrass.linalg import (
-    LatticeReducer,
-    NoUnitPivot,
-    RationalEchelon,
-    SmithSolver,
-)
+from epsgrass.linalg import NoUnitPivot, SmithSolver
 
-from rank_oracle import fraction_rank
+from rank_oracle import fraction_rank, rational_choice
 from smith_oracle import assert_smith_certificate, smith_full_scan
 
 
@@ -30,12 +24,6 @@ def unit_pivot_solver(a):
         return SmithSolver(sparse_rows(a), len(a[0]))
     except NoUnitPivot:
         return None
-
-
-def rational_choice(a) -> list[int]:
-    """The rows that a rational echelon keeps, in order."""
-    echelon = RationalEchelon()
-    return [k for k, row in enumerate(sparse_rows(a)) if echelon.add_if_new(row)]
 
 
 def test_smith_normal_form_properties():
@@ -243,43 +231,3 @@ def test_smith_solver_detects_inconsistency():
     solver = SmithSolver([{0: 1}], 3)
     sol, ok = solver.solve({1: 1}, ZZ)
     assert not ok and sol is None
-
-
-def test_lattice_reducer_canonical():
-    # lattice spanned by (2, 0) and (0, 3)
-    red = LatticeReducer([[2, 0], [0, 3]], 2)
-    assert red.reduce([5, 7]) == [1, 1]
-    assert red.reduce([4, 6]) == [0, 0]
-    # representative is canonical: equal cosets reduce equally
-    rng = random.Random(3)
-    basis = [[2, 4, 0], [0, 6, 2]]
-    red = LatticeReducer(basis, 3)
-    for _ in range(40):
-        v = [rng.randint(-9, 9) for _ in range(3)]
-        coeffs = [rng.randint(-3, 3) for _ in basis]
-        shift = [
-            sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(3)
-        ]
-        assert red.reduce(v) == red.reduce([a + b for a, b in zip(v, shift)])
-
-
-def test_rational_echelon_residues():
-    # each residue r of v is zero at every lead column and v - r lies in
-    # the span of the rows added so far
-    rng = random.Random(29)
-    for _ in range(40):
-        ncols = rng.randint(1, 7)
-        rows = random_matrix(rng, rng.randint(0, 5), ncols, -3, 3)
-        echelon = RationalEchelon([dict(enumerate(r)) for r in rows])
-        leads = [lead for lead, _ in echelon.rows]
-        assert len(leads) == len(set(leads)) == fraction_rank(rows)
-        for _ in range(5):
-            v = random_matrix(rng, 1, ncols, -4, 4)[0]
-            r = echelon.reduce(dict(enumerate(v)))
-            assert all(r.get(lead, 0) == 0 for lead in leads)
-            diff = [Fraction(x) - r.get(j, 0) for j, x in enumerate(v)]
-            assert fraction_rank(rows + [diff]) == fraction_rank(rows)
-            assert echelon.add_if_new(dict(enumerate(v))) == bool(r)
-            if r:
-                rows.append(v)
-                leads.append(min(r))

@@ -1,12 +1,17 @@
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from epsgrass import GF, QQ, ZZ, CoeffRing, exp_map, scommutator
-from epsgrass.salg import SAlgebra
+from epsgrass import GF, QQ, ZZ, CoeffRing, EpsPoly, GrassAlgebra, ModRing, exp_map, scommutator
+from epsgrass.epsilon import all_monomials
 from epsgrass.grassmann import word_parity_pairs
+from epsgrass.rings import RationalRing
+from epsgrass.salg import SAlgebra
 
 from conftest import random_eps_poly
+from lattice_oracle import LatticeReducer
 
 
 S = SAlgebra(CoeffRing(ZZ))
@@ -85,3 +90,98 @@ def test_scommutator_vanishes_over_even_composite_modulus():
         a = random_selem(rng, alg)
         b = random_selem(rng, alg)
         assert scommutator(a, b).is_zero()
+
+
+# -- the closed-form torsion residue against a Hermite-form oracle ---------
+
+TORSION_RINGS = [
+    CoeffRing(ZZ),
+    CoeffRing(QQ),
+    CoeffRing(ModRing(4)),
+    CoeffRing(ModRing(6)),
+    CoeffRing(GF(3)),
+    CoeffRing(GF(2)),
+    CoeffRing(GF(2), theta_zero=True),
+]
+
+
+def torsion_lattice(coeff, grades, cols):
+    """The torsion ideal of the grades on the columns, as integer rows:
+    each 1 - exp(eps_g eps_g) times each monomial, and m times each unit
+    vector over Z/m.  Over Q only the span of the rows counts."""
+    rows = []
+    for g in grades:
+        u = coeff.one() - exp_map(coeff, word_parity_pairs(g, g))
+        rows.extend(vector(u * coeff.monomial(t, eps), cols) for t, eps in cols)
+    if isinstance(coeff.base, ModRing):
+        m = coeff.base.m
+        rows.extend([m if i == j else 0 for j in range(len(cols))] for i in range(len(cols)))
+    return LatticeReducer(rows, len(cols))
+
+
+def vector(p, cols):
+    # integer entries: Z and Z/m values are ints, Q values are scaled to
+    # a common denominator (which keeps their rational span)
+    den = lcm(*(Fraction(c).denominator for c in p.terms.values()))
+    return [int(p.terms.get(key, 0) * den) for key in cols]
+
+
+def in_ideal(coeff, lattice, p, cols) -> bool:
+    v = vector(p, cols)
+    if isinstance(coeff.base, RationalRing):
+        return len(LatticeReducer([row for _, row in lattice.hnf] + [v], len(cols)).hnf) == len(
+            lattice.hnf
+        )
+    return not any(lattice.reduce(v))
+
+
+def old_representative(coeff, lattice, c, cols):
+    """The Hermite-form residue that SAlgebra stored before the closed
+    form, for Z and Z/m."""
+    base = coeff.base
+    reduced = (base.from_int(v) for v in lattice.reduce(vector(c, cols)))
+    return EpsPoly(coeff, {k: v for k, v in zip(cols, reduced) if not base.is_zero(v)})
+
+
+def random_grades(rng, max_index, singletons):
+    if singletons:
+        return {frozenset({i}) for i in rng.sample(range(1, max_index + 1), rng.randint(1, 3))}
+    return {
+        frozenset(rng.sample(range(1, max_index + 1), rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 3))
+    }
+
+
+@pytest.mark.parametrize("coeff", TORSION_RINGS, ids=["Z", "Q", "Z4", "Z6", "F3", "F2", "F2-theta0"])
+@pytest.mark.parametrize("singletons", [True, False], ids=["singleton", "multi"])
+def test_torsion_residue_against_hermite_oracle(coeff, singletons):
+    rng = random.Random(61)
+    alg = SAlgebra(coeff)
+    grass = GrassAlgebra(coeff)
+    max_index = 5
+    moved = 0
+    for _ in range(12):
+        grades = random_grades(rng, max_index, singletons)
+        word = tuple((g, 1) for g in grades for _ in range(2))
+        indices = set().union(*grades)
+        c = random_eps_poly(rng, coeff, max_index=max_index, nterms=4)
+        r = alg._reduce_coeff(word, c)
+        cols = all_monomials(indices | c.indices())
+        lattice = torsion_lattice(coeff, grades, cols)
+        assert in_ideal(coeff, lattice, c - r, cols), (grades, c)
+        assert alg._reduce_coeff(word, r) == r
+        for _ in range(3):
+            i = coeff.zero()
+            for g in grades:
+                u = coeff.one() - exp_map(coeff, word_parity_pairs(g, g))
+                i = i + u * random_eps_poly(rng, coeff, max_index=max_index, nterms=3)
+            assert in_ideal(coeff, lattice, i, cols)
+            assert alg._reduce_coeff(word, c + i) == r, (grades, c, i)
+        grass_rule = grass._reduce_coeff(tuple((min(g), 2) for g in sorted(grades, key=min)), c)
+        if singletons:
+            assert r == grass_rule
+            if not isinstance(coeff.base, RationalRing):
+                assert r == old_representative(coeff, lattice, c, cols)
+        moved += r != grass_rule
+    if not singletons and not coeff.theta_zero:
+        assert moved  # alpha moved some representatives
