@@ -59,10 +59,10 @@ EXIT_PIPE = 141
 # sign table behind signs and --dump-matrix holds n! rows (9-14 s at 8).
 # idempotents costs O(4^X) products (16 s over Q at --X 6); a witness
 # search that exhausts its attempts takes 7.5 s at --max-n 6.
-# check-identity costs, per vertex set of the inversion graphs of its
-# monomials, at most one subset transform over that set and never more
-# than about three times expanding each monomial's sign; the expression
-# text bounds the work, so --vars has no upper bound.
+# check-identity costs, per maximal vertex set of the inversion graphs of
+# its monomials, at most one subset transform over that set and never
+# more than about three times expanding each monomial's sign; the
+# expression text bounds the work, so --vars has no upper bound.
 CLI_LIMITS = {
     "comodule": [
         ("n", "arity", 1, MAX_COMODULE_ARITY, None),

@@ -4,10 +4,11 @@ A multilinear polynomial of arity n is a map from permutations of
 {1..n} to coefficients; x_{s(1)}...x_{s(n)} is keyed by the image tuple
 s.  Substituting the generators e_1..e_n decides membership in the
 identity ideal of the twisted Grassmann algebra: f(e_1, ..., e_n) =
-psi(f)*e_1...e_n, where the sign image psi(f) = sum of a_s*esgn(s) is
-computed by one ``epsilon.exp_sum`` over the inversion graphs (grouped
-by vertex set, with no esgn and no algebra product), so f is an
-identity iff psi(f) = 0.
+psi(f)*e_1...e_n, so f is an identity iff psi(f) = 0.  The sign image
+psi(f) = sum of a_s*esgn(s) sums the exps of the inversion graphs with
+no esgn and no algebra product: one subset transform per maximal set of
+inverted letters (``epsilon._sum_exps``), fed parity words read straight
+off the permutations; ``is_identity`` tests its int sums in the ring.
 
 The generalized signs span a free module of rank 2^(n-1).  The sign
 images B of an explicit spanning set (ascending prefix times
@@ -22,11 +23,11 @@ table) and for normal forms, checked by psi of the residual.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .epsilon import CoeffRing, EpsPoly, InternalError, all_monomials, exp_map, exp_sum
+from .epsilon import CoeffRing, EpsPoly, InternalError, all_monomials, exp_map
 from .grassmann import GrassElem, esgn, word_from_letters
 from .rings import BaseRing, IntegerRing, RingMismatchError
 from .terms import TracePoly, add_term, add_terms, scale_terms
@@ -149,7 +150,9 @@ def is_identity(f: MultilinearPoly) -> bool:
     repeats, so the quotient by the generator squares has the same
     multilinear identities.
     """
-    return psi(f).is_zero()
+    acc, den = _sign_sum(f)
+    frm = f.ring.from_int
+    return not any(frm(c if den == 1 else Fraction(c, den)) for c in acc.values())
 
 
 def sn_act_poly(pi: Sequence[int], f: MultilinearPoly) -> MultilinearPoly:
@@ -174,11 +177,42 @@ def _inversion_graph(sigma: Sequence[int]) -> list[tuple[int, int]]:
     return [(b, a) for k, a in enumerate(sigma) for b in sigma[k + 1:] if b < a]
 
 
+def _inversion_parity(at: dict, sigma: Sequence[int]) -> int:
+    """The parity word of sigma's inversion graph, read off sigma: the XOR
+    over letters b of at[b] & (the XOR of at[a] over earlier a > b).  A
+    letter outside ``at`` is in no inversion."""
+    parity = 0
+    earlier = []  # (a, at[a])
+    for b in sigma:
+        mb = at.get(b)
+        if mb is not None:
+            above = 0
+            for a, ma in earlier:
+                if a > b:
+                    above ^= ma
+            parity ^= mb & above
+            earlier.append((b, mb))
+    return parity
+
+
+def _sign_sum(f: MultilinearPoly) -> tuple:
+    """(acc, den) of psi(f), by ``epsilon._sum_exps``.  A letter k is in no
+    inversion iff sigma holds 1..k in its first k places, k in place k."""
+    items = []
+    for perm, c in f.coeffs.items():
+        support = (2 << f.n) - 2
+        for k, a in enumerate(perm, 1):
+            if a == k and max(perm[:k]) == k:
+                support ^= 1 << k
+        items.append((support, perm, c))
+    return epsilon._sum_exps(items, _inversion_graph, _inversion_parity)
+
+
 def psi(f: MultilinearPoly) -> EpsPoly:
-    """Image of f in the sign module: sum of a_sigma * esgn(e., sigma),
-    by one ``exp_sum`` over the inversion graphs."""
-    items = [(_inversion_graph(perm), c) for perm, c in f.coeffs.items()]
-    return exp_sum(CoeffRing(f.ring), items)
+    """Image of f in the sign module: the sum of a_sigma * esgn(e., sigma),
+    the exps of the inversion graphs, with one subset transform per
+    maximal set of inverted letters and no esgn."""
+    return epsilon._to_poly(CoeffRing(f.ring), *_sign_sum(f))
 
 
 def sign_act(pi: Sequence[int], lam: EpsPoly, n: int | None = None) -> EpsPoly:
@@ -255,15 +289,21 @@ class SpanningTerm(tuple):
     def arity(self) -> int:
         return len(self.prefix) + len(self.tail)
 
-    def to_poly(self, ring: BaseRing) -> MultilinearPoly:
-        """x_P*[x_a1,x_b1]*...: each commutator appends x_a*x_b, or x_b*x_a
-        with the opposite sign, so the 2^(len(tail)/2) words are distinct."""
-        coeffs = {self.prefix: ring.one()}
+    def words(self) -> dict:
+        """x_P*[x_a1,x_b1]*... as {word: 1 or -1}: each commutator appends
+        x_a*x_b, or x_b*x_a with the opposite sign, so the 2^(len(tail)/2)
+        words are distinct."""
+        out = {self.prefix: 1}
         for a, b in zip(self.tail[::2], self.tail[1::2]):
-            swapped = {w + (b, a): ring.neg(c) for w, c in coeffs.items()}
-            coeffs = {w + (a, b): c for w, c in coeffs.items()}
-            coeffs.update(swapped)
-        return MultilinearPoly(self.arity(), ring, coeffs)
+            swapped = {w + (b, a): -c for w, c in out.items()}
+            out = {w + (a, b): c for w, c in out.items()}
+            out.update(swapped)
+        return out
+
+    def to_poly(self, ring: BaseRing) -> MultilinearPoly:
+        """The polynomial ``words`` over ``ring``."""
+        words = self.words().items()
+        return MultilinearPoly(self.arity(), ring, {w: ring.from_int(c) for w, c in words})
 
     def sign_image(self, coeff: CoeffRing) -> EpsPoly:
         """psi(self.to_poly(ring)) in closed form, with no esgn: with T
@@ -309,14 +349,14 @@ _ROWS_CACHE: dict = {}
 
 
 def _spanning_rows(n: int):
-    """(spanning terms, their sign images B over Z keyed by the pivot
-    (0, T), T the term's tail), cached.  Check (a) runs on build: row T
-    holds 1 at (0, T), and its other theta-free monomials at strict
+    """(spanning terms, their sign images B over Z and ``words``, keyed by
+    the pivot (0, T), T the term's tail), cached.  Check (a) runs on build:
+    row T holds 1 at (0, T), and its other theta-free monomials at strict
     supersets of T; a row that breaks it raises ``InternalError``."""
     if n not in _ROWS_CACHE:
         coeff = CoeffRing(IntegerRing())
         terms = spanning_terms(n)
-        rows = {}
+        rows, words = {}, {}
         for term in terms:
             row, tail = term.sign_image(coeff), set(term.tail)
             if row.terms.get((0, term.tail)) != 1 or any(
@@ -327,7 +367,8 @@ def _spanning_rows(n: int):
                     f"the row of {term.render()} is not unitriangular"
                 )
             rows[(0, term.tail)] = row
-        _ROWS_CACHE[n] = (terms, rows)
+            words[(0, term.tail)] = term.words()
+        _ROWS_CACHE[n] = (terms, rows, words)
     return _ROWS_CACHE[n]
 
 
@@ -339,19 +380,21 @@ def _reduce(rows: dict, p: EpsPoly) -> tuple[dict, dict]:
     coordinates are unique, over every base ring."""
     frm = p.ring.base.from_int
     left = dict(p.terms)  # raw sums, mapped into the ring when read
-    todo = [(len(key[1]), key) for key in left if key in rows]
-    heapify(todo)  # each pivot enters once, when it first enters left
+    todo = [[] for _ in range(len(rows).bit_length() + 1)]  # pivots by |T| <= n
+    for key in left:
+        if key in rows:
+            todo[len(key[1])].append(key)
     coords = {}
-    while todo:
-        pivot = heappop(todo)[1]
-        c = frm(left[pivot])
-        if c:
-            coords[pivot] = c
-            for key, v in rows[pivot].terms.items():
-                if key not in left and key in rows:
-                    heappush(todo, (len(key[1]), key))
-                left[key] = left.get(key, 0) - c * v
-        del left[pivot]
+    for bucket in todo:
+        for pivot in bucket:
+            c = frm(left[pivot])
+            if c:
+                coords[pivot] = c
+                for key, v in rows[pivot].terms.items():
+                    if key not in left and key in rows:
+                        todo[len(key[1])].append(key)
+                    left[key] = left.get(key, 0) - c * v
+            del left[pivot]
     left = {key: c for key, c in zip(left, map(frm, left.values())) if c}
     return coords, left
 
@@ -363,7 +406,7 @@ def freeness_certificate(n: int) -> bool:
     ``InternalError``."""
     if not 1 <= n <= MAX_COMODULE_ARITY:
         raise ValueError(f"arity must be between 1 and {MAX_COMODULE_ARITY}")
-    terms, rows = _spanning_rows(n)
+    terms, rows, _ = _spanning_rows(n)
     return len(rows) == len(terms) == 2 ** (n - 1)
 
 
@@ -393,7 +436,7 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
         return _RANK_CACHE[n]
     if not freeness_certificate(n):  # (a); rejects an arity out of range
         raise InternalError(f"spanning set at arity {n} is not certified free")
-    _, rows = _spanning_rows(n)
+    rows = _spanning_rows(n)[1]
     if _reduce(rows, CoeffRing(IntegerRing()).one())[1]:  # (b')
         raise InternalError("1 is outside the spanning set's span")
     for k in range(1, n):
@@ -419,15 +462,16 @@ def grassmann_normal_form(f: MultilinearPoly) -> dict[SpanningTerm, object]:
     ring = f.ring
     if not freeness_certificate(f.n):
         raise InternalError(f"spanning set at arity {f.n} is not certified free")
-    terms, rows = _spanning_rows(f.n)
+    terms, rows, words = _spanning_rows(f.n)
     found, left = _reduce(rows, psi(f))
     if left:
         raise InternalError("sign image not in the span of the spanning set")
     coords = {t: found[key] for t, key in zip(terms, rows) if key in found}
     residual = dict(f.coeffs)
-    for t, c in coords.items():
-        for key, v in t.to_poly(ring).coeffs.items():
-            add_term(ring, residual, key, ring.neg(ring.mul(v, c)))
+    for key, c in found.items():
+        minus = ring.neg(c)
+        for word, v in words[key].items():
+            add_term(ring, residual, word, minus if v > 0 else c)
     if not is_identity(MultilinearPoly(f.n, ring, residual)):
         raise InternalError("normal-form residual is not an identity")
     return coords

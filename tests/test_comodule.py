@@ -227,12 +227,43 @@ def test_comodule_rank_matches_elimination_oracles(n):
         assert fraction_rank(rows) == r
 
 
+def reduce_by_scan(rows: dict, p: EpsPoly) -> tuple[dict, dict]:
+    """``_reduce`` by walking every pivot (0, T) in order of |T|, then T."""
+    left = dict(p.terms)
+    coords = {}
+    for pivot in sorted(rows, key=lambda key: (len(key[1]), key[1])):
+        c = left.pop(pivot, 0)
+        if c:
+            coords[pivot] = c
+            for key, v in rows[pivot].terms.items():
+                if key != pivot:
+                    left[key] = left.get(key, 0) - c * v
+    return coords, {key: c for key, c in left.items() if c}
+
+
+def test_reduce_matches_a_scan_of_every_pivot():
+    # in and out of the span of B: integer combinations of its rows plus,
+    # half the time, a random monomial
+    rng = random.Random(37)
+    cz = CoeffRing(ZZ)
+    for n in range(1, 8):
+        _, rows, _ = comodule._spanning_rows(n)
+        keys = list(rows)
+        for _ in range(30):
+            p = cz.zero()
+            for key in rng.sample(keys, rng.randint(0, min(6, len(keys)))):
+                p = p + rows[key].scale(rng.choice((-3, -1, 1, 2)))
+            if rng.random() < 0.5:
+                p = p + cz.monomial(rng.randint(0, 1), rng.sample(range(1, n + 1), rng.randint(0, n)), 5)
+            assert comodule._reduce(rows, p) == reduce_by_scan(rows, p)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_whole_table_checks_still_hold(n):
     # the table certificate the generator certificate replaced: every sign
     # row S reduces to zero against the spanning rows B, and B = T*S
     perms, cols, sign_rows = sign_matrix_int(n)
-    terms, rows = comodule._spanning_rows(n)
+    terms, rows, _ = comodule._spanning_rows(n)
     cz = CoeffRing(ZZ)
     for row in sign_rows:
         sign = EpsPoly(cz, {cols[j]: v for j, v in enumerate(row) if v})
@@ -523,7 +554,7 @@ def test_freeness_basis_matches_known_rank4_span():
     def vector(p):
         return [p.terms.get(key, 0) for key in cols]
 
-    _, rows = comodule._spanning_rows(3)
+    rows = comodule._spanning_rows(3)[1]
     cz = CoeffRing(ZZ)
     expected_polys = [
         cz.one(),

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from epsgrass import QQ, ZZ, CoeffRing, GF, exp_map, phi_sigma
+from epsgrass import QQ, ZZ, CoeffRing, GF, epsilon, exp_map, phi_sigma
 from epsgrass.rings import RingMismatchError
 
 from conftest import random_eps_poly, random_perm
@@ -104,6 +104,20 @@ def test_reduction_confluence_random_rule_order(rng):
         first = raw_reduce(terms, rng)
         for _ in range(4):
             assert raw_reduce(terms, rng) == first
+
+
+def test_key_of_matches_the_bit_loop(monkeypatch):
+    # fresh memos, so every key is decoded by the byte table
+    monkeypatch.setattr(epsilon, "_KEYS", {})
+    monkeypatch.setattr(epsilon, "_MASKS", {})
+    rng = random.Random(31)
+    masks = [0, 1, 2, 3, 255, 256, 257, (1 << 40) - 1, (1 << 40) - 2]
+    masks += [rng.getrandbits(rng.randint(1, 40)) for _ in range(3000)]
+    for mask in masks:
+        for m in (mask, mask | 1, mask & ~1):
+            want = (m & 1, tuple(i for i in range(1, m.bit_length()) if m >> i & 1))
+            assert epsilon._key_of(m) == want, bin(m)
+            assert epsilon._MASKS[want] == m
 
 
 def test_phi_sigma_examples():

@@ -14,10 +14,10 @@ from itertools import permutations
 import pytest
 
 from epsgrass import GF, QQ, ZZ, CoeffRing, ModRing, epsilon, esgn
-from epsgrass.comodule import MultilinearPoly, psi, unit_words
+from epsgrass.comodule import MultilinearPoly, is_identity, psi, spanning_terms, unit_words
 from epsgrass.epsilon import exp_sum
 
-from esgn_oracle import ONE, binomial, inversion_pairs, naive_mul, reduce
+from esgn_oracle import ONE, binomial, exp_graph, inversion_pairs, naive_mul, reduce
 
 RINGS = [ZZ, QQ, ModRing(4), ModRing(6), GF(3)]
 RING_IDS = ["Z", "Q", "Z4", "Z6", "F3"]
@@ -86,7 +86,7 @@ def test_subset_transform_matches_products_of_binomials():
             pairs = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(rng.randint(0, 9))]
             members.append((pairs, rng.choice((-5, -3, -2, -1, 1, 2, 3, 7))))
         acc: dict = {}
-        epsilon._add_subset_image(acc, vertices, members)
+        epsilon._add_subset_image(acc, vertices, members, epsilon._edge_parity)
         got = {epsilon._key_of(m): c for m, c in acc.items() if c}
         assert got == oracle_sum(members), members
 
@@ -224,10 +224,12 @@ def test_psi_of_large_sparse_inversion_graphs_is_fast(monkeypatch, sigma):
     # a transform over all 2^n subsets of the vertex set would take
     # seconds and hundreds of MB; these graphs' products of binomials
     # expand with 5^(n/3) and about 1.7^n terms
-    def no_transform(acc, vertices, members):
+    def no_transform(acc, vertices, members, parity_of):
         raise AssertionError(f"subset transform on {len(vertices)} vertices")
 
     monkeypatch.setattr(epsilon, "_add_subset_image", no_transform)
+    with pytest.raises(AssertionError, match="subset transform on 8 vertices"):
+        psi(random_multilinear(random.Random(9), ZZ, 8, 50))  # the patch is on psi's path
     f = MultilinearPoly(len(sigma), ZZ, {sigma: 1})
     start = time.perf_counter()
     got = psi(f)
@@ -252,6 +254,144 @@ def test_psi_of_large_sparse_inversion_graphs_is_fast(monkeypatch, sigma):
         assert dict(got.terms) == want
 
 
+def supports_of(n: int) -> list:
+    """The parity supports of the unit words e_1, ..., e_n."""
+    return [frozenset({k}) for k in range(1, n + 1)]
+
+
+def sum_of_exps(f: MultilinearPoly) -> dict:
+    """psi(f) over Z or Q by the closed form of each inversion graph's exp."""
+    out: dict = {}
+    for sigma, c in f.coeffs.items():
+        for key, v in exp_graph(inversion_pairs(supports_of(f.n), sigma)).items():
+            out[key] = out.get(key, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def transforms(monkeypatch) -> list:
+    """The vertex counts of the subset transforms run from here on."""
+    sizes = []
+    transform = epsilon._add_subset_image
+
+    def counted(acc, vertices, members, parity_of):
+        sizes.append(len(vertices))
+        transform(acc, vertices, members, parity_of)
+
+    monkeypatch.setattr(epsilon, "_add_subset_image", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_psi_at_arities_8_to_10_matches_esgn_and_oracle(monkeypatch, ring):
+    # many permutations whose sets of inverted letters nest, so groups
+    # merge into maximal vertex sets and reach the transform
+    sizes = transforms(monkeypatch)
+    rng = random.Random(61)
+    coeff = CoeffRing(ring)
+    for n, count in ((8, 20), (9, 40), (10, 60)):
+        f = random_multilinear(rng, ring, n, count)
+        by_esgn = coeff.zero()
+        for sigma, c in f.coeffs.items():
+            by_esgn = by_esgn + esgn(coeff, unit_words(n), sigma).scale(c)
+        got = psi(f)
+        assert got == by_esgn
+        assert got.terms == in_ring(ring, sum_of_exps(MultilinearPoly(n, QQ if ring is QQ else ZZ, f.coeffs)))
+        assert is_identity(f) == got.is_zero()
+    assert sizes and max(sizes) <= 10
+
+
+def grassmann_consequence(rng, letters) -> dict:
+    """u*[[x_a,x_b],x_c]*v for a random arrangement of the letters."""
+    order = list(letters)
+    rng.shuffle(order)
+    k = rng.randint(0, len(order) - 3)
+    u, (a, b, c), v = order[:k], order[k:k + 3], order[k + 3:]
+    words = {(a, b, c): 1, (b, a, c): -1, (c, a, b): -1, (c, b, a): 1}
+    return {tuple(u) + w + tuple(v): s for w, s in words.items()}
+
+
+def test_psi_of_a_normal_form_input_runs_one_transform(monkeypatch):
+    # the shape of an arity-7 normal-form query: every spanning term with a
+    # coefficient, plus consequences of [[x,y],z], whose psi is 0
+    sizes = transforms(monkeypatch)
+    rng = random.Random(71)
+    coeffs: dict = {}
+    for term in spanning_terms(7):
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        for word, v in term.to_poly(ZZ).coeffs.items():
+            coeffs[word] = coeffs.get(word, 0) + c * v
+    rows = sum_of_exps(MultilinearPoly(7, ZZ, {w: c for w, c in coeffs.items() if c}))
+    for _ in range(3):
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        for word, v in grassmann_consequence(rng, range(1, 8)).items():
+            coeffs[word] = coeffs.get(word, 0) + c * v
+    f = MultilinearPoly(7, ZZ, {w: c for w, c in coeffs.items() if c})
+    assert len(f.coeffs) > 200
+    assert dict(psi(f).terms) == rows
+    assert sizes == [7]
+
+
+def shuffled_blocks(rng, n, blocks, count):
+    """count permutations of 1..n, each shuffling the letters of one of
+    the blocks (index ranges) in turn and fixing the rest."""
+    coeffs = {}
+    for k in range(count):
+        sigma = list(range(1, n + 1))
+        lo, hi = blocks[k % len(blocks)]
+        part = sigma[lo:hi]
+        rng.shuffle(part)
+        sigma[lo:hi] = part
+        coeffs[tuple(sigma)] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return MultilinearPoly(n, ZZ, coeffs)
+
+
+def test_psi_of_disjoint_blocks_transforms_each_block(monkeypatch):
+    # half the permutations shuffle letters 1-10, half 15-24: one
+    # transform per block of at most 10 vertices, not one of 20 or 24
+    sizes = transforms(monkeypatch)
+    f = shuffled_blocks(random.Random(81), 24, [(0, 10), (14, 24)], 100)
+    got = psi(f)
+    assert sorted(sizes) == [10, 10]
+    assert dict(got.terms) == sum_of_exps(f)
+
+
+def test_psi_keeps_a_small_block_out_of_a_large_sparse_group(monkeypatch):
+    # one sparse permutation of 18 letters, expanded, and 60 dense
+    # permutations of letters 1-12: merging them into the 18-letter group
+    # would make it run a transform over all 18 letters
+    sizes = transforms(monkeypatch)
+    rng = random.Random(83)
+    f = shuffled_blocks(rng, 18, [(0, 12)], 60)
+    f.coeffs[reversed_triples(18)] = 1
+    start = time.perf_counter()
+    got = psi(f)
+    assert time.perf_counter() - start < 1.0
+    assert sizes and max(sizes) <= 12
+    coeff = CoeffRing(ZZ)
+    want = coeff.zero()
+    for sigma, c in f.coeffs.items():
+        want = want + epsilon.exp_map(coeff, inversion_pairs(supports_of(18), sigma)).scale(c)
+    assert got == want
+
+
+@pytest.mark.parametrize("ring", [ModRing(4), ModRing(6), GF(3)], ids=["Z4", "Z6", "F3"])
+def test_is_identity_when_the_int_sums_vanish_only_in_the_ring(ring):
+    # the representatives m - 1 of -1 leave nonzero int sums that are
+    # multiples of m
+    rng = random.Random(89)
+    for _ in range(20):
+        coeffs: dict = {}
+        for _ in range(rng.randint(1, 3)):
+            c = rng.choice((-2, -1, 1, 2))
+            for word, v in grassmann_consequence(rng, range(1, 7)).items():
+                coeffs[word] = coeffs.get(word, 0) + c * v
+        f = MultilinearPoly(6, ring, {w: ring.from_int(c) for w, c in coeffs.items() if ring.from_int(c)})
+        assert is_identity(f)
+        word = next(iter(f.coeffs), tuple(range(1, 7)))
+        g = f + MultilinearPoly.monomial(6, ring, word)
+        assert not is_identity(g)
+
+
 def test_non_divisible_character_sum_raises_under_optimize():
     # The character sum of a GF(2) quadratic form on S is 0 or divisible
     # by 2^ceil(|S|/2), so no graph reaches the check; breaking the subset
@@ -264,7 +404,7 @@ def test_non_divisible_character_sum_raises_under_optimize():
         "masks, ones = epsilon._field_masks(3, 1)\n"
         "epsilon._FIELD_MASKS[3, 1] = ([1 << 56] * 3, ones)\n"
         "try:\n"
-        "    epsilon._add_subset_image({}, (1, 2, 3), [([(1, 2), (2, 3), (1, 3)], 1)])\n"
+        "    epsilon._add_subset_image({}, (1, 2, 3), [([(1, 2), (2, 3), (1, 3)], 1)], epsilon._edge_parity)\n"
         "except epsilon.InternalError as err:\n"
         "    print('raised:', err)\n"
     )
