@@ -361,8 +361,8 @@ def test_psi_keeps_a_small_block_out_of_a_large_sparse_group(monkeypatch):
     # would make it run a transform over all 18 letters
     sizes = transforms(monkeypatch)
     rng = random.Random(83)
-    f = shuffled_blocks(rng, 18, [(0, 12)], 60)
-    f.coeffs[reversed_triples(18)] = 1
+    dense = shuffled_blocks(rng, 18, [(0, 12)], 60)
+    f = MultilinearPoly(18, ZZ, {**dense.coeffs, reversed_triples(18): 1})
     start = time.perf_counter()
     got = psi(f)
     assert time.perf_counter() - start < 1.0
