@@ -24,8 +24,9 @@ table) and for normal forms, checked by psi of the residual.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .epsilon import CoeffRing, EpsPoly, InternalError, all_monomials, exp_map
 from .grassmann import GrassElem, esgn, word_from_letters
@@ -34,8 +35,8 @@ from .terms import TracePoly, add_term, add_terms, scale_terms
 from . import epsilon
 
 # The largest arity whose co-module certificate runs cold within 30 s:
-# `comodule --n 11` takes 0.8-1.1 s and n = 12 takes 2.6-2.9 s at 24 MB
-# peak RSS on a shared 2-vCPU VM (BENCH_11.json); n = 13 was not measured.
+# `comodule --n 11` takes 0.7-0.9 s and n = 12 takes 1.7-1.9 s at 19 MB
+# peak RSS on a shared 2-vCPU VM (BENCH_14.json); n = 13 was not measured.
 MAX_COMODULE_ARITY = 12
 # ``epsgrass signs`` and ``matrix_dump`` list all n! signs of S_n.
 MAX_SIGN_TABLE_ARITY = 8
@@ -225,38 +226,36 @@ def sign_act(pi: Sequence[int], lam: EpsPoly, n: int | None = None) -> EpsPoly:
     return exp_map(lam.ring, _inversion_graph(pi)) * epsilon.phi_sigma(pmap, lam)
 
 
-_SIGN_MATRIX_CACHE: dict = {}
+def _sign_rows(n: int, cols: list) -> Iterator[list[int]]:
+    """The esgn row over Z of every permutation of 1..n, in lexicographic
+    order, dense in the order of the (t, eps) columns ``cols``."""
+    coeff = CoeffRing(IntegerRing())
+    w = unit_words(n)
+    index = {t | sum(1 << i for i in eps): k for k, (t, eps) in enumerate(cols)}
+    for s in permutations(range(1, n + 1)):
+        row = [0] * len(cols)
+        for m, c in esgn(coeff, w, s).terms.items():
+            row[index[m]] = c
+        yield row
 
 
 def sign_matrix_int(n: int) -> tuple[list, list, list[list[int]]]:
     """All esgn rows over Z: (permutations, monomial columns, rows)."""
-    if n in _SIGN_MATRIX_CACHE:
-        return _SIGN_MATRIX_CACHE[n]
-    coeff = CoeffRing(IntegerRing())
-    w = unit_words(n)
     cols = all_monomials(range(1, n + 1))
-    index = {m: k for k, m in enumerate(cols)}
-    perms = sorted(permutations(range(1, n + 1)))
-    rows = [[0] * len(cols) for _ in perms]
-    for row, s in zip(rows, perms):
-        for key, c in esgn(coeff, w, s).terms.items():
-            row[index[key]] = c
-    _SIGN_MATRIX_CACHE[n] = (perms, cols, rows)
-    return perms, cols, rows
+    return list(permutations(range(1, n + 1))), cols, list(_sign_rows(n, cols))
 
 
-def matrix_dump(n: int) -> str:
-    """Debug format: one esgn row per permutation (lexicographic order),
-    entries in canonical monomial column order."""
-    perms, cols, rows = sign_matrix_int(n)
-    header = " ".join(
+def matrix_dump(n: int) -> Iterator[str]:
+    """Debug format, line by line: the columns, then one esgn row per
+    permutation (lexicographic order), entries in canonical monomial
+    column order."""
+    cols = all_monomials(range(1, n + 1))
+    yield "# columns: " + " ".join(
         ("theta*" if t else "") + ("*".join(f"eps{i}" for i in eps) or "1")
         for t, eps in cols
     )
-    lines = [f"# columns: {header}"]
-    for perm, row in zip(perms, rows):
-        lines.append(f"{perm}: " + " ".join(str(v) for v in row))
-    return "\n".join(lines)
+    for perm, row in zip(permutations(range(1, n + 1)), _sign_rows(n, cols)):
+        yield f"{perm}: " + " ".join(map(str, row))
 
 
 # -- spanning terms and normal forms -------------------------------------
@@ -289,10 +288,11 @@ class SpanningTerm(tuple):
     def arity(self) -> int:
         return len(self.prefix) + len(self.tail)
 
+    @cached_property
     def words(self) -> dict:
         """x_P*[x_a1,x_b1]*... as {word: 1 or -1}: each commutator appends
         x_a*x_b, or x_b*x_a with the opposite sign, so the 2^(len(tail)/2)
-        words are distinct."""
+        words are distinct.  Built on first use and kept on the term."""
         out = {self.prefix: 1}
         for a, b in zip(self.tail[::2], self.tail[1::2]):
             swapped = {w + (b, a): -c for w, c in out.items()}
@@ -302,7 +302,7 @@ class SpanningTerm(tuple):
 
     def to_poly(self, ring: BaseRing) -> MultilinearPoly:
         """The polynomial ``words`` over ``ring``."""
-        words = self.words().items()
+        words = self.words.items()
         return MultilinearPoly(self.arity(), ring, {w: ring.from_int(c) for w, c in words})
 
     def sign_image(self, coeff: CoeffRing) -> EpsPoly:
@@ -319,13 +319,14 @@ class SpanningTerm(tuple):
         2^floor(|R|/2) at theta^(|R| mod 2) * eps_(T+R): 1 at eps_T, and
         theta-free monomials only at strict supersets of T besides.
         """
-        q = [p for p in self.prefix if sum(t < p for t in self.tail) % 2]
+        q = [1 << p for p in self.prefix if sum(t < p for t in self.tail) % 2]
+        tail = sum(1 << t for t in self.tail)
         terms = {}
         for r in range(len(q) + 1):
             c = coeff.base.from_int((-1) ** r << r // 2)
             if c and not (r % 2 and coeff.theta_zero):
                 for extra in combinations(q, r):
-                    terms[(r % 2, tuple(sorted(self.tail + extra)))] = c
+                    terms[tail | sum(extra) | r % 2] = c
         return EpsPoly(coeff, terms)
 
     def render(self) -> str:
@@ -349,26 +350,25 @@ _ROWS_CACHE: dict = {}
 
 
 def _spanning_rows(n: int):
-    """(spanning terms, their sign images B over Z and ``words``, keyed by
-    the pivot (0, T), T the term's tail), cached.  Check (a) runs on build:
-    row T holds 1 at (0, T), and its other theta-free monomials at strict
-    supersets of T; a row that breaks it raises ``InternalError``."""
+    """(spanning terms, their sign images B over Z keyed by the pivot, the
+    mask of eps_T with T the term's tail), cached.  Check (a) runs on
+    build: row T holds 1 at eps_T, and its other theta-free monomials at
+    strict supersets of T; a row that breaks it raises ``InternalError``."""
     if n not in _ROWS_CACHE:
         coeff = CoeffRing(IntegerRing())
         terms = spanning_terms(n)
-        rows, words = {}, {}
+        rows = {}
         for term in terms:
-            row, tail = term.sign_image(coeff), set(term.tail)
-            if row.terms.get((0, term.tail)) != 1 or any(
-                not (t or tail < set(key)) for t, key in row.terms if key != term.tail
+            row, pivot = term.sign_image(coeff), sum(1 << t for t in term.tail)
+            if row.terms.get(pivot) != 1 or any(
+                not (m & 1 or m & pivot == pivot) for m in row.terms if m != pivot
             ):
                 raise InternalError(
                     f"spanning set at arity {n} is not certified free: "
                     f"the row of {term.render()} is not unitriangular"
                 )
-            rows[(0, term.tail)] = row
-            words[(0, term.tail)] = term.words()
-        _ROWS_CACHE[n] = (terms, rows, words)
+            rows[pivot] = row
+        _ROWS_CACHE[n] = (terms, rows)
     return _ROWS_CACHE[n]
 
 
@@ -381,21 +381,21 @@ def _reduce(rows: dict, p: EpsPoly) -> tuple[dict, dict]:
     frm = p.ring.base.from_int
     left = dict(p.terms)  # raw sums, mapped into the ring when read
     todo = [[] for _ in range(len(rows).bit_length() + 1)]  # pivots by |T| <= n
-    for key in left:
-        if key in rows:
-            todo[len(key[1])].append(key)
+    for m in left:
+        if m in rows:
+            todo[m.bit_count()].append(m)
     coords = {}
     for bucket in todo:
         for pivot in bucket:
             c = frm(left[pivot])
             if c:
                 coords[pivot] = c
-                for key, v in rows[pivot].terms.items():
-                    if key not in left and key in rows:
-                        todo[len(key[1])].append(key)
-                    left[key] = left.get(key, 0) - c * v
+                for m, v in rows[pivot].terms.items():
+                    if m not in left and m in rows:
+                        todo[m.bit_count()].append(m)
+                    left[m] = left.get(m, 0) - c * v
             del left[pivot]
-    left = {key: c for key, c in zip(left, map(frm, left.values())) if c}
+    left = {m: c for m, c in zip(left, map(frm, left.values())) if c}
     return coords, left
 
 
@@ -406,7 +406,7 @@ def freeness_certificate(n: int) -> bool:
     ``InternalError``."""
     if not 1 <= n <= MAX_COMODULE_ARITY:
         raise ValueError(f"arity must be between 1 and {MAX_COMODULE_ARITY}")
-    terms, rows, _ = _spanning_rows(n)
+    terms, rows = _spanning_rows(n)
     return len(rows) == len(terms) == 2 ** (n - 1)
 
 
@@ -462,15 +462,15 @@ def grassmann_normal_form(f: MultilinearPoly) -> dict[SpanningTerm, object]:
     ring = f.ring
     if not freeness_certificate(f.n):
         raise InternalError(f"spanning set at arity {f.n} is not certified free")
-    terms, rows, words = _spanning_rows(f.n)
+    terms, rows = _spanning_rows(f.n)
     found, left = _reduce(rows, psi(f))
     if left:
         raise InternalError("sign image not in the span of the spanning set")
-    coords = {t: found[key] for t, key in zip(terms, rows) if key in found}
+    coords = {t: found[pivot] for t, pivot in zip(terms, rows) if pivot in found}
     residual = dict(f.coeffs)
-    for key, c in found.items():
+    for t, c in coords.items():
         minus = ring.neg(c)
-        for word, v in words[key].items():
+        for word, v in t.words.items():
             add_term(ring, residual, word, minus if v > 0 else c)
     if not is_identity(MultilinearPoly(f.n, ring, residual)):
         raise InternalError("normal-form residual is not an identity")

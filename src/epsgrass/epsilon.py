@@ -8,18 +8,21 @@ normal form.
 ``EpsPoly`` instances are immutable by convention: no method mutates an
 existing polynomial, so values can be shared freely.
 
-Products run on integer masks.  The public key (t, eps) of a monomial
-maps to the mask with bit 0 = t and bit i set for each eps_i (memoized
-both ways).  For masks a and b the product monomial is (a|b) without
-bit 0; its theta degree is (a&1) + (b&1) plus one per shared eps, the
-popcount of a & b without bit 0, since eps_i^2 = theta*eps_i; an odd
-degree sets bit 0, and each theta^2 = 2 doubles the coefficient, a
-factor 2 ** (degree // 2).  Coefficients accumulate with Python ``+``
-and ``*`` (ints for Z and Z/m, Fractions for Q) and reduce once per
-output monomial through ``from_int``.  ``exp_sum``, and ``psi`` in
-``comodule``, add up many exps with no product at all: one subset
-transform per maximal vertex set, fed a packed parity word per exp, from
-its edges or straight from a permutation.
+A monomial is an int mask: bit 0 is theta and bit i >= 1 is eps_i, so
+``EpsPoly.terms`` maps masks to nonzero scalars and every kernel reads
+its keys as they are.  ``monomial_key`` decodes a mask to (t, eps), the
+theta degree and the increasing eps indices, for rendering; the text
+lists terms in the order of those pairs, not of the masks.  For masks a
+and b the product monomial is (a|b) without bit 0; its theta degree is
+(a&1) + (b&1) plus one per shared eps, the popcount of a & b without
+bit 0, since eps_i^2 = theta*eps_i; an odd degree sets bit 0, and each
+theta^2 = 2 doubles the coefficient, a factor 2 ** (degree // 2).
+Coefficients accumulate with Python ``+`` and ``*`` (ints for Z and
+Z/m, Fractions for Q) and reduce once per output monomial through
+``from_int``.  ``exp_sum``, and ``psi`` in ``comodule``, add up many
+exps with no product at all: one subset transform per maximal vertex
+set, fed a packed parity word per exp, from its edges or straight from
+a permutation.
 """
 
 from __future__ import annotations
@@ -27,16 +30,16 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations
 from math import inf, lcm
+from operator import itemgetter
 from typing import Iterable
 
 from .rings import BaseRing, RingMismatchError
 from .terms import add_term, add_terms, scale_terms
 
-# A monomial key is (theta_deg, eps_indices) with theta_deg in {0, 1}
-# and eps_indices a strictly increasing tuple of positive ints.
+# The decoded form of a monomial mask: (theta_deg, eps_indices) with
+# theta_deg in {0, 1} and eps_indices a strictly increasing tuple of
+# positive ints.
 Monomial = tuple[int, tuple[int, ...]]
-
-ONE_MONOMIAL: Monomial = (0, ())
 
 
 class InternalError(Exception):
@@ -94,7 +97,7 @@ class CoeffRing:
     def scalar(self, c) -> "EpsPoly":
         if self.base.is_zero(c):
             return self.zero()
-        return EpsPoly(self, {ONE_MONOMIAL: c})
+        return EpsPoly(self, {0: c})
 
     def from_int(self, n: int) -> "EpsPoly":
         return self.scalar(self.base.from_int(n))
@@ -102,23 +105,23 @@ class CoeffRing:
     def eps(self, i: int) -> "EpsPoly":
         if i < 1:
             raise ValueError("eps indices start at 1")
-        return EpsPoly(self, {(0, (i,)): self.base.one()})
+        return EpsPoly(self, {1 << i: self.base.one()})
 
     def theta(self) -> "EpsPoly":
         if self.theta_zero:
             return self.zero()
-        return EpsPoly(self, {(1, ()): self.base.one()})
+        return EpsPoly(self, {1: self.base.one()})
 
     def monomial(self, theta_deg: int, eps: Iterable[int], c=None) -> "EpsPoly":
         """Reduced monomial c * theta^theta_deg * prod(eps)."""
-        key = (theta_deg, tuple(sorted(eps)))
-        _check_monomial(key)
+        eps = tuple(sorted(eps))
+        _check_monomial((theta_deg, eps))
         if self.theta_zero and theta_deg:
             return self.zero()
         cc = self.base.one() if c is None else c
         if self.base.is_zero(cc):
             return self.zero()
-        return EpsPoly(self, {key: cc})
+        return EpsPoly(self, {theta_deg | sum(1 << i for i in eps): cc})
 
 
 def _check_monomial(key: Monomial):
@@ -142,56 +145,31 @@ def all_monomials(indices: Iterable[int]) -> list[Monomial]:
     return out
 
 
-# The mask of a monomial key (t, eps): bit 0 is t, bit i is eps_i.  A
-# memo of a pure function, so sharing it changes no result; it holds one
-# entry per distinct monomial seen.
-_MASKS: dict = {}  # key -> mask
-_KEYS: dict = {}  # mask -> key
-
-
 # _BYTE_INDICES[p][b]: the eps indices 8p + i of the bits i set in byte
-# b at byte position p of a mask (bit 0 is theta); built per position.
+# b at byte position p of a mask (bit 0 is theta); built per position, so
+# it grows with the widest mask decoded, not with the masks seen.
 _BYTE_INDICES: list = []
 
 
-def _key_of(mask: int) -> Monomial:
-    key = _KEYS.get(mask)
-    if key is None:
-        for p in range(len(_BYTE_INDICES), mask.bit_length() + 7 >> 3):
-            _BYTE_INDICES.append(
-                [tuple(8 * p + i for i in range(8) if b >> i & 1 and p + i) for b in range(256)]
-            )
-        eps, rest = (), mask
-        for row in _BYTE_INDICES:
-            if not rest:
-                break
-            eps += row[rest & 255]
-            rest >>= 8
-        key = (mask & 1, eps)
-        _KEYS[mask] = key
-        _MASKS[key] = mask
-    return key
-
-
-def _masked(terms: dict) -> list:
-    """The (mask, coefficient) pairs of a term map."""
-    masks = _MASKS
-    out = []
-    for key, c in terms.items():
-        m = masks.get(key)
-        if m is None:
-            t, eps = key
-            m = t
-            for i in eps:
-                m |= 1 << i
-            masks[key] = m
-            _KEYS[m] = key
-        out.append((m, c))
-    return out
+def monomial_key(mask: int) -> Monomial:
+    """The (theta degree, eps indices) of a monomial mask."""
+    while mask >> 8 * len(_BYTE_INDICES):
+        p = len(_BYTE_INDICES)
+        _BYTE_INDICES.append(
+            [tuple(8 * p + i for i in range(8) if b >> i & 1 and p + i) for b in range(256)]
+        )
+    eps, rest = (), mask
+    for row in _BYTE_INDICES:
+        if not rest:
+            break
+        eps += row[rest & 255]
+        rest >>= 8
+    return mask & 1, eps
 
 
 class EpsPoly:
-    """Element of C[eps] in reduced form: map monomial -> nonzero scalar."""
+    """Element of C[eps] in reduced form: map monomial mask -> nonzero
+    scalar."""
 
     __slots__ = ("ring", "terms")
 
@@ -205,13 +183,13 @@ class EpsPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {ONE_MONOMIAL: self.ring.base.one()}
+        return self.terms == {0: self.ring.base.one()}
 
     def indices(self) -> set[int]:
-        out: set[int] = set()
-        for _, eps in self.terms:
-            out.update(eps)
-        return out
+        union = 0
+        for m in self.terms:
+            union |= m
+        return set(monomial_key(union)[1])
 
     # -- ring operations ---------------------------------------------
 
@@ -235,10 +213,9 @@ class EpsPoly:
         ring = self.ring
         base = ring.base
         theta_zero = ring.theta_zero
-        lhs = _masked(self.terms)
-        rhs = [(b & ~1, b & 1, c) for b, c in _masked(other.terms)]
+        rhs = [(b & ~1, b & 1, c) for b, c in other.terms.items()]
         acc: dict = {}
-        for a, ca in lhs:
+        for a, ca in self.terms.items():
             ta, ea = a & 1, a & ~1
             for eb, tb, cb in rhs:
                 t = ta + tb + (ea & eb).bit_count()
@@ -256,7 +233,7 @@ class EpsPoly:
         for m, c in acc.items():
             c = frm(c)
             if c:
-                out[_key_of(m)] = c
+                out[m] = c
         return EpsPoly(ring, out)
 
     def scale(self, c) -> "EpsPoly":
@@ -285,14 +262,18 @@ class EpsPoly:
 
     # -- rendering ----------------------------------------------------
 
+    def _decoded(self) -> list:
+        """The ((t, eps), c) terms, sorted by (t, eps): the render order."""
+        return sorted(zip(map(monomial_key, self.terms), self.terms.values()), key=itemgetter(0))
+
     def render(self) -> str:
-        """Golden-file format: ``[c]*theta*eps1*eps3`` terms in key order."""
+        """Golden-file format: ``[c]*theta*eps1*eps3`` terms in (t, eps)
+        order."""
         if not self.terms:
             return "[0]"
         base = self.ring.base
         parts = []
-        for (t, eps) in sorted(self.terms):
-            c = self.terms[(t, eps)]
+        for (t, eps), c in self._decoded():
             factors = [f"[{base.render(c)}]"]
             if t:
                 factors.append("theta")
@@ -306,8 +287,7 @@ class EpsPoly:
             return "0"
         base = self.ring.base
         chunks: list[str] = []
-        for (t, eps) in sorted(self.terms):
-            c = self.terms[(t, eps)]
+        for (t, eps), c in self._decoded():
             factors = []
             if t:
                 factors.append("theta")
@@ -385,7 +365,7 @@ def _to_poly(ring: CoeffRing, acc: dict, den: int = 1) -> EpsPoly:
             continue
         c = frm(c if den == 1 else Fraction(c, den))
         if c:
-            out[_key_of(m)] = c
+            out[m] = c
     return EpsPoly(ring, out)
 
 
@@ -461,9 +441,15 @@ def _add_subset_image(acc: dict, vertices: tuple, members: list, parity_of) -> N
             for s in range(lo, lo + run):
                 g[s] -= g[s - run]
         run *= 2
-    eps = [0]  # the eps mask of each subset S
-    for v in vertices:
-        eps += [m | 1 << v for m in eps]
+    # the eps mask of subset S is low[S's first half] | high[the rest]:
+    # two tables of 2^(k/2) masks, not one of 2^k
+    half = len(vertices) // 2
+    low, high = [0], [0]
+    for v in vertices[:half]:
+        low += [m | 1 << v for m in low]
+    for v in vertices[half:]:
+        high += [m | 1 << v for m in high]
+    cut = (1 << half) - 1
     for s, x in enumerate(g):
         if x:
             d = s.bit_count()
@@ -472,7 +458,7 @@ def _add_subset_image(acc: dict, vertices: tuple, members: list, parity_of) -> N
                 raise InternalError(
                     f"character sum {x} on {vertices} is not divisible by 2^{d + 1 >> 1}"
                 )
-            m = eps[s] | d & 1
+            m = low[s & cut] | high[s >> half] | d & 1
             acc[m] = acc[m] + q if m in acc else q
 
 
@@ -502,7 +488,7 @@ def _sum_exps(items: list, edges_of, parity_of) -> tuple:
         groups.setdefault(owner[support], []).append((x, c.numerator * (den // c.denominator)))
     acc: dict = {}  # mask -> int
     for top, members in groups.items():
-        vertices = _key_of(top)[1]
+        vertices = monomial_key(top)[1]
         budget = len(vertices) << len(vertices) >> 2
         members.reverse()
         for index, (x, c) in enumerate(members):
@@ -551,14 +537,27 @@ def phi_sigma(perm, p: EpsPoly) -> EpsPoly:
     """Index renaming eps_i -> eps_{perm(i)}, theta fixed.
 
     ``perm`` is a mapping (dict or callable) applied to every index it
-    covers; missing indices are fixed.
+    covers; missing indices are fixed.  An image below 1 raises
+    ``ValueError``, as does a map that is not injective on a monomial.
     """
     get = None if callable(perm) and not isinstance(perm, dict) else perm.get
+    moved = []  # (the bit of i, the bit of its image) for each index i that moves
+    for i in p.indices():
+        j = get(i, i) if get else perm(i)
+        if j != i:
+            if j < 1:
+                raise ValueError("eps indices start at 1")
+            moved.append((1 << i, 1 << j))
+    keep = ~sum(bit for bit, _ in moved)
     out: dict = {}
     base = p.ring.base
-    for (t, eps), c in p.terms.items():
-        new = tuple(sorted(map(get, eps, eps) if get else map(perm, eps)))
-        if len(set(new)) != len(new):
+    for m, c in p.terms.items():
+        new = m & keep
+        for bit, image in moved:
+            if m & bit:
+                new |= image
+        # two indices of m with one image leave fewer bits
+        if new.bit_count() != m.bit_count():
             raise ValueError("index map is not injective on the support")
-        add_term(base, out, (t, new), c)
+        add_term(base, out, new, c)
     return EpsPoly(p.ring, out)

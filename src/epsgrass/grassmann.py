@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .epsilon import CoeffRing, EpsPoly, exp_map
+from .epsilon import CoeffRing, EpsPoly, exp_map, monomial_key
 from .rings import BaseRing, CapabilityError, GF, IntegerRing, ModRing, RingMismatchError
 from .terms import AlgebraElem, add_term
 
@@ -67,15 +67,16 @@ def theta_eps_residue(coeff: EpsPoly, indices) -> EpsPoly:
     repeated generator in both ``GrassAlgebra`` and ``SAlgebra``.
     """
     base = coeff.ring.base
+    hit = sum(1 << i for i in indices)
     out = {}
-    for (t, eps), c in coeff.terms.items():
-        if not indices.isdisjoint(eps):
-            if t:
+    for m, c in coeff.terms.items():
+        if m & hit:
+            if m & 1:
                 continue
             c = base.mod2(c)
             if base.is_zero(c):
                 continue
-        out[(t, eps)] = c
+        out[m] = c
     return EpsPoly(coeff.ring, out)
 
 
@@ -327,7 +328,8 @@ def substitute_eps(p: EpsPoly, images: dict) -> EpsPoly:
         return p
     ring = p.ring
     out = ring.zero()
-    for (t, eps), c in p.terms.items():
+    for m, c in p.terms.items():
+        t, eps = monomial_key(m)
         mono = ring.theta() if t else ring.one()
         for i in eps:
             mono = mono * images[i] if i in images else mono * ring.eps(i)
@@ -395,12 +397,12 @@ def quotient_mod_theta(x: GrassElem) -> GrassElem:
     result: dict = {}
     for word, c in x.terms.items():
         reduced = {}
-        for (t, eps), scalar in c.terms.items():
-            if t:
+        for m, scalar in c.terms.items():
+            if m & 1:
                 continue
             img = target.from_int(scalar if isinstance(scalar, int) else int(scalar))
             if not target.is_zero(img):
-                reduced[(0, eps)] = img
+                reduced[m] = img
         if reduced:
             quotient._accumulate(result, word, EpsPoly(quotient.coeff, reduced))
     return GrassElem(quotient, result)

@@ -7,6 +7,7 @@ import pytest
 pytest.register_assert_rewrite("smith_oracle")
 
 from epsgrass import CoeffRing, GrassAlgebra, ZZ
+from epsgrass.epsilon import monomial_key
 
 
 @pytest.fixture
@@ -23,6 +24,12 @@ def random_eps_poly(rng, coeff, max_index=4, nterms=3, lo=-3, hi=3):
         eps = tuple(sorted(rng.sample(range(1, max_index + 1), size)))
         acc = acc + coeff.monomial(t, eps, base.sample(rng, lo, hi))
     return acc
+
+
+def keyed(p) -> dict:
+    """The terms of the EpsPoly p keyed by (t, eps), as the oracles key
+    them."""
+    return {monomial_key(m): c for m, c in p.terms.items()}
 
 
 def random_word(rng, max_index=4, max_len=3):

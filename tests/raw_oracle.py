@@ -16,6 +16,8 @@ cross-check reduction confluence and products.
 
 from __future__ import annotations
 
+from epsgrass.epsilon import monomial_key
+
 # raw term: (coeff:int, theta:int, eps:tuple sorted with repeats, letters:tuple)
 
 
@@ -117,14 +119,14 @@ def grass_to_raw(x):
     out = []
     for word, coeff in x.terms.items():
         letters = tuple(word_letters(word))
-        for (t, eps), c in coeff.terms.items():
-            out.append(raw_term(c, t, eps, letters))
+        for m, c in coeff.terms.items():
+            out.append(raw_term(c, *monomial_key(m), letters))
     return out
 
 
 def eps_to_raw(p):
     """Translate an EpsPoly over Z into raw terms (no letters)."""
     out = []
-    for (t, eps), c in p.terms.items():
-        out.append(raw_term(c, t, eps, ()))
+    for m, c in p.terms.items():
+        out.append(raw_term(c, *monomial_key(m), ()))
     return out

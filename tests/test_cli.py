@@ -342,7 +342,7 @@ def test_cli_limits(capsys):
             ("-5", "1", "7"),
             "--max-n must be between 2 and 6",
         ),
-        (("check-identity", "0", "--vars"), ("-2", "0"), "--vars must be at least 1"),
+        (("check-identity", "0", "--vars"), ("-2", "0", "21"), "--vars must be between 1 and 20"),
     ]
     for argv, values, message in cases:
         for value in values:

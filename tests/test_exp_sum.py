@@ -17,6 +17,7 @@ from epsgrass import GF, QQ, ZZ, CoeffRing, ModRing, epsilon, esgn
 from epsgrass.comodule import MultilinearPoly, is_identity, psi, spanning_terms, unit_words
 from epsgrass.epsilon import exp_sum
 
+from conftest import keyed
 from esgn_oracle import ONE, binomial, exp_graph, inversion_pairs, naive_mul, reduce
 
 RINGS = [ZZ, QQ, ModRing(4), ModRing(6), GF(3)]
@@ -42,7 +43,7 @@ def oracle_sum(items) -> dict:
 
 
 def in_ring(ring, poly: dict) -> dict:
-    """The oracle's Z (or Q) polynomial as ``EpsPoly.terms`` over ``ring``."""
+    """The oracle's Z (or Q) polynomial over ``ring``, keyed by (t, eps)."""
     if ring is QQ:
         return {k: Fraction(v) for k, v in poly.items()}
     return reduce(poly, getattr(ring, "m", None))
@@ -72,7 +73,7 @@ def test_exp_sum_matches_products_of_binomials(ring):
             items.append((pairs, sample_coefficient(rng, ring)))
         want = in_ring(ring, oracle_sum(items))
         ring_items = [(pairs, ring.from_int(c) if ring is not QQ else c) for pairs, c in items]
-        assert exp_sum(coeff, ring_items).terms == want, items
+        assert keyed(exp_sum(coeff, ring_items)) == want, items
 
 
 def test_subset_transform_matches_products_of_binomials():
@@ -87,7 +88,7 @@ def test_subset_transform_matches_products_of_binomials():
             members.append((pairs, rng.choice((-5, -3, -2, -1, 1, 2, 3, 7))))
         acc: dict = {}
         epsilon._add_subset_image(acc, vertices, members, epsilon._edge_parity)
-        got = {epsilon._key_of(m): c for m, c in acc.items() if c}
+        got = {epsilon.monomial_key(m): c for m, c in acc.items() if c}
         assert got == oracle_sum(members), members
 
 
@@ -106,7 +107,7 @@ def test_exp_sum_of_many_graphs_on_one_vertex_set(ring):
             items.append((inversion_pairs(supports, sigma), sample_coefficient(rng, ring)))
         want = in_ring(ring, oracle_sum(items))
         ring_items = [(pairs, ring.from_int(c) if ring is not QQ else c) for pairs, c in items]
-        assert exp_sum(coeff, ring_items).terms == want
+        assert keyed(exp_sum(coeff, ring_items)) == want
 
 
 def test_exp_sum_of_disconnected_graphs():
@@ -124,7 +125,7 @@ def test_exp_sum_of_disconnected_graphs():
             if size > 2 and rng.random() < 0.5:
                 pairs.append((part[0], part[-1]))
         items = [(pairs, 3), (pairs[:-1], -2)]
-        assert exp_sum(coeff, items).terms == oracle_sum(items), pairs
+        assert keyed(exp_sum(coeff, items)) == oracle_sum(items), pairs
 
 
 def test_exp_sum_in_the_theta_zero_quotient():
@@ -133,7 +134,7 @@ def test_exp_sum_in_the_theta_zero_quotient():
     for _ in range(100):
         items = [(random_pairs(rng, rng.randint(1, 6)), 1) for _ in range(rng.randint(0, 4))]
         want = reduce(oracle_sum(items), 2, theta_zero=True)
-        assert exp_sum(cf2, items).terms == want
+        assert keyed(exp_sum(cf2, items)) == want
 
 
 def test_exp_sum_rejects_index_below_one():
@@ -167,7 +168,7 @@ def test_psi_matches_sum_of_esgn_and_oracle(ring):
         assert psi(f) == by_esgn
         supports = [frozenset({k}) for k in range(1, n + 1)]
         items = [(inversion_pairs(supports, s), c) for s, c in f.coeffs.items()]
-        assert psi(f).terms == in_ring(ring, oracle_sum(items))
+        assert keyed(psi(f)) == in_ring(ring, oracle_sum(items))
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
@@ -201,7 +202,7 @@ def test_psi_of_disjoint_transpositions_is_fast(n):
     got = psi(f)
     assert time.perf_counter() - start < 1.0
     matching = [(k, k + 1) for k in range(1, n, 2)]
-    assert dict(got.terms) == oracle_sum([(matching, 3), ([(k, k + 1) for k in range(2, n - 1, 2)], -1)])
+    assert keyed(got) == oracle_sum([(matching, 3), ([(k, k + 1) for k in range(2, n - 1, 2)], -1)])
 
 
 def reversed_triples(n):
@@ -251,7 +252,7 @@ def test_psi_of_large_sparse_inversion_graphs_is_fast(monkeypatch, sigma):
             }
         want = {((t & 1), eps): c << (t >> 1) for (t, eps), c in want.items()}
         assert len(want) == 5 ** (len(sigma) // 3)
-        assert dict(got.terms) == want
+        assert keyed(got) == want
 
 
 def supports_of(n: int) -> list:
@@ -295,7 +296,7 @@ def test_psi_at_arities_8_to_10_matches_esgn_and_oracle(monkeypatch, ring):
             by_esgn = by_esgn + esgn(coeff, unit_words(n), sigma).scale(c)
         got = psi(f)
         assert got == by_esgn
-        assert got.terms == in_ring(ring, sum_of_exps(MultilinearPoly(n, QQ if ring is QQ else ZZ, f.coeffs)))
+        assert keyed(got) == in_ring(ring, sum_of_exps(MultilinearPoly(n, QQ if ring is QQ else ZZ, f.coeffs)))
         assert is_identity(f) == got.is_zero()
     assert sizes and max(sizes) <= 10
 
@@ -327,7 +328,7 @@ def test_psi_of_a_normal_form_input_runs_one_transform(monkeypatch):
             coeffs[word] = coeffs.get(word, 0) + c * v
     f = MultilinearPoly(7, ZZ, {w: c for w, c in coeffs.items() if c})
     assert len(f.coeffs) > 200
-    assert dict(psi(f).terms) == rows
+    assert keyed(psi(f)) == rows
     assert sizes == [7]
 
 
@@ -352,7 +353,7 @@ def test_psi_of_disjoint_blocks_transforms_each_block(monkeypatch):
     f = shuffled_blocks(random.Random(81), 24, [(0, 10), (14, 24)], 100)
     got = psi(f)
     assert sorted(sizes) == [10, 10]
-    assert dict(got.terms) == sum_of_exps(f)
+    assert keyed(got) == sum_of_exps(f)
 
 
 def test_psi_keeps_a_small_block_out_of_a_large_sparse_group(monkeypatch):

@@ -4,13 +4,13 @@ from math import lcm
 
 import pytest
 
-from epsgrass import GF, QQ, ZZ, CoeffRing, EpsPoly, GrassAlgebra, ModRing, exp_map, scommutator
+from epsgrass import GF, QQ, ZZ, CoeffRing, GrassAlgebra, ModRing, exp_map, scommutator
 from epsgrass.epsilon import all_monomials
 from epsgrass.grassmann import word_parity_pairs
 from epsgrass.rings import RationalRing
 from epsgrass.salg import SAlgebra
 
-from conftest import random_eps_poly
+from conftest import keyed, random_eps_poly
 from lattice_oracle import LatticeReducer
 
 
@@ -122,8 +122,9 @@ def torsion_lattice(coeff, grades, cols):
 def vector(p, cols):
     # integer entries: Z and Z/m values are ints, Q values are scaled to
     # a common denominator (which keeps their rational span)
-    den = lcm(*(Fraction(c).denominator for c in p.terms.values()))
-    return [int(p.terms.get(key, 0) * den) for key in cols]
+    terms = keyed(p)
+    den = lcm(*(Fraction(c).denominator for c in terms.values()))
+    return [int(terms.get(key, 0) * den) for key in cols]
 
 
 def in_ideal(coeff, lattice, p, cols) -> bool:
@@ -140,7 +141,9 @@ def old_representative(coeff, lattice, c, cols):
     form, for Z and Z/m."""
     base = coeff.base
     reduced = (base.from_int(v) for v in lattice.reduce(vector(c, cols)))
-    return EpsPoly(coeff, {k: v for k, v in zip(cols, reduced) if not base.is_zero(v)})
+    return sum(
+        (coeff.monomial(*k, v) for k, v in zip(cols, reduced) if not base.is_zero(v)), coeff.zero()
+    )
 
 
 def random_grades(rng, max_index, singletons):

@@ -23,7 +23,7 @@ from epsgrass.supertrace import (
     witness_search,
 )
 
-from conftest import random_grass_elem
+from conftest import keyed, random_grass_elem
 from esgn_oracle import model_value, reduce
 from rank_oracle import rational_choice
 
@@ -497,7 +497,7 @@ def all_blocks(max_letters):
 
 
 def model_terms(value):
-    return {mono: poly.terms for mono, poly in value.items()}
+    return {mono: keyed(poly) for mono, poly in value.items()}
 
 
 def nests(term) -> bool:

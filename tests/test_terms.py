@@ -14,6 +14,8 @@ from epsgrass.comodule import MultilinearPoly
 from epsgrass.supertrace import model_eval
 from epsgrass.terms import TracePoly, add_terms
 
+from conftest import keyed
+
 RINGS = [ZZ, QQ, ModRing(4), ModRing(6), GF(3)]
 RING_IDS = ["Z", "Q", "Z4", "Z6", "F3"]
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
@@ -180,7 +182,7 @@ def base_change_grass(x, alg):
     acc = alg.zero()
     for word, c in x.terms.items():
         image = EpsPoly(alg.coeff, {})
-        for (t, eps), v in c.terms.items():
+        for (t, eps), v in keyed(c).items():
             image = image + alg.coeff.monomial(t, eps, base.from_int(v))
         acc = acc + alg.monomial(word, image)
     return acc
