@@ -274,11 +274,10 @@ class EpsPoly:
         base = self.ring.base
         parts = []
         for (t, eps), c in self._decoded():
-            factors = [f"[{base.render(c)}]"]
-            if t:
-                factors.append("theta")
-            factors.extend(f"eps{i}" for i in eps)
-            parts.append("*".join(factors))
+            text = f"[{base.render(c)}]*theta" if t else f"[{base.render(c)}]"
+            if eps:
+                text += "*eps" + "*eps".join(map(str, eps))
+            parts.append(text)
         return " + ".join(parts)
 
     def render_expr(self) -> str:
