@@ -1,12 +1,21 @@
 """Command line interface.
 
+Each command computes its answer and hands it to ``_report``, the one
+writer of the JSON payload (``command``, ``ring``, ``result`` and
+``details``) and of the text lines.  Every input is checked before any
+work: the integer options against ``CLI_LIMITS`` here, and every
+expression by the parser in ``expr``, which bounds its nesting
+(``MAX_NESTING``) and its indices (``MAX_INDEX``).
+
 Exit codes: 0 success (or positive check), 1 semantic negative (not an
-identity, failed check, no witness), 2 usage or parse error (an option
-outside ``CLI_LIMITS`` or a flag of another command included), 3 missing
-ring capability, 4 internal error (a certificate check failed), 141 the
-reader closed the output pipe (as ``epsgrass signs --n 7 | head -1``
-does; nothing more is printed, and 141 = 128 + SIGPIPE is what a shell
-reports for a program that the signal ends).
+identity, failed check, no witness), 2 bad input, with a message: an
+argument that argparse refuses (such as a flag of another command) or
+any ``ValueError`` (such as a parse error, an expression past a bound
+of ``expr`` or an option outside ``CLI_LIMITS``), 3 missing ring
+capability, 4 internal error (``InternalError``: a certificate check
+failed), 141 the reader closed the output pipe (as ``epsgrass signs
+--n 7 | head -1`` does; nothing more is printed, and 141 = 128 +
+SIGPIPE is what a shell reports for a program that the signal ends).
 """
 
 from __future__ import annotations
@@ -22,7 +31,6 @@ from typing import Iterable
 from .comodule import (
     MAX_COMODULE_ARITY,
     MAX_SIGN_TABLE_ARITY,
-    InternalError,
     MultilinearPoly,
     comodule_rank,
     freeness_certificate,
@@ -31,16 +39,13 @@ from .comodule import (
     spanning_terms,
     unit_words,
 )
-from .epsilon import CoeffRing
-from .expr import ExprSyntaxError, compile_grass, compile_trace_poly, parse, reject_trace
+from .epsilon import CoeffRing, InternalError
+from .expr import compile_grass, compile_trace_poly, parse, reject_trace
 from .grassmann import GrassAlgebra, esgn
 from .hull import all_sign_maps, idempotent_system_check, projected_commutation_check
 from .rings import CapabilityError, ring_from_spec
 from .supertrace import (
-    NonMultilinearError,
     SuperTraceContext,
-    TraceArgumentError,
-    TraceInternalError,
     eval_trace_poly,
     trace_normalize,
     witness_search,
@@ -131,9 +136,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
+def _report(args, ring, result, details: dict, text_lines: Iterable[str]) -> None:
+    """Print a command's answer: in JSON one payload of the command, the
+    ring, the result and its details, in text the lines of
+    ``text_lines``.  Either may be a generator, consumed only by the
+    format that prints it; JSON reads a generator as a list."""
     if args.format == "json":
-        for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload):
+        payload = {"command": args.command, "ring": ring.name, "result": result, "details": details}
+        encoder = json.JSONEncoder(indent=2, sort_keys=True, default=list)
+        for chunk in encoder.iterencode(payload):
             sys.stdout.write(chunk)
         sys.stdout.write("\n")
     else:
@@ -147,54 +158,34 @@ def _run(args) -> int:
         if flag is not None and not getattr(args, flag):
             continue
         if not lo <= getattr(args, dest) <= hi:
-            raise _Usage(f"{name} must be between {lo} and {hi}")
+            raise ValueError(f"{name} must be between {lo} and {hi}")
     ring = ring_from_spec(args.ring)
+    tree = parse(args.expr) if "expr" in args else None
 
     if command == "normalize":
         algebra = GrassAlgebra(CoeffRing(ring), truncated=args.truncated)
-        elem = compile_grass(parse(args.expr), algebra, vars_as_generators=True)
-        payload = {
-            "command": command,
-            "ring": ring.name,
-            "result": elem.render(),
-            "details": {"expr": elem.render_expr(), "zero": elem.is_zero()},
-        }
-        _emit(args, payload, [elem.render()])
+        elem = compile_grass(tree, algebra, vars_as_generators=True)
+        text = elem.render()
+        _report(args, ring, text, {"expr": elem.render_expr(), "zero": elem.is_zero()}, [text])
         return EXIT_OK
 
     if command == "check-identity":
-        tree = parse(args.expr)
         reject_trace(tree)
-        poly = compile_trace_poly(tree, ring)
-        try:
-            f = MultilinearPoly.from_word_poly(poly, args.vars)
-        except ValueError as err:
-            raise _Usage(str(err)) from None
+        f = MultilinearPoly.from_word_poly(compile_trace_poly(tree, ring), args.vars)
         verdict = is_identity(f)
-        payload = {
-            "command": command,
-            "ring": ring.name,
-            "result": bool(verdict),
-            "details": {"vars": args.vars},
-        }
-        _emit(args, payload, ["identity" if verdict else "not an identity"])
+        text = "identity" if verdict else "not an identity"
+        _report(args, ring, verdict, {"vars": args.vars}, [text])
         return EXIT_OK if verdict else EXIT_NEGATIVE
 
     if command == "comodule":
         rank = comodule_rank(args.n, ring)
         free = freeness_certificate(args.n)
         basis = [t.render() for t in spanning_terms(args.n)]
-        payload = {
-            "command": command,
-            "ring": ring.name,
-            "result": rank,
-            "details": {"free": free, "basis": basis, "n": args.n},
-        }
         lines = [f"rank {rank}", f"free: {'yes' if free else 'no'}", "basis:"]
         lines.extend(f"  {b}" for b in basis)
         if args.dump_matrix:
             lines = chain(lines, matrix_dump(args.n))
-        _emit(args, payload, lines)
+        _report(args, ring, rank, {"free": free, "basis": basis, "n": args.n}, lines)
         return EXIT_OK if free else EXIT_NEGATIVE
 
     if command == "signs":
@@ -206,17 +197,13 @@ def _run(args) -> int:
             (sigma, esgn(coeff, words, sigma).render())
             for sigma in permutations(range(1, args.n + 1))
         )
-        if args.format == "text":
-            for sigma, value in rows:
-                print(f"{''.join(map(str, sigma))}: {value}")
-            return EXIT_OK
-        payload = {
-            "command": command,
-            "ring": ring.name,
-            "result": [{"sigma": list(sigma), "esgn": value} for sigma, value in rows],
-            "details": {"n": args.n},
-        }
-        _emit(args, payload, [])
+        _report(
+            args,
+            ring,
+            ({"sigma": list(sigma), "esgn": value} for sigma, value in rows),
+            {"n": args.n},
+            (f"{''.join(map(str, sigma))}: {value}" for sigma, value in rows),
+        )
         return EXIT_OK
 
     if command == "idempotents":
@@ -229,88 +216,44 @@ def _run(args) -> int:
             for signs in all_sign_maps(indices)
         )
         ok = complete and commutation
-        payload = {
-            "command": command,
-            "ring": ring.name,
-            "result": bool(ok),
-            "details": {
-                "complete_system": complete,
-                "projected_commutation": commutation,
-                "count": 2 ** args.x_size,
-            },
+        details = {
+            "complete_system": complete,
+            "projected_commutation": commutation,
+            "count": 2 ** args.x_size,
         }
-        _emit(
-            args,
-            payload,
-            [
-                f"complete system: {'yes' if complete else 'no'}",
-                f"projected commutation: {'yes' if commutation else 'no'}",
-            ],
-        )
+        lines = [
+            f"complete system: {'yes' if complete else 'no'}",
+            f"projected commutation: {'yes' if commutation else 'no'}",
+        ]
+        _report(args, ring, ok, details, lines)
         return EXIT_OK if ok else EXIT_NEGATIVE
 
     if command == "trace-check":
-        f = compile_trace_poly(parse(args.expr), ring)
-        form = trace_normalize(f)
+        form = trace_normalize(compile_trace_poly(tree, ring))
         verdict = form.is_zero()
-        payload = {
-            "command": command,
-            "ring": ring.name,
-            "result": bool(verdict),
-            "details": {"standard_form": form.render()},
-        }
-        _emit(
-            args,
-            payload,
-            [
-                "identity" if verdict else "not an identity",
-                f"standard form: {form.render()}",
-            ],
-        )
+        text = form.render()
+        lines = ["identity" if verdict else "not an identity", f"standard form: {text}"]
+        _report(args, ring, verdict, {"standard_form": text}, lines)
         return EXIT_OK if verdict else EXIT_NEGATIVE
 
     if command == "trace-witness":
-        f = compile_trace_poly(parse(args.expr), ring)
-        form = trace_normalize(f)
-        if form.is_zero():
-            payload = {
-                "command": command,
-                "ring": ring.name,
-                "result": None,
-                "details": {"identity": True},
-            }
-            _emit(args, payload, ["identity; no witness exists"])
+        f = compile_trace_poly(tree, ring)
+        if trace_normalize(f).is_zero():
+            _report(args, ring, None, {"identity": True}, ["identity; no witness exists"])
             return EXIT_NEGATIVE
         witness = witness_search(f, max_n=args.max_n, seed=args.seed)
         if witness is None:
-            payload = {
-                "command": command,
-                "ring": ring.name,
-                "result": None,
-                "details": {"identity": False, "max_n": args.max_n},
-            }
-            _emit(args, payload, [f"no witness found up to size {args.max_n}"])
+            text = f"no witness found up to size {args.max_n}"
+            _report(args, ring, None, {"identity": False, "max_n": args.max_n}, [text])
             return EXIT_NEGATIVE
-        algebra = GrassAlgebra(CoeffRing(ring))
-        ctx = SuperTraceContext(witness.size, algebra)
+        ctx = SuperTraceContext(witness.size, GrassAlgebra(CoeffRing(ring)))
         value = eval_trace_poly(f, ctx, witness.matrices(ctx))
-        payload = {
-            "command": command,
-            "ring": ring.name,
-            "result": witness.render(),
-            "details": {
-                "size": witness.size,
-                "nonzero": not value.is_zero(),
-            },
-        }
-        _emit(args, payload, [f"witness: {witness.render()}"])
+        text = witness.render()
+        details = {"size": witness.size, "nonzero": not value.is_zero()}
+        _report(args, ring, text, details, [f"witness: {text}"])
         return EXIT_OK
 
     raise AssertionError(command)
-
-
-class _Usage(Exception):
-    pass
 
 
 def main(argv=None) -> int:
@@ -330,13 +273,13 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
-    except (ExprSyntaxError, NonMultilinearError, TraceArgumentError, _Usage, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except CapabilityError as err:
         print(f"capability error: {err}", file=sys.stderr)
         return EXIT_CAPABILITY
-    except (InternalError, TraceInternalError) as err:
+    except InternalError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -277,6 +277,10 @@ class SpanningTerm(tuple):
             raise ValueError("prefix and tail must be disjoint")
         return super().__new__(cls, (prefix, tail))
 
+    def __getnewargs__(self):
+        # pickle and copy rebuild a term through __new__, so its checks run again
+        return (self.prefix, self.tail)
+
     @property
     def prefix(self):
         return self[0]

@@ -34,7 +34,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .rings import BaseRing, RingMismatchError
-from .terms import add_term, add_terms, scale_terms
+from .terms import add_term, add_terms, render_sum, scale_terms
 
 # The decoded form of a monomial mask: (theta_deg, eps_indices) with
 # theta_deg in {0, 1} and eps_indices a strictly increasing tuple of
@@ -282,29 +282,11 @@ class EpsPoly:
 
     def render_expr(self) -> str:
         """Expression-grammar format, re-parseable by the CLI parser."""
-        if not self.terms:
-            return "0"
         base = self.ring.base
-        chunks: list[str] = []
-        for (t, eps), c in self._decoded():
-            factors = []
-            if t:
-                factors.append("theta")
-            factors.extend(f"eps{i}" for i in eps)
-            text = base.render(c)
-            neg = text.startswith("-")
-            mag = text[1:] if neg else text
-            if factors and mag == "1":
-                body = "*".join(factors)
-            elif factors:
-                body = "*".join([mag] + factors)
-            else:
-                body = mag
-            if not chunks:
-                chunks.append(f"-{body}" if neg else body)
-            else:
-                chunks.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(chunks)
+        return render_sum(
+            (base.render(c), "*".join(["theta"] * t + [f"eps{i}" for i in eps]))
+            for (t, eps), c in self._decoded()
+        )
 
     def __repr__(self):
         return f"EpsPoly({self.render()})"

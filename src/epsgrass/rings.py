@@ -2,9 +2,9 @@
 
 Ring objects are small strategy classes; elements are plain python
 values (``int`` for Z and Z/m, ``Fraction`` for Q).  All arithmetic is
-exact.  Capabilities that not every ring provides (an inverse of 2,
-inverses in general) are exposed as methods that raise
-``CapabilityError`` so callers fail fast.
+exact.  A capability that not every ring provides (an inverse of 2) is
+exposed as a method that raises ``CapabilityError`` so callers fail
+fast.
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ class BaseRing:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def neg(self, a):
         return -a
 
@@ -55,9 +52,6 @@ class BaseRing:
     def half(self):
         """Return 1/2, or raise CapabilityError."""
         raise CapabilityError(f"2 is not invertible in {self.name}")
-
-    def inv(self, a):
-        raise CapabilityError(f"{self.name} has no general inverses")
 
     def mod2(self, a):
         """Canonical representative of a + 2*R (used for torsion reduction)."""
@@ -102,11 +96,6 @@ class RationalRing(BaseRing):
     def half(self):
         return Fraction(1, 2)
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
-
     def mod2(self, a):
         # 2 is invertible, so 2*Q = Q and every residue is 0.
         return Fraction(0)
@@ -149,9 +138,6 @@ class ModRing(BaseRing):
     def add(self, a, b):
         return (a + b) % self.m
 
-    def sub(self, a, b):
-        return (a - b) % self.m
-
     def neg(self, a):
         return (-a) % self.m
 
@@ -165,12 +151,6 @@ class ModRing(BaseRing):
         if self.m % 2 == 0:
             raise CapabilityError(f"2 is not invertible in {self.name}")
         return pow(2, -1, self.m)
-
-    def inv(self, a):
-        try:
-            return pow(a, -1, self.m)
-        except ValueError:
-            raise CapabilityError(f"{a} is not invertible in {self.name}") from None
 
     def mod2(self, a):
         if self.m % 2 == 1:

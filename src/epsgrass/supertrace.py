@@ -41,7 +41,7 @@ import random
 from itertools import permutations, product as iproduct
 from typing import NamedTuple, Sequence
 
-from .epsilon import CoeffRing, exp_map
+from .epsilon import CoeffRing, InternalError, exp_map
 from .grassmann import GrassAlgebra, GrassElem, word_parity_pairs
 from .hull import Matrix
 from .linalg import NoUnitPivot, SmithSolver
@@ -53,6 +53,7 @@ from .terms import (
     _render_term,
     _term_sort_key,
     add_term,
+    render_sum,
 )
 
 MAX_TRACE_ARITY = 6
@@ -61,10 +62,6 @@ MAX_TRACE_ARITY = 6
 class TraceArgumentError(ValueError):
     """A trace argument without letters at its own level (e.g. F(F(x)))
     is outside the reducible fragment."""
-
-
-class TraceInternalError(Exception):
-    """A certified linear-algebra contract was violated."""
 
 
 # -- the graded evaluation model -----------------------------------------
@@ -327,20 +324,10 @@ class StandardForm:
         return acc
 
     def render(self) -> str:
-        if not self.items:
-            return "0"
-        chunks = []
-        for t in sorted(self.items, key=_basis_term_key):
-            c = self.ring.render(self.items[t])
-            neg = c.startswith("-")
-            mag = c[1:] if neg else c
-            body = t.render()
-            piece = body if mag == "1" else f"{mag}*{body}"
-            if not chunks:
-                chunks.append(f"-{piece}" if neg else piece)
-            else:
-                chunks.append(f"- {piece}" if neg else f"+ {piece}")
-        return " ".join(chunks)
+        return render_sum(
+            (self.ring.render(self.items[t]), t.render())
+            for t in sorted(self.items, key=_basis_term_key)
+        )
 
     def __repr__(self):
         return f"StandardForm({self.render()})"
@@ -503,14 +490,14 @@ def _block_solver(outer: frozenset, parts: frozenset):
     exactly when its value leaves the rational span of the earlier ones;
     the kept candidates are the basis.  The elimination is a unimodular
     integer certificate, so the coordinates are valid over every base
-    ring; a block that offers no +-1 pivot raises ``TraceInternalError``."""
+    ring; a block that offers no +-1 pivot raises ``InternalError``."""
     key = (outer, parts)
     if key in _BLOCK_CACHE:
         return _BLOCK_CACHE[key]
     candidates: list = list(enumerate_block_basis(outer, parts))
     candidates.extend(enumerate_nested_monomials(outer, parts))
     if not candidates:
-        raise TraceInternalError(f"no basis candidates for block {key}")
+        raise InternalError(f"no basis candidates for block {key}")
     zz = IntegerRing()
     coeff = CoeffRing(zz)
     columns: dict = {}
@@ -526,7 +513,7 @@ def _block_solver(outer: frozenset, parts: frozenset):
     try:
         solver = SmithSolver(vectors, len(columns))
     except NoUnitPivot as err:
-        raise TraceInternalError(
+        raise InternalError(
             f"standard basis for block {key} is not unimodularly independent: {err}"
         ) from err
     basis = [candidates[k] for k in solver.kept]
@@ -558,13 +545,13 @@ def trace_normalize(f: TracePoly) -> StandardForm:
             for eps_key, c in poly.terms.items():
                 col = columns.get((mono_key, eps_key))
                 if col is None:
-                    raise TraceInternalError(
+                    raise InternalError(
                         "value outside the span of the standard basis"
                     )
                 vec[col] = c
         sol, ok = solver.solve(vec, ring)
         if not ok:
-            raise TraceInternalError("value not solvable in the standard basis")
+            raise InternalError("value not solvable in the standard basis")
         for term, c in zip(basis, sol):
             if not ring.is_zero(c):
                 items[term] = c
@@ -573,12 +560,12 @@ def trace_normalize(f: TracePoly) -> StandardForm:
             try:
                 check_standard_term(term, n)
             except ValueError as exc:
-                raise TraceInternalError(f"basis term is not standard: {exc}") from exc
+                raise InternalError(f"basis term is not standard: {exc}") from exc
         elif not (
             _monomial_irreducible(term.term)
             and sorted(term.letters()) == list(range(1, n + 1))
         ):
-            raise TraceInternalError(f"basis monomial {term.term} is not irreducible")
+            raise InternalError(f"basis monomial {term.term} is not irreducible")
     return StandardForm(ring, items)
 
 

@@ -14,6 +14,28 @@ from __future__ import annotations
 from .rings import BaseRing, RingMismatchError
 
 
+def render_sum(pieces) -> str:
+    """A signed sum such as ``x1 - 2*x2 + 3`` from (coefficient text,
+    body) pieces: a coefficient of 1 is left out before a nonempty body,
+    and a leading minus sign becomes the operator that joins the piece.
+    No piece renders as ``0``."""
+    chunks: list[str] = []
+    for text, body in pieces:
+        neg = text.startswith("-")
+        mag = text[1:] if neg else text
+        if body and mag == "1":
+            piece = body
+        elif body:
+            piece = f"{mag}*{body}"
+        else:
+            piece = mag
+        if not chunks:
+            chunks.append(f"-{piece}" if neg else piece)
+        else:
+            chunks.append(f"- {piece}" if neg else f"+ {piece}")
+    return " ".join(chunks) or "0"
+
+
 def add_term(ring, terms: dict, key, c, reduce=None) -> None:
     """terms[key] += c in place; a zero sum drops the key."""
     if key in terms:
@@ -228,26 +250,10 @@ class TracePoly:
         return n
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for term in sorted(self.terms, key=_term_sort_key):
-            c = self.terms[term]
-            text = self.ring.render(c)
-            neg = text.startswith("-")
-            mag = text[1:] if neg else text
-            body = _render_term(term)
-            if body and mag == "1":
-                piece = body
-            elif body:
-                piece = f"{mag}*{body}"
-            else:
-                piece = mag
-            if not chunks:
-                chunks.append(f"-{piece}" if neg else piece)
-            else:
-                chunks.append(f"- {piece}" if neg else f"+ {piece}")
-        return " ".join(chunks)
+        return render_sum(
+            (self.ring.render(self.terms[term]), _render_term(term))
+            for term in sorted(self.terms, key=_term_sort_key)
+        )
 
     def __repr__(self):
         return f"TracePoly({self.render()})"

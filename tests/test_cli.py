@@ -1,5 +1,6 @@
 import json
 import os
+from itertools import permutations
 import subprocess
 import sys
 
@@ -9,7 +10,6 @@ import epsgrass
 from epsgrass import cli
 from epsgrass.cli import main
 from epsgrass.comodule import InternalError
-from epsgrass.supertrace import TraceInternalError
 
 
 def run_cli(capsys, *argv):
@@ -247,7 +247,7 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "comodule_rank", fail(InternalError))
     code, _, err = run_cli(capsys, "comodule", "--n", "3")
     assert code == 4 and err.startswith("internal error: certificate check failed")
-    monkeypatch.setattr(cli, "trace_normalize", fail(TraceInternalError))
+    monkeypatch.setattr(cli, "trace_normalize", fail(InternalError))
     code, _, err = run_cli(capsys, "trace-check", "Tr(x1)")
     assert code == 4 and err.startswith("internal error: certificate check failed")
 
@@ -352,3 +352,30 @@ def test_cli_limits(capsys):
     assert code == 0 and out.startswith("complete system: yes")
     code, out, _ = run_cli(capsys, "check-identity", "0", "--vars", "1")
     assert code == 0 and out == "identity\n"
+
+
+def test_check_identity_of_long_sums(capsys):
+    # s_7, the signed sum of the 5040 orderings of x1..x7, is not an
+    # identity of the Grassmann algebra
+    terms = []
+    for p in permutations(range(1, 8)):
+        inversions = sum(a > b for i, a in enumerate(p) for b in p[i + 1 :])
+        terms.append(("- " if inversions % 2 else "+ ") + "*".join(f"x{i}" for i in p))
+    s7 = " ".join(terms)[2:]
+    assert run_cli(capsys, "check-identity", s7, "--vars", "7") == (1, "not an identity\n", "")
+    long_sum = " + ".join(["[[x1,x2],x3]"] * 1200)
+    assert run_cli(capsys, "check-identity", long_sum, "--vars", "3") == (0, "identity\n", "")
+
+
+def test_expression_bounds_exit_2(capsys):
+    from epsgrass.expr import MAX_INDEX, MAX_NESTING
+
+    deep = "(" * MAX_NESTING + "e1" + ")" * MAX_NESTING
+    assert run_cli(capsys, "normalize", deep) == (0, "([1]) * e1\n", "")
+    code, out, err = run_cli(capsys, "normalize", f"({deep})")
+    assert code == 2 and out == "" and err.startswith("error: more than")
+    code, out, _ = run_cli(capsys, "normalize", f"eps{MAX_INDEX}")
+    assert code == 0 and out == f"([1]*eps{MAX_INDEX})\n"
+    for expr in (f"eps{MAX_INDEX + 1}", "eps100000000000", "(1 + eps100000)*e100000*e1 + x100000"):
+        code, out, err = run_cli(capsys, "normalize", expr)
+        assert code == 2 and out == "" and "is above" in err, expr

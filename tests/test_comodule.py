@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -458,6 +460,18 @@ def test_normal_form_examples():
     # already standard
     g = to_ml(xvar(1) * xvar(2) * xvar(3), 3)
     assert grassmann_normal_form(g) == {SpanningTerm((1, 2, 3), ()): 1}
+
+
+def test_spanning_terms_survive_pickle_and_copy():
+    term = SpanningTerm((1, 3), (2, 4))
+    assert term.words  # the words built on first use travel with the term
+    for back in (pickle.loads(pickle.dumps(term)), copy.copy(term), copy.deepcopy(term)):
+        assert type(back) is SpanningTerm and back == term
+        assert (back.prefix, back.tail, back.words) == ((1, 3), (2, 4), term.words)
+    coords = grassmann_normal_form(to_ml(xvar(3) * xvar(1) * xvar(2), 3))
+    assert len(coords) > 1
+    assert pickle.loads(pickle.dumps(coords)) == coords == copy.copy(coords)
+    assert copy.deepcopy(coords) == coords
 
 
 def test_normal_form_idempotent(rng):

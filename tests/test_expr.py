@@ -2,6 +2,8 @@ import pytest
 
 from epsgrass import CoeffRing, GrassAlgebra, ZZ, commutator
 from epsgrass.expr import (
+    MAX_INDEX,
+    MAX_NESTING,
     ExprSyntaxError,
     compile_grass,
     compile_trace_poly,
@@ -38,6 +40,39 @@ def test_parse_errors_have_position():
         parse("[e1, e2")
     with pytest.raises(ExprSyntaxError):
         parse("ep1")
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("Tr(", ")"), ("[x1,", "]"), ("{x1,", "}")])
+def test_nesting_bound(opening, closing):
+    def nested(depth):
+        return opening * depth + "x2" + closing * depth
+
+    assert parse(nested(MAX_NESTING))
+    with pytest.raises(ExprSyntaxError, match=f"more than {MAX_NESTING} nested brackets"):
+        parse(nested(MAX_NESTING + 1))
+    with pytest.raises(ExprSyntaxError):
+        parse(nested(3000))
+
+
+@pytest.mark.parametrize("template", ["eps{}", "e{}", "x{}", "x1@{{2,{}}}"])
+def test_index_bound(template):
+    assert parse(template.format(MAX_INDEX))
+    with pytest.raises(ExprSyntaxError, match=f"index {MAX_INDEX + 1} is above {MAX_INDEX} at line 1, column 6"):
+        parse("e1 + " + template.format(MAX_INDEX + 1))
+    with pytest.raises(ExprSyntaxError, match="is above"):
+        parse(template.format(10**11))
+
+
+def test_long_chains_cost_no_recursion_depth():
+    ring = IntegerRing()
+    n = 3000
+    f = compile_trace_poly(parse(" + ".join(["x1*x2"] * n) + " - x2*x1"), ring)
+    assert f == (TracePoly.letter(ring, 1) * TracePoly.letter(ring, 2)).scale(n) - (
+        TracePoly.letter(ring, 2) * TracePoly.letter(ring, 1)
+    )
+    word = "*".join(["e1"] * n)
+    assert compile_grass(parse(f"{word} - {word}"), A).is_zero()
+    reject_trace(parse(" - ".join(["[x1,x2]"] * n)))
 
 
 def test_compile_grass_expressions():
