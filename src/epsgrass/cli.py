@@ -61,14 +61,15 @@ EXIT_PIPE = 141
 # The bounds of the integer options, checked before any work: command ->
 # [(option, name in messages, lowest, highest, flag or None)]; a
 # bound with a flag applies only when that flag is set.  The co-module
-# certificate reaches arity 12 in 1.7-1.9 s cold (BENCH_14.json), but the
+# certificate reaches arity 12 in 0.5-0.8 s cold (BENCH_16.json), but the
 # sign table behind signs and --dump-matrix holds n! rows (9-14 s at 8).
 # idempotents costs O(4^X) products (16 s over Q at --X 6); a witness
 # search that exhausts its attempts takes 7.5 s at --max-n 6.
 # check-identity runs at most one subset transform per maximal vertex
 # set of its monomials' inversion graphs, 2^n fields at n letters: the
 # budget is 10 s and 256 MB cold, for the reversed word xn*...*x1 and
-# for 50 seeded random permutations, which --vars 20 meets.
+# for 50 seeded random permutations, which --vars 20 meets: 3.1-5.5 s
+# at 151 MB and 4.8-7.0 s at 166 MB on a shared 2-vCPU VM (BENCH_16.json).
 CLI_LIMITS = {
     "comodule": [
         ("n", "arity", 1, MAX_COMODULE_ARITY, None),

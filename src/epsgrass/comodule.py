@@ -7,8 +7,9 @@ identity ideal of the twisted Grassmann algebra: f(e_1, ..., e_n) =
 psi(f)*e_1...e_n, so f is an identity iff psi(f) = 0.  The sign image
 psi(f) = sum of a_s*esgn(s) sums the exps of the inversion graphs with
 no esgn and no algebra product: one subset transform per maximal set of
-inverted letters (``epsilon._sum_exps``), fed parity words read straight
-off the permutations; ``is_identity`` tests its int sums in the ring.
+inverted letters (``epsilon._sum_exps``), fed parity words read off the
+permutations in one pass per chunk of the set's XOR tables
+(``_inversion_parity``); ``is_identity`` tests its int sums in the ring.
 
 The generalized signs span a free module of rank 2^(n-1).  The sign
 images B of an explicit spanning set (ascending prefix times
@@ -34,9 +35,11 @@ from .rings import BaseRing, IntegerRing, RingMismatchError
 from .terms import TracePoly, add_term, add_terms, scale_terms
 from . import epsilon
 
-# The largest arity whose co-module certificate runs cold within 30 s:
-# `comodule --n 11` takes 0.7-0.9 s and n = 12 takes 1.7-1.9 s at 19 MB
-# peak RSS on a shared 2-vCPU VM (BENCH_14.json); n = 13 was not measured.
+# The largest arity of the co-module certificate, whose budget is 30 s
+# cold.  On a shared 2-vCPU VM (BENCH_16.json), `comodule --n 11` takes
+# 0.26-0.44 s and n = 12 takes 0.51-0.77 s at 19 MB peak RSS;
+# ``comodule_rank`` alone, with the bound lifted in a fresh process,
+# takes 0.40-0.75 s at n = 12 and 1.09-1.97 s at 21 MB at n = 13.
 MAX_COMODULE_ARITY = 12
 # ``epsgrass signs`` and ``matrix_dump`` list all n! signs of S_n.
 MAX_SIGN_TABLE_ARITY = 8
@@ -178,35 +181,107 @@ def _inversion_graph(sigma: Sequence[int]) -> list[tuple[int, int]]:
     return [(b, a) for k, a in enumerate(sigma) for b in sigma[k + 1:] if b < a]
 
 
-def _inversion_parity(at: dict, sigma: Sequence[int]) -> int:
-    """The parity word of sigma's inversion graph, read off sigma: the XOR
-    over letters b of at[b] & (the XOR of at[a] over earlier a > b).  A
-    letter outside ``at`` is in no inversion."""
-    parity = 0
-    earlier = []  # (a, at[a])
-    for b in sigma:
-        mb = at.get(b)
-        if mb is not None:
-            above = 0
-            for a, ma in earlier:
-                if a > b:
-                    above ^= ma
-            parity ^= mb & above
-            earlier.append((b, mb))
+# The XOR tables of one group of permutations cover chunks of at most
+# _TABLE_WIDTH vertices, and add at most _TABLE_BYTES bytes of parity
+# words to the field masks: a group of 20 letters gets chunks of one
+# vertex, whose tables are the field masks themselves.  With 1 MB, the
+# tables of 14 letters raised the peak memory of check-identity on the
+# nested commutator of 14 letters above what the list of field values
+# needs.
+_TABLE_WIDTH = 8
+_TABLE_BYTES = 1 << 19
+
+
+def _inversion_parity(vertices: tuple, masks: list, word_bytes: int):
+    """The parity words of the inversion graphs of permutations whose
+    inverted letters lie in ``vertices``: field T holds the number of
+    inversions inside T mod 2, the XOR over the inversions a > b, a
+    before b, of at[a] & at[b], at[v] the field mask of v.
+
+    The vertices, in increasing order, are cut into the fewest chunks of
+    about equal size whose tables fit the budget, and each chunk gets a
+    table: the XOR of the masks over each subset of it.  One pass over
+    sigma per chunk takes the inversions whose larger letter a is in the
+    chunk.  It keeps the set ``seen`` of the chunk's letters passed, and
+    at each letter b of the chunk XORs at[b] & table[the letters of
+    ``seen`` above b] into the word: one table read per letter, and one
+    pass when one chunk covers the vertices, as it does up to 8 of them.
+    The letters of earlier chunks are below all of ``seen``, so their
+    masks are XORed together until ``seen`` grows and then take one
+    table read for the lot; at one vertex per chunk that is one XOR per
+    inversion, as many as a loop over the earlier letters.  A letter
+    outside ``vertices`` is in no inversion."""
+    k = len(vertices)
+    count = -(-k // _TABLE_WIDTH)
+    while count < k and _table_words(_chunks(k, count)) * word_bytes > _TABLE_BYTES:
+        count += 1
+    passes = []  # per chunk: {letter: (at[letter], its bit or 0, the chunk after it)}, table
+    for lo, hi in _chunks(k, count):
+        table = [0]
+        for m in masks[lo:hi]:
+            table += [m, *(t ^ m for t in table[1:])]  # m itself, not a copy
+        full = (1 << hi - lo) - 1
+        letter = {v: (m, 0, 0) for v, m in zip(vertices[:lo], masks)}
+        for p in range(lo, hi):
+            letter[vertices[p]] = (masks[p], 1 << p - lo, full & -(2 << p - lo))
+        passes.append((letter, table))
+
+    def parity(sigma: Sequence[int]) -> int:
+        word = 0
+        for letter, table in passes:
+            seen = pending = 0  # pending: the XOR of at[b] over earlier chunks' b
+            for b in sigma:
+                got = letter.get(b)
+                if got is not None:
+                    m, bit, after = got
+                    if bit:
+                        s = seen & after
+                        if s:
+                            word ^= m & table[s]
+                        if pending:
+                            word ^= pending & table[seen]
+                            pending = 0
+                        seen |= bit
+                    elif seen:
+                        pending = pending ^ m if pending else m
+            if pending:
+                word ^= pending & table[seen]
+        return word
+
     return parity
 
 
+def _chunks(k: int, count: int) -> list:
+    """The (first, end) positions of ``count`` chunks of k positions whose
+    sizes differ by at most one."""
+    return [(k * i // count, k * (i + 1) // count) for i in range(count)]
+
+
+def _table_words(chunks: list) -> int:
+    """The XORs of two or more masks in the tables of the chunks: 2^c - 1 - c
+    for a chunk of c vertices."""
+    return sum((1 << hi - lo) - 1 - (hi - lo) for lo, hi in chunks)
+
+
 def _sign_sum(f: MultilinearPoly) -> tuple:
-    """(acc, den) of psi(f), by ``epsilon._sum_exps``.  A letter k is in no
-    inversion iff sigma holds 1..k in its first k places, k in place k."""
-    items = []
+    """(acc, den) of psi(f), by ``epsilon._sum_exps``."""
+    return epsilon._sum_exps(_support_items(f), _inversion_graph, _inversion_parity)
+
+
+def _support_items(f: MultilinearPoly) -> Iterator[tuple]:
+    """(the mask of the letters in an inversion, perm, c) per monomial.  A
+    letter k is in no inversion iff sigma holds 1..k in its first k
+    places, k in place k: iff k is both the letter and the running
+    maximum at place k."""
+    full = (2 << f.n) - 2
     for perm, c in f.coeffs.items():
-        support = (2 << f.n) - 2
+        support, top = full, 0
         for k, a in enumerate(perm, 1):
-            if a == k and max(perm[:k]) == k:
-                support ^= 1 << k
-        items.append((support, perm, c))
-    return epsilon._sum_exps(items, _inversion_graph, _inversion_parity)
+            if a > top:
+                top = a
+                if a == k:
+                    support ^= 1 << k
+        yield support, perm, c
 
 
 def psi(f: MultilinearPoly) -> EpsPoly:
@@ -224,6 +299,22 @@ def sign_act(pi: Sequence[int], lam: EpsPoly, n: int | None = None) -> EpsPoly:
         raise ValueError(f"{pi} is not a permutation of 1..{n}")
     pmap = {i + 1: pi[i] for i in range(n)}
     return exp_map(lam.ring, _inversion_graph(pi)) * epsilon.phi_sigma(pmap, lam)
+
+
+def _adjacent_act(k: int, b: EpsPoly) -> EpsPoly:
+    """sign_act(s_k, b) for s_k = (k k+1), over Z, in one pass over b's
+    masks: swap eps_k and eps_(k+1), then multiply by 1 - eps_k*eps_(k+1),
+    the exp of s_k's one inversion."""
+    pair = 3 << k
+    out: dict = {}
+    for m, c in b.terms.items():
+        if m >> k & 1 != m >> k + 1 & 1:
+            m ^= pair
+        t = (m & 1) + (m & pair).bit_count()  # theta degree of m*eps_k*eps_(k+1)
+        prod = m & ~1 | pair | t & 1
+        out[m] = out.get(m, 0) + c
+        out[prod] = out.get(prod, 0) - (c << (t >> 1))
+    return EpsPoly(b.ring, {m: c for m, c in out.items() if c})
 
 
 def _sign_rows(n: int, cols: list) -> Iterator[list[int]]:
@@ -427,7 +518,8 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
     (a) B is unitriangular (``freeness_certificate``), so it has an
         all-ones Smith diagonal and spans a direct summand of rank 2^(n-1);
     (b') 1 and sign_act(s_k, b), for every adjacent transposition
-        s_k = (k k+1) and every row b of B, reduce to zero against B.
+        s_k = (k k+1) and every row b of B, reduce to zero against B;
+        ``_adjacent_act`` takes sign_act(s_k, b) in closed form.
 
     By the cocycle law, A_sigma(lam) = esgn(sigma)*phi_sigma(lam) is a
     Z-linear action of S_n on C[eps] (``sign_act``) with A_sigma(1) the
@@ -444,9 +536,8 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
     if _reduce(rows, CoeffRing(IntegerRing()).one())[1]:  # (b')
         raise InternalError("1 is outside the spanning set's span")
     for k in range(1, n):
-        s_k = tuple(range(1, k)) + (k + 1, k) + tuple(range(k + 2, n + 1))
         for b in rows.values():
-            if _reduce(rows, sign_act(s_k, b, n))[1]:
+            if _reduce(rows, _adjacent_act(k, b))[1]:
                 raise InternalError(
                     f"the spanning set's span is not stable under s_{k}: "
                     f"{b.render()} leaves it"

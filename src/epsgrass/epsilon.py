@@ -22,7 +22,9 @@ Z/m, Fractions for Q) and reduce once per output monomial through
 ``from_int``.  ``exp_sum``, and ``psi`` in ``comodule``, add up many
 exps with no product at all: one subset transform per maximal vertex
 set, fed a packed parity word per exp, from its edges or straight from
-a permutation.
+a permutation through XOR tables built once per vertex set.  A vertex
+set with few or sparse graphs expands them instead, as long as that,
+fixed costs included, stays under half the transform.
 """
 
 from __future__ import annotations
@@ -377,21 +379,32 @@ def _field_masks(k: int, nbytes: int) -> tuple:
     return got
 
 
-def _edge_parity(at: dict, edges: list) -> int:
-    """The parity word of exp(E): field T holds e(T) mod 2, the number of
-    pairs of E inside T, the XOR of the pairs' masks."""
-    parity = 0
-    for a, b in edges:
-        parity ^= at[a] & at[b]
+def _edge_parity(vertices: tuple, masks: list, word_bytes: int):
+    """The parity words of pair lists on ``vertices``: field T of exp(E)'s
+    word holds e(T) mod 2, the number of pairs of E inside T, the XOR of
+    the pairs' masks at[a] & at[b]."""
+    at = dict(zip(vertices, masks))
+
+    def parity(edges: list) -> int:
+        word = 0
+        for a, b in edges:
+            word ^= at[a] & at[b]
+        return word
+
     return parity
 
 
 def _add_subset_image(acc: dict, vertices: tuple, members: list, parity_of) -> None:
     """acc[mask] += the coefficients of sum c*exp(E_x) over the (x, c)
     members, whose graphs all lie on ``vertices``; ints only.
-    ``parity_of(at, x)`` is x's parity word, whose field T holds e(T) mod
-    2, from at[v], the mask of the fields T that contain v."""
-    size = 1 << len(vertices)
+
+    Every exp is evaluated on all the characters at once: its parity word
+    has a field per subset T of the vertices, which holds e(T) mod 2.
+    ``parity_of(vertices, masks, word_bytes)`` returns the map from x to
+    its parity word, given the masks of the fields T that contain each
+    vertex and the size of a word in bytes, so it can build its tables
+    once per group."""
+    k = len(vertices)
     total = negative = 0
     for _, c in members:
         total += c
@@ -399,24 +412,25 @@ def _add_subset_image(acc: dict, vertices: tuple, members: list, parity_of) -> N
             negative -= c
     base = total + 2 * negative  # sum |c|, the largest field value
     nbytes = base.bit_length() + 7 >> 3
-    masks, ones = _field_masks(len(vertices), nbytes)
-    at = dict(zip(vertices, masks))
+    masks, ones = _field_masks(k, nbytes)
+    parity = parity_of(vertices, masks, nbytes << k)
     # Scattering c into the set fields of a parity word is one multiply; a
     # negative c scatters |c| into the clear fields, so no field goes
     # below 0 or above sum |c|.
     packed = 0
     for x, c in members:
-        parity = parity_of(at, x)
-        packed += c * parity if c > 0 else -c * (parity ^ ones)
+        word = parity(x)
+        packed += c * word if c > 0 else -c * (word ^ ones)
+    del masks, parity  # the parity tables go before the fields are read out
     # g(T) = sum c*(-1)^e(T) = sum c - 2 * (sum of c over the odd e(T)),
     # and that sum is field T minus ``negative``
-    data = packed.to_bytes(size * nbytes, "little")
+    data = packed.to_bytes(nbytes << k, "little")
     g = [
         base - 2 * int.from_bytes(data[i:i + nbytes], "little")
         for i in range(0, len(data), nbytes)
     ]
     # Moebius transform: x(S) = sum over T in S of (-1)^(|S|-|T|) g(T)
-    run = 1
+    size, run = 1 << k, 1
     while run < size:
         for lo in range(run, size, 2 * run):
             for s in range(lo, lo + run):
@@ -424,7 +438,7 @@ def _add_subset_image(acc: dict, vertices: tuple, members: list, parity_of) -> N
         run *= 2
     # the eps mask of subset S is low[S's first half] | high[the rest]:
     # two tables of 2^(k/2) masks, not one of 2^k
-    half = len(vertices) // 2
+    half = k // 2
     low, high = [0], [0]
     for v in vertices[:half]:
         low += [m | 1 << v for m in low]
@@ -443,7 +457,14 @@ def _add_subset_image(acc: dict, vertices: tuple, members: list, parity_of) -> N
             acc[m] = acc[m] + q if m in acc else q
 
 
-def _sum_exps(items: list, edges_of, parity_of) -> tuple:
+# What expanding one exp costs besides the terms it visits (building its
+# pair list, reducing and sorting it, adding the result), in term visits.
+# psi of the comodule and identities bench inputs ran fastest from about
+# 16 up (timed at 0, 8, 12, 16, 24, 32 and 48).
+_EXPAND_COST = 24
+
+
+def _sum_exps(items: Iterable, edges_of, parity_of) -> tuple:
     """(acc, den): acc maps each mask to den times its coefficient in the
     sum of c*exp(E_x) over the (support, x, c) items, den the lcm of the
     denominators.  E_x is the pairs ``edges_of(x)`` on the vertices of the
@@ -452,14 +473,20 @@ def _sum_exps(items: list, edges_of, parity_of) -> tuple:
     Supports of k vertices, largest first, join the first group whose
     vertex set holds them and has at most max(k + 2, 10) vertices, or
     start one (merged into a sparse 18-letter group, 200 permutations of
-    letters 1-12 took 1.06 s, not 0.08 s).  A group expands its items,
-    smallest supports first, until that has cost half of the transform of
-    its vertex set, k*2^(k-1) steps on k vertices, and transforms the rest.
+    letters 1-12 took 1.06 s, not 0.08 s).  A group of k vertices has a
+    budget of half its transform, k*2^(k-1) steps, in term visits, and
+    first charges it the fixed cost of expanding every item,
+    ``_EXPAND_COST`` each.  It then expands its items, smallest supports
+    first, each charged the terms it visits, and transforms the rest once
+    an expansion overruns the budget.  So a group of more items than the
+    budget pays for expands none, and a single sparse graph on many
+    letters is expanded.
     """
+    items = sorted(items, key=lambda item: item[0].bit_count(), reverse=True)
     den = lcm(*(c.denominator for _, _, c in items))
     groups: dict = {}  # the support of a group -> its [(x, int coefficient)]
     owner: dict = {}  # support -> the support of its group
-    for support, x, c in sorted(items, key=lambda item: item[0].bit_count(), reverse=True):
+    for support, x, c in items:
         if support not in owner:
             reach = max(support.bit_count() + 2, 10)
             owner[support] = next(
@@ -467,13 +494,16 @@ def _sum_exps(items: list, edges_of, parity_of) -> tuple:
                 support,
             )
         groups.setdefault(owner[support], []).append((x, c.numerator * (den // c.denominator)))
+    del items  # the items go before the transforms
     acc: dict = {}  # mask -> int
     for top, members in groups.items():
         vertices = monomial_key(top)[1]
-        budget = len(vertices) << len(vertices) >> 2
+        budget = (len(vertices) << len(vertices) >> 2) - len(members) * _EXPAND_COST
         members.reverse()
         for index, (x, c) in enumerate(members):
-            poly, budget = _expand(edges_of(x), budget)
+            poly = None
+            if budget >= 0:
+                poly, budget = _expand(edges_of(x), budget)
             if poly is None:
                 _add_subset_image(acc, vertices, members[index:], parity_of)
                 break
@@ -499,7 +529,8 @@ def exp_sum(ring: CoeffRing, items: Iterable) -> EpsPoly:
 
     ``_sum_exps`` evaluates every exp on all the characters at once, in
     one int with a field per T, and runs one Moebius transform per
-    maximal vertex set, after expanding the small or sparse graphs.  The
+    maximal vertex set, unless expanding the small or sparse graphs, a
+    fixed cost each plus the terms visited, is cheaper.  The
     coefficients accumulate as ints and map into the ring once.
     """
     members = []

@@ -378,14 +378,26 @@ def test_comodule_rank_rejects_span_missing_one(monkeypatch):
 
 
 def test_comodule_rank_rejects_a_wrong_twist(monkeypatch):
-    # without its factor esgn(pi), the action moves rows out of span(B)
-    def untwisted(pi, lam, n):
-        return epsilon.phi_sigma(dict(zip(range(1, n + 1), pi)), lam)
+    # without its factor esgn(s_k) = 1 - eps_k*eps_(k+1), the action of s_k
+    # is the bare renaming phi, which moves rows out of span(B)
+    def untwisted(k, b):
+        return epsilon.phi_sigma({k: k + 1, k + 1: k}, b)
 
-    monkeypatch.setattr(comodule, "sign_act", untwisted)
+    monkeypatch.setattr(comodule, "_adjacent_act", untwisted)
     monkeypatch.setattr(comodule, "_RANK_CACHE", {})
     with pytest.raises(InternalError, match="not stable under s_1"):
         comodule_rank(4, ZZ)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_adjacent_act_is_sign_act(n):
+    # the closed form of check (b') against the generic twisted action, on
+    # every spanning row and every adjacent transposition
+    rows = comodule._spanning_rows(n)[1]
+    for k in range(1, n):
+        s_k = tuple(range(1, k)) + (k + 1, k) + tuple(range(k + 2, n + 1))
+        for b in rows.values():
+            assert comodule._adjacent_act(k, b) == sign_act(s_k, b, n), (k, b)
 
 
 def test_stability_check_survives_optimize():

@@ -13,7 +13,7 @@ from itertools import permutations
 
 import pytest
 
-from epsgrass import GF, QQ, ZZ, CoeffRing, ModRing, epsilon, esgn
+from epsgrass import GF, QQ, ZZ, CoeffRing, ModRing, comodule, epsilon, esgn
 from epsgrass.comodule import MultilinearPoly, is_identity, psi, spanning_terms, unit_words
 from epsgrass.epsilon import exp_sum
 
@@ -94,8 +94,8 @@ def test_subset_transform_matches_products_of_binomials():
 
 @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
 def test_exp_sum_of_many_graphs_on_one_vertex_set(ring):
-    # enough items per vertex set that some are expanded and the rest
-    # go through the transform
+    # 40 items on 6 vertices: more than the budget of the vertex set can
+    # pay the fixed cost of expanding, so all go through the transform
     rng = random.Random(44)
     coeff = CoeffRing(ring)
     supports = [frozenset({k}) for k in range(1, 7)]
@@ -282,6 +282,21 @@ def transforms(monkeypatch) -> list:
     return sizes
 
 
+def expansions(monkeypatch) -> list:
+    """The pair lists expanded in full from here on."""
+    done = []
+    expand = epsilon._expand
+
+    def counted(pairs, budget=float("inf")):
+        poly, left = expand(pairs, budget)
+        if poly is not None:
+            done.append(pairs)
+        return poly, left
+
+    monkeypatch.setattr(epsilon, "_expand", counted)
+    return done
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
 def test_psi_at_arities_8_to_10_matches_esgn_and_oracle(monkeypatch, ring):
     # many permutations whose sets of inverted letters nest, so groups
@@ -315,6 +330,7 @@ def test_psi_of_a_normal_form_input_runs_one_transform(monkeypatch):
     # the shape of an arity-7 normal-form query: every spanning term with a
     # coefficient, plus consequences of [[x,y],z], whose psi is 0
     sizes = transforms(monkeypatch)
+    expanded = expansions(monkeypatch)
     rng = random.Random(71)
     coeffs: dict = {}
     for term in spanning_terms(7):
@@ -330,6 +346,9 @@ def test_psi_of_a_normal_form_input_runs_one_transform(monkeypatch):
     assert len(f.coeffs) > 200
     assert keyed(psi(f)) == rows
     assert sizes == [7]
+    # its words are more than the budget of 7 vertices can pay the fixed
+    # cost of expanding: none is expanded before the transform
+    assert expanded == []
 
 
 def shuffled_blocks(rng, n, blocks, count):
@@ -419,3 +438,122 @@ def test_non_divisible_character_sum_raises_under_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("raised: character sum -2 on (1, 2, 3) is not divisible by 2^2")
+
+
+def full_support_perms(rng, n, count) -> list:
+    """count distinct permutations of 1..n with every letter in an
+    inversion: no prefix of k < n places holds 1..k."""
+    out: set = set()
+    while len(out) < count:
+        sigma = list(range(1, n + 1))
+        rng.shuffle(sigma)
+        if all(max(sigma[:k]) > k for k in range(1, n)):
+            out.add(tuple(sigma))
+    return sorted(out)
+
+
+def in_ring_coefficient(ring, c):
+    return c if ring is QQ else ring.from_int(c)
+
+
+def oracle_psi(ring, f: MultilinearPoly) -> dict:
+    """psi(f) by the closed form of each exp, over Z (Q for QQ) and then
+    reduced into the ring."""
+    return in_ring(ring, sum_of_exps(MultilinearPoly(f.n, QQ if ring is QQ else ZZ, f.coeffs)))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8])
+def test_inversion_parity_words_at_every_table_width(monkeypatch, width):
+    # the table-driven parity word against its definition: the XOR over
+    # the inversions a > b inside the vertex set of at[a] & at[b]; letters
+    # outside the vertex set are skipped
+    monkeypatch.setattr(comodule, "_TABLE_WIDTH", width)
+    rng = random.Random(103)
+    for k in range(13):
+        vertices = tuple(sorted(rng.sample(range(1, 15), k)))
+        masks, _ = epsilon._field_masks(k, 1)
+        at = dict(zip(vertices, masks))
+        parity = comodule._inversion_parity(vertices, masks, 1 << k)
+        for _ in range(6):
+            sigma = list(range(1, 15))
+            rng.shuffle(sigma)
+            want = 0
+            for i, a in enumerate(sigma):
+                for b in sigma[i + 1:]:
+                    if a > b and a in at and b in at:
+                        want ^= at[a] & at[b]
+            assert parity(sigma) == want, (vertices, sigma)
+
+
+@pytest.mark.parametrize("total", [255, 256, 65535, 65536])
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=["Z", "Q"])
+def test_psi_at_the_field_width_edges(monkeypatch, ring, total):
+    # sum |c| = 255 fills a field of one byte and 256 takes two; 65535 and
+    # 65536 likewise for two and three.  Over Q the coefficients are
+    # sixths, so the scaled ints reach the edge.  Mixed signs, then all
+    # negative: a negative c scatters |c| into the clear fields.
+    widths = []
+    field_masks = epsilon._field_masks
+
+    def recorded(k, nbytes):
+        widths.append(nbytes)
+        return field_masks(k, nbytes)
+
+    monkeypatch.setattr(epsilon, "_field_masks", recorded)
+    sizes = transforms(monkeypatch)
+    rng = random.Random(total)
+    perms = full_support_perms(rng, 6, 40)
+    parts = [total // 40] * 40
+    parts[-1] = 1  # a sixth in lowest terms, so the common denominator is 6
+    parts[0] += total - sum(parts)
+    for signs in ([rng.choice((1, -1)) for _ in parts], [-1] * 40):
+        coeffs = {
+            sigma: Fraction(s * part, 6) if ring is QQ else s * part
+            for sigma, s, part in zip(perms, signs, parts)
+        }
+        f = MultilinearPoly(6, ring, coeffs)
+        assert keyed(psi(f)) == oracle_psi(ring, f)
+    assert sizes == [6, 6]
+    assert widths == [(total.bit_length() + 7) // 8] * 2
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_psi_on_9_to_12_letters_with_chunked_tables(monkeypatch, ring):
+    # one group per input on all n letters, whose tables are cut into
+    # chunks: 8 + 1 vertices at 9 and 7 + 5 at 12
+    sizes = transforms(monkeypatch)
+    rng = random.Random(97)
+    for n, count in ((9, 24), (10, 16), (11, 10), (12, 6)):
+        coeffs = {}
+        for sigma in full_support_perms(rng, n, count):
+            c = in_ring_coefficient(ring, sample_coefficient(rng, ring))
+            if not ring.is_zero(c):
+                coeffs[sigma] = c
+        f = MultilinearPoly(n, ring, coeffs)
+        got = psi(f)
+        assert keyed(got) == oracle_psi(ring, f)
+        assert is_identity(f) == got.is_zero()
+    assert set(sizes) == {9, 10, 11, 12}
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_psi_of_a_group_both_expanded_and_transformed(monkeypatch, ring):
+    # five adjacent transpositions join the group of twelve dense
+    # permutations of 10 letters; the budget pays to expand them, smallest
+    # support first, and the first dense graph overruns it, so the dense
+    # ones go through the transform
+    sizes = transforms(monkeypatch)
+    expanded = expansions(monkeypatch)
+    rng = random.Random(101)
+    coeffs = {}
+    for k in range(1, 10, 2):
+        sigma = list(range(1, 11))
+        sigma[k - 1], sigma[k] = k + 1, k
+        coeffs[tuple(sigma)] = sample_coefficient(rng, ring)
+    for sigma in full_support_perms(rng, 10, 12):
+        coeffs[sigma] = sample_coefficient(rng, ring)
+    coeffs = {w: in_ring_coefficient(ring, c) for w, c in coeffs.items()}
+    f = MultilinearPoly(10, ring, {w: c for w, c in coeffs.items() if not ring.is_zero(c)})
+    assert keyed(psi(f)) == oracle_psi(ring, f)
+    assert sizes == [10]
+    assert sorted(map(len, expanded)) == [1] * 5
