@@ -61,8 +61,9 @@ EXIT_PIPE = 141
 # The bounds of the integer options, checked before any work: command ->
 # [(option, name in messages, lowest, highest, flag or None)]; a
 # bound with a flag applies only when that flag is set.  The co-module
-# certificate reaches arity 12 in 0.5-0.8 s cold (BENCH_16.json), but the
-# sign table behind signs and --dump-matrix holds n! rows (9-14 s at 8).
+# certificate reaches arity 15 in 9.9-13.7 s cold (33-37 s at 16, see
+# comodule.MAX_COMODULE_ARITY), but the sign table behind signs and
+# --dump-matrix holds n! rows (9-14 s at 8).
 # idempotents costs O(4^X) products (16 s over Q at --X 6); a witness
 # search that exhausts its attempts takes 7.5 s at --max-n 6.
 # check-identity runs at most one subset transform per maximal vertex
@@ -165,7 +166,7 @@ def _run(args) -> int:
 
     if command == "normalize":
         algebra = GrassAlgebra(CoeffRing(ring), truncated=args.truncated)
-        elem = compile_grass(tree, algebra, vars_as_generators=True)
+        elem = compile_grass(tree, algebra)
         text = elem.render()
         _report(args, ring, text, {"expr": elem.render_expr(), "zero": elem.is_zero()}, [text])
         return EXIT_OK
@@ -180,14 +181,14 @@ def _run(args) -> int:
 
     if command == "comodule":
         rank = comodule_rank(args.n, ring)
-        free = freeness_certificate(args.n)
+        free = freeness_certificate(args.n)  # True, or InternalError
         basis = [t.render() for t in spanning_terms(args.n)]
-        lines = [f"rank {rank}", f"free: {'yes' if free else 'no'}", "basis:"]
+        lines = [f"rank {rank}", "free: yes", "basis:"]
         lines.extend(f"  {b}" for b in basis)
         if args.dump_matrix:
             lines = chain(lines, matrix_dump(args.n))
         _report(args, ring, rank, {"free": free, "basis": basis, "n": args.n}, lines)
-        return EXIT_OK if free else EXIT_NEGATIVE
+        return EXIT_OK
 
     if command == "signs":
         # rows are rendered one at a time: text prints each as it comes,

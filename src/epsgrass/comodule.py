@@ -36,11 +36,11 @@ from .terms import TracePoly, add_term, add_terms, scale_terms
 from . import epsilon
 
 # The largest arity of the co-module certificate, whose budget is 30 s
-# cold.  On a shared 2-vCPU VM (BENCH_16.json), `comodule --n 11` takes
-# 0.26-0.44 s and n = 12 takes 0.51-0.77 s at 19 MB peak RSS;
-# ``comodule_rank`` alone, with the bound lifted in a fresh process,
-# takes 0.40-0.75 s at n = 12 and 1.09-1.97 s at 21 MB at n = 13.
-MAX_COMODULE_ARITY = 12
+# cold.  On a shared 2-vCPU VM whose speed toggles, `comodule --n` takes
+# 0.62-0.93 s at n = 12 (19 MB peak RSS), 1.3-1.9 s at 13 (24 MB),
+# 3.5-3.7 s at 14 (36 MB) and 9.9-13.7 s at 15 (64 MB); with the bound
+# lifted, n = 16 takes 33-37 s at 134 MB, past the budget.
+MAX_COMODULE_ARITY = 15
 # ``epsgrass signs`` and ``matrix_dump`` list all n! signs of S_n.
 MAX_SIGN_TABLE_ARITY = 8
 
@@ -497,12 +497,14 @@ def _reduce(rows: dict, p: EpsPoly) -> tuple[dict, dict]:
 def freeness_certificate(n: int) -> bool:
     """Check (a): the 2^(n-1) spanning rows B are unitriangular on the
     columns eps_T, |T| even, ordered by inclusion, so B has an all-ones
-    Smith diagonal over every base ring.  A failure raises
+    Smith diagonal over every base ring.  Returns True; a failure raises
     ``InternalError``."""
     if not 1 <= n <= MAX_COMODULE_ARITY:
         raise ValueError(f"arity must be between 1 and {MAX_COMODULE_ARITY}")
     terms, rows = _spanning_rows(n)
-    return len(rows) == len(terms) == 2 ** (n - 1)
+    if not len(rows) == len(terms) == 2 ** (n - 1):
+        raise InternalError(f"spanning set at arity {n} is not certified free")
+    return True
 
 
 _RANK_CACHE: dict = {}
@@ -530,8 +532,7 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
     """
     if n in _RANK_CACHE:
         return _RANK_CACHE[n]
-    if not freeness_certificate(n):  # (a); rejects an arity out of range
-        raise InternalError(f"spanning set at arity {n} is not certified free")
+    freeness_certificate(n)  # (a); rejects an arity out of range
     rows = _spanning_rows(n)[1]
     if _reduce(rows, CoeffRing(IntegerRing()).one())[1]:  # (b')
         raise InternalError("1 is outside the spanning set's span")
@@ -555,8 +556,7 @@ def grassmann_normal_form(f: MultilinearPoly) -> dict[SpanningTerm, object]:
     f - sum c_B B is an identity.
     """
     ring = f.ring
-    if not freeness_certificate(f.n):
-        raise InternalError(f"spanning set at arity {f.n} is not certified free")
+    freeness_certificate(f.n)
     terms, rows = _spanning_rows(f.n)
     found, left = _reduce(rows, psi(f))
     if left:

@@ -215,10 +215,9 @@ def _evaluate(node, leaf):
     return value
 
 
-def compile_grass(node, algebra: GrassAlgebra, vars_as_generators: bool = False) -> GrassElem:
-    """Evaluate an expression to an algebra element.  Formal variables
-    x<k> are admitted only when vars_as_generators is set (they then
-    denote e<k>)."""
+def compile_grass(node, algebra: GrassAlgebra) -> GrassElem:
+    """Evaluate an expression to an algebra element; a formal variable
+    x<k> denotes the generator e<k>."""
 
     def leaf(node):
         op = node[0]
@@ -233,8 +232,6 @@ def compile_grass(node, algebra: GrassAlgebra, vars_as_generators: bool = False)
         if op == "neg":
             return -_evaluate(node[1], leaf)
         if op == "var":
-            if not vars_as_generators:
-                raise ValueError("formal variables x<k> are not allowed here")
             if node[2] is not None:
                 raise ValueError("grade annotations are not supported here")
             return algebra.gen(node[1])

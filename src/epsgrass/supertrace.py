@@ -82,24 +82,14 @@ class TraceArgumentError(ValueError):
 # to one list per term, which a single ``exp_map`` expands.
 
 
-def _sorted_insert(traces: tuple, word: tuple, pairs: list) -> tuple:
-    """Insert a trace word arriving from the right end; swapping two
-    trace values costs exp(eps_v eps_v'), whose pairs go to ``pairs``."""
-    pos = len(traces)
-    while pos > 0 and traces[pos - 1] > word:
-        pairs.extend(word_parity_pairs(traces[pos - 1], word))
-        pos -= 1
-    return traces[:pos] + (word,) + traces[pos:]
-
-
-def _sorted_insert_left(traces: tuple, word: tuple, pairs: list) -> tuple:
-    """Insert a trace word arriving from the left end; the swaps'
-    pairs go to ``pairs``."""
-    pos = 0
-    while pos < len(traces) and traces[pos] < word:
-        pairs.extend(word_parity_pairs(word, traces[pos]))
-        pos += 1
-    return traces[:pos] + (word,) + traces[pos:]
+def _sorted_traces(traces: tuple, pairs: list) -> tuple:
+    """Sort trace values; each inversion a > b costs exp(eps_a eps_b),
+    whose pairs go to ``pairs``."""
+    for k, a in enumerate(traces):
+        for b in traces[k + 1 :]:
+            if a > b:
+                pairs.extend(word_parity_pairs(a, b))
+    return tuple(sorted(traces))
 
 
 def _canonical_rotation(word: tuple, pairs: list) -> tuple:
@@ -134,10 +124,9 @@ def _model_monomial(term: tuple, pairs: list) -> tuple:
                 "trace argument has no letters at its own nesting level"
             )
         # Tr(arg * inner) = Tr(arg) * inner: the fresh trace value sits
-        # to the left of the inner ones, which then join the outer ones
-        inner = _sorted_insert_left(inner, _canonical_rotation(arg, pairs), pairs)
-        for v in inner:
-            traces = _sorted_insert(traces, v, pairs)
+        # between the outer trace values and the inner ones
+        rotated = _canonical_rotation(arg, pairs)
+        traces = _sorted_traces(traces + (rotated,) + inner, pairs)
     return w0, traces
 
 
@@ -217,24 +206,20 @@ class StandardTerm(NamedTuple):
         return out
 
     def to_trace_poly(self, ring: BaseRing) -> TracePoly:
-        acc = TracePoly(ring, {(): ring.one()})
+        one = ring.one()
 
-        def word_poly(word):
-            p = TracePoly(ring, {(): ring.one()})
-            for i in word:
-                p = p * TracePoly.letter(ring, i)
-            return p
+        def word(letters):
+            return TracePoly(ring, {tuple(letters): one})
 
-        for i in self.w:
-            acc = acc * TracePoly.letter(ring, i)
+        acc = word(self.w)
         for v in self.vs:
-            acc = acc * word_poly(v).trace()
+            acc = acc * word(v).trace()
         for wi, ui in self.ms:
-            acc = acc * word_poly(wi).commutator(word_poly(ui).trace())
+            acc = acc * word(wi).commutator(word(ui).trace())
         for u, u2 in self.ffs:
-            acc = acc * word_poly(u).trace().commutator(word_poly(u2).trace())
+            acc = acc * word(u).trace().commutator(word(u2).trace())
         for s, t in self.tcs:
-            acc = acc * word_poly((s,)).commutator(word_poly(t)).trace()
+            acc = acc * word((s,)).commutator(word(t)).trace()
         return acc
 
     def render(self) -> str:
@@ -405,14 +390,16 @@ def enumerate_block_basis(outer: frozenset, parts: frozenset) -> list[StandardTe
     return out
 
 
-def _acyclic_parent_maps(m: int):
-    """All forests on m nodes: parents[i] in {-1 (root), 0..m-1} \\ {i}."""
-    for parents in iproduct(range(-1, m), repeat=m):
+def _host_forests(part_list: list):
+    """The forests on the parts in which only hosts, parts of 2 or more
+    letters, have children: parents[i] is -1 (a root) or a host other
+    than i, in lexicographic order."""
+    m = len(part_list)
+    hosts = [h for h in range(m) if len(part_list[h]) >= 2]
+    choices = [[-1] + [h for h in hosts if h != i] for i in range(m)]
+    for parents in iproduct(*choices):
         ok = True
         for i in range(m):
-            if parents[i] == i:
-                ok = False
-                break
             seen = set()
             j = i
             while j != -1:
@@ -443,22 +430,24 @@ def enumerate_nested_monomials(outer: frozenset, parts: frozenset) -> list[Monom
     """Irreducible multilinear monomials with the given value pattern:
     each part is the own-letter set of one trace node, nested in every
     forest shape with at least one edge, with letters guarding every
-    trace boundary.  A flat monomial, with no trace inside a trace, lies
-    in the span of the five-block terms on every block of at most
-    ``MAX_TRACE_ARITY`` letters, so it is not a candidate."""
+    trace boundary.  Only hosts, parts of 2 or more letters, get
+    children: a one-letter argument cannot put letters on both sides of
+    a trace, so the forests are hung on the hosts alone, and parts that
+    are all one-letter give no candidate.  A flat monomial, with no
+    trace inside a trace, lies in the span of the five-block terms on
+    every block of at most ``MAX_TRACE_ARITY`` letters, so it is not a
+    candidate either."""
     part_list = sorted(parts, key=sorted)
     m = len(part_list)
     if m < 2:
         return []
     out = []
-    for parents in _acyclic_parent_maps(m):
+    for parents in _host_forests(part_list):
         if max(parents) < 0:
             continue
         children: dict = {i: [] for i in range(-1, m)}
         for i, p in enumerate(parents):
             children[p].append(i)
-        if any(children[i] and len(part_list[i]) < 2 for i in range(m)):
-            continue
 
         def node_options(i):
             child_opts = [node_options(j) for j in children[i]]

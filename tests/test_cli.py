@@ -330,7 +330,7 @@ def test_trace_check_json_agreement(capsys):
 
 def test_cli_limits(capsys):
     cases = [
-        (("comodule", "--n"), ("0", "13"), "arity must be between 1 and 12"),
+        (("comodule", "--n"), ("0", "16"), "arity must be between 1 and 15"),
         (
             ("comodule", "--dump-matrix", "--n"),
             ("9", "12"),

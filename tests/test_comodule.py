@@ -206,9 +206,9 @@ def test_comodule_rank_small(ring):
 
 
 def test_comodule_rank_guard():
-    assert MAX_COMODULE_ARITY == 12
+    assert MAX_COMODULE_ARITY == 15
     with pytest.raises(ValueError):
-        comodule_rank(13, ZZ)
+        comodule_rank(16, ZZ)
     with pytest.raises(ValueError):
         comodule_rank(0, ZZ)
 

@@ -86,11 +86,11 @@ def test_compile_grass_expressions():
     assert compile_grass(parse("theta*theta"), A) == A.from_int(2)
 
 
-def test_compile_grass_vars_only_in_normalize_mode():
-    with pytest.raises(ValueError):
-        compile_grass(parse("x1*e1"), A)
-    elem = compile_grass(parse("x1*e2"), A, vars_as_generators=True)
-    assert elem == A.gen(1) * A.gen(2)
+def test_compile_grass_vars_denote_generators():
+    assert compile_grass(parse("x1*e2"), A) == A.gen(1) * A.gen(2)
+    assert compile_grass(parse("x2 - e2"), A).is_zero()
+    with pytest.raises(ValueError, match="grade annotations are not supported"):
+        compile_grass(parse("x1@{1,2}*e2"), A)
 
 
 def test_compile_word_poly_rejects_generators():

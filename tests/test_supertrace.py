@@ -25,6 +25,7 @@ from epsgrass.supertrace import (
 
 from conftest import keyed, random_grass_elem
 from esgn_oracle import model_value, reduce
+from forest_oracle import nested_monomials
 from rank_oracle import rational_choice
 
 ZZr = IntegerRing()
@@ -523,6 +524,25 @@ def test_model_eval_matches_stepwise_oracle_on_block_candidates():
             assert got == model_value(f.terms), cand.render()
             checked += 1
     assert checked == 777
+
+
+def test_nested_monomials_match_the_full_parent_map_walk():
+    # forests hung only on parts of 2 or more letters give the same
+    # candidates, in the same order, as the walk over all parent maps
+    def terms(outer, parts):
+        return [m.term for m in supertrace.enumerate_nested_monomials(outer, parts)]
+
+    total = 0
+    for outer, parts in all_blocks(5):
+        got = terms(outer, parts)
+        assert got == nested_monomials(outer, parts), (outer, parts)
+        total += len(got)
+    assert total == 5358
+    host_and_five = frozenset([frozenset({1, 2})] + [frozenset({i}) for i in range(3, 8)])
+    got = terms(frozenset(), host_and_five)
+    assert len(got) == 3600 and got == nested_monomials(frozenset(), host_and_five)
+    singles = frozenset(frozenset({i}) for i in range(1, 8))
+    assert terms(frozenset(), singles) == []
 
 
 @pytest.mark.parametrize("ring", [ModRing(4), ModRing(6), QQ], ids=["Z4", "Z6", "Q"])
