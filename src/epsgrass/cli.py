@@ -69,8 +69,8 @@ EXIT_PIPE = 141
 # check-identity runs at most one subset transform per maximal vertex
 # set of its monomials' inversion graphs, 2^n fields at n letters: the
 # budget is 10 s and 256 MB cold, for the reversed word xn*...*x1 and
-# for 50 seeded random permutations, which --vars 20 meets: 3.1-5.5 s
-# at 151 MB and 4.8-7.0 s at 166 MB on a shared 2-vCPU VM (BENCH_16.json).
+# for 50 seeded random permutations, which --vars 20 meets: 1.8-2.5 s
+# at 125 MB and 2.9-3.4 s at 140 MB on a shared 2-vCPU VM (BENCH_18.json).
 CLI_LIMITS = {
     "comodule": [
         ("n", "arity", 1, MAX_COMODULE_ARITY, None),

@@ -31,8 +31,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .epsilon import CoeffRing, EpsPoly, InternalError, all_monomials, exp_map
 from .grassmann import GrassElem, esgn, word_from_letters
-from .rings import BaseRing, IntegerRing, RingMismatchError
-from .terms import TracePoly, add_term, add_terms, scale_terms
+from .rings import BaseRing, IntegerRing
+from .terms import TermMap, TracePoly, add_term
 from . import epsilon
 
 # The largest arity of the co-module certificate, whose budget is 30 s
@@ -45,10 +45,10 @@ MAX_COMODULE_ARITY = 15
 MAX_SIGN_TABLE_ARITY = 8
 
 
-class MultilinearPoly:
+class MultilinearPoly(TermMap):
     """Arity-n multilinear polynomial: permutation tuple -> coefficient."""
 
-    __slots__ = ("n", "ring", "coeffs")
+    __slots__ = ("n", "ring")
 
     def __init__(self, n: int, ring: BaseRing, coeffs: dict):
         self.n = n
@@ -58,7 +58,14 @@ class MultilinearPoly:
                 raise ValueError(f"{key} is not a permutation of 1..{n}")
             if ring.is_zero(c):
                 raise ValueError("zero coefficient stored")
-        self.coeffs = coeffs
+        self.terms = coeffs
+
+    @property
+    def coeffs(self) -> dict:
+        return self.terms
+
+    def _parent(self) -> tuple:
+        return (self.n, self.ring)
 
     @classmethod
     def from_word_poly(cls, p: TracePoly, n: int) -> "MultilinearPoly":
@@ -77,52 +84,15 @@ class MultilinearPoly:
         coeff = ring.one() if c is None else c
         return cls(n, ring, {tuple(perm): coeff})
 
-    def _check(self, other: "MultilinearPoly"):
-        if self.n != other.n:
-            raise ValueError("arity mismatch")
-        if self.ring != other.ring:
-            raise RingMismatchError(f"{self.ring} vs {other.ring}")
-
-    def __add__(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        self._check(other)
-        out = add_terms(self.ring, self.coeffs, other.coeffs)
-        return MultilinearPoly(self.n, self.ring, out)
-
-    def __neg__(self):
-        return MultilinearPoly(
-            self.n, self.ring, {k: self.ring.neg(c) for k, c in self.coeffs.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "MultilinearPoly":
-        out = scale_terms(self.ring, self.coeffs, c)
-        return MultilinearPoly(self.n, self.ring, out)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultilinearPoly)
-            and other.n == self.n
-            and other.ring == self.ring
-            and other.coeffs == self.coeffs
-        )
-
     def render(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for key in sorted(self.coeffs):
-            c = self.ring.render(self.coeffs[key])
+        for key in sorted(self.terms):
+            c = self.ring.render(self.terms[key])
             word = "*".join(f"x{i}" for i in key)
             parts.append(f"[{c}]*{word}")
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"MultilinearPoly({self.render()})"
 
 
 # -- evaluation and identity testing ------------------------------------

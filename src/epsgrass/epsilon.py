@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations
-from math import inf, lcm
+from math import lcm
 from operator import itemgetter
 from typing import Iterable
 
-from .rings import BaseRing, RingMismatchError
-from .terms import add_term, add_terms, render_sum, scale_terms
+from .rings import BaseRing
+from .terms import TermMap, add_term, render_sum
 
 # The decoded form of a monomial mask: (theta_deg, eps_indices) with
 # theta_deg in {0, 1} and eps_indices a strictly increasing tuple of
@@ -81,6 +81,9 @@ class CoeffRing:
 
     def add(self, a: "EpsPoly", b: "EpsPoly") -> "EpsPoly":
         return a + b
+
+    def neg(self, a: "EpsPoly") -> "EpsPoly":
+        return -a
 
     def mul(self, a: "EpsPoly", b: "EpsPoly") -> "EpsPoly":
         return a * b
@@ -169,20 +172,21 @@ def monomial_key(mask: int) -> Monomial:
     return mask & 1, eps
 
 
-class EpsPoly:
+class EpsPoly(TermMap):
     """Element of C[eps] in reduced form: map monomial mask -> nonzero
     scalar."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring",)
 
     def __init__(self, ring: CoeffRing, terms: dict):
         self.ring = ring
         self.terms = terms
 
-    # -- predicates --------------------------------------------------
+    def _coeff_ring(self) -> BaseRing:
+        return self.ring.base
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _one(self) -> "EpsPoly":
+        return self.ring.one()
 
     def is_one(self) -> bool:
         return self.terms == {0: self.ring.base.one()}
@@ -193,25 +197,8 @@ class EpsPoly:
             union |= m
         return set(monomial_key(union)[1])
 
-    # -- ring operations ---------------------------------------------
-
-    def _check_ring(self, other: "EpsPoly"):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"{self.ring} vs {other.ring}")
-
-    def __add__(self, other: "EpsPoly") -> "EpsPoly":
-        self._check_ring(other)
-        return EpsPoly(self.ring, add_terms(self.ring.base, self.terms, other.terms))
-
-    def __neg__(self) -> "EpsPoly":
-        base = self.ring.base
-        return EpsPoly(self.ring, {k: base.neg(c) for k, c in self.terms.items()})
-
-    def __sub__(self, other: "EpsPoly") -> "EpsPoly":
-        return self + (-other)
-
     def __mul__(self, other: "EpsPoly") -> "EpsPoly":
-        self._check_ring(other)
+        self._check(other)
         ring = self.ring
         base = ring.base
         theta_zero = ring.theta_zero
@@ -237,27 +224,6 @@ class EpsPoly:
             if c:
                 out[m] = c
         return EpsPoly(ring, out)
-
-    def scale(self, c) -> "EpsPoly":
-        return EpsPoly(self.ring, scale_terms(self.ring.base, self.terms, c))
-
-    def scale_int(self, n: int) -> "EpsPoly":
-        return self.scale(self.ring.base.from_int(n))
-
-    def __pow__(self, n: int) -> "EpsPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = self.ring.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EpsPoly)
-            and other.ring == self.ring
-            and other.terms == self.terms
-        )
 
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.terms.items()))))
@@ -290,9 +256,6 @@ class EpsPoly:
             for (t, eps), c in self._decoded()
         )
 
-    def __repr__(self):
-        return f"EpsPoly({self.render()})"
-
 
 # -- named operations ------------------------------------------------
 
@@ -311,32 +274,45 @@ def exp_map(ring: CoeffRing, pairs: Iterable[tuple[int, int]]) -> EpsPoly:
     for i, j in pairs:
         if i < 1 or j < 1:
             raise ValueError("eps indices start at 1")
-    poly, _ = _expand(pairs)
-    return _to_poly(ring, poly)
+    return _to_poly(ring, _expand(_odd_factors(pairs)))
 
 
-def _expand(pairs: list, budget: float = inf) -> tuple:
-    """(terms, budget left) of the product of the pairs' binomials, the
-    terms a map mask -> int; (None, 0) once the passes have visited more
-    than ``budget`` terms."""
-    odd: set = set()  # the mask of eps_i*eps_j, or of theta*eps_i for i = j
+def _odd_factors(pairs: Iterable) -> list:
+    """The sorted masks of the binomials whose pairs occur an odd number
+    of times: eps_i*eps_j, or theta*eps_i for i = j."""
+    odd: set = set()
     for i, j in pairs:
         f = 1 << i | 1 << j if i != j else 1 << i | 1
         if f in odd:
             odd.remove(f)
         else:
             odd.add(f)
+    return sorted(odd)
+
+
+def _expand(factors: list) -> dict:
+    """The product of the binomials (1 - f) over the factor masks f, a
+    map mask -> int."""
     poly = {0: 1}
-    for f in sorted(odd):
-        budget -= len(poly)
-        if budget < 0:
-            return None, 0
+    for f in factors:
         ft, fe = f & 1, f & ~1
         for m, c in list(poly.items()):
             t = (m & 1) + ft + (m & fe).bit_count()
             prod = m & ~1 | fe | t & 1
             poly[prod] = poly.get(prod, 0) - (c << (t >> 1))
-    return poly, budget
+    return poly
+
+
+def _expand_bound(factors: list) -> int:
+    """An upper bound of the terms ``_expand`` visits: the sum of
+    min(2^i, 2^(k+1)) over its passes i, since pass i starts from at most
+    2^i terms, and there are at most 2^(k+1) masks on the k indices of the
+    factors."""
+    union = 0
+    for f in factors:
+        union |= f
+    cap = (union & ~1).bit_count() + 1
+    return (1 << min(len(factors), cap)) - 1 + (max(len(factors) - cap, 0) << cap)
 
 
 def _to_poly(ring: CoeffRing, acc: dict, den: int = 1) -> EpsPoly:
@@ -477,10 +453,12 @@ def _sum_exps(items: Iterable, edges_of, parity_of) -> tuple:
     budget of half its transform, k*2^(k-1) steps, in term visits, and
     first charges it the fixed cost of expanding every item,
     ``_EXPAND_COST`` each.  It then expands its items, smallest supports
-    first, each charged the terms it visits, and transforms the rest once
-    an expansion overruns the budget.  So a group of more items than the
-    budget pays for expands none, and a single sparse graph on many
-    letters is expanded.
+    first, each charged ``_expand_bound`` of its odd factors, and
+    transforms the rest once the next bound overruns the budget, so no
+    expansion starts that the budget cannot pay for.  So a group of more
+    items than the budget pays for expands none, a dense graph on many
+    letters goes straight to the transform, and a single sparse graph on
+    many letters is expanded.
     """
     items = sorted(items, key=lambda item: item[0].bit_count(), reverse=True)
     den = lcm(*(c.denominator for _, _, c in items))
@@ -501,13 +479,12 @@ def _sum_exps(items: Iterable, edges_of, parity_of) -> tuple:
         budget = (len(vertices) << len(vertices) >> 2) - len(members) * _EXPAND_COST
         members.reverse()
         for index, (x, c) in enumerate(members):
-            poly = None
-            if budget >= 0:
-                poly, budget = _expand(edges_of(x), budget)
-            if poly is None:
+            factors = _odd_factors(edges_of(x))
+            budget -= _expand_bound(factors)
+            if budget < 0:
                 _add_subset_image(acc, vertices, members[index:], parity_of)
                 break
-            for m, v in poly.items():
+            for m, v in _expand(factors).items():
                 acc[m] = acc[m] + c * v if m in acc else c * v
     return acc, den
 

@@ -50,28 +50,21 @@ _TOKEN_RE = re.compile(
     r"(?P<int>[0-9]+)"
     r"|(?P<sym>theta|eps[0-9]+|e[0-9]+|x[0-9]+(?:@\{[0-9]+(?:,[0-9]+)*\})?|Tr)"
     r"|(?P<punct>[-+*()\[\]{},])"
+    r"|(?P<bad>\S)"
     r")"
 )
 
 
 def tokenize(text: str):
+    """(kind, value, position) tokens, ending in an ``end`` token; only
+    trailing whitespace matches nothing."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = len(text) - len(stripped)
-            raise ExprSyntaxError(f"unknown symbol {stripped[:8]!r}", text, bad)
-        if m.group("int"):
-            tokens.append(("int", int(m.group("int")), m.start("int")))
-        elif m.group("sym"):
-            tokens.append(("sym", m.group("sym"), m.start("sym")))
-        else:
-            tokens.append(("punct", m.group("punct"), m.start("punct")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        pos = m.start(kind)
+        if kind == "bad":
+            raise ExprSyntaxError(f"unknown symbol {text[pos:pos + 8]!r}", text, pos)
+        tokens.append((kind, int(m[kind]) if kind == "int" else m[kind], pos))
     tokens.append(("end", "", len(text)))
     return tokens
 

@@ -27,8 +27,6 @@ from .terms import AlgebraElem, add_term
 # increasing and multiplicities positive.
 Word = tuple[tuple[int, int], ...]
 
-EMPTY_WORD: Word = ()
-
 
 def word_from_letters(letters: Iterable[int]) -> Word:
     counts: dict[int, int] = {}
@@ -80,76 +78,34 @@ def theta_eps_residue(coeff: EpsPoly, indices) -> EpsPoly:
     return EpsPoly(coeff.ring, out)
 
 
-class GrassAlgebra:
-    """Context object: base coefficient ring plus the truncation flag."""
+class WordAlgebra:
+    """An algebra over C[eps] with a basis of words, the empty word ()
+    its unit: the constructors and the accumulation shared by
+    ``GrassAlgebra`` and ``SAlgebra``.  A subclass names its element
+    class, ``_elem``, and supplies ``_reduce_coeff(word, c)``,
+    ``_merge(u, v)`` and ``_grade(word)`` (see ``AlgebraElem``)."""
 
-    def __init__(self, base: BaseRing | CoeffRing, truncated: bool = False):
+    def __init__(self, base: BaseRing | CoeffRing):
         self.coeff = base if isinstance(base, CoeffRing) else CoeffRing(base)
         self.base = self.coeff.base
-        self.truncated = truncated
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GrassAlgebra)
-            and other.coeff == self.coeff
-            and other.truncated == self.truncated
-        )
+    def zero(self):
+        return self._elem(self, {})
 
-    def __hash__(self):
-        return hash((self.coeff, self.truncated))
-
-    def __repr__(self):
-        extra = ", truncated" if self.truncated else ""
-        return f"GrassAlgebra({self.coeff}{extra})"
-
-    # -- constructors ------------------------------------------------
-
-    def zero(self) -> "GrassElem":
-        return GrassElem(self, {})
-
-    def one(self) -> "GrassElem":
+    def one(self):
         return self.from_coeff(self.coeff.one())
 
-    def from_coeff(self, c: EpsPoly) -> "GrassElem":
+    def from_coeff(self, c: EpsPoly):
         if c.is_zero():
             return self.zero()
-        return GrassElem(self, {EMPTY_WORD: c})
+        return self._elem(self, {(): c})
 
-    def from_int(self, n: int) -> "GrassElem":
-        return self.from_coeff(self.coeff.from_int(n))
-
-    def scalar(self, c) -> "GrassElem":
-        return self.from_coeff(self.coeff.scalar(c))
-
-    def eps(self, i: int) -> "GrassElem":
-        return self.from_coeff(self.coeff.eps(i))
-
-    def theta(self) -> "GrassElem":
-        return self.from_coeff(self.coeff.theta())
-
-    def gen(self, i: int) -> "GrassElem":
-        if i < 1:
-            raise ValueError("generator indices start at 1")
-        return GrassElem(self, {((i, 1),): self.coeff.one()})
-
-    def monomial(self, word: Word, coeff: EpsPoly | None = None) -> "GrassElem":
-        c = self.coeff.one() if coeff is None else coeff
+    def monomial(self, word, coeff: EpsPoly | None = None):
         terms: dict = {}
-        self._accumulate(terms, word, c)
-        return GrassElem(self, terms)
+        self._accumulate(terms, word, self.coeff.one() if coeff is None else coeff)
+        return self._elem(self, terms)
 
-    # -- normalization -----------------------------------------------
-
-    def _reduce_coeff(self, word: Word, coeff: EpsPoly) -> EpsPoly:
-        """Reduce a coefficient modulo sum(theta*eps_i : i repeats in word)."""
-        repeated = {i for i, m in word if m >= 2}
-        if not repeated or coeff.is_zero():
-            return coeff
-        return theta_eps_residue(coeff, repeated)
-
-    def _accumulate(self, terms: dict, word: Word, coeff: EpsPoly):
-        if self.truncated and any(m >= 2 for _, m in word):
-            return
+    def _accumulate(self, terms: dict, word, coeff: EpsPoly):
         coeff = self._reduce_coeff(word, coeff)
         if not coeff.is_zero():
             add_term(self.coeff, terms, word, coeff, self._reduce_coeff)
@@ -160,45 +116,8 @@ class GrassElem(AlgebraElem):
 
     __slots__ = ()
 
-    def __mul__(self, other: "GrassElem") -> "GrassElem":
-        self._check(other)
-        alg = self.algebra
-        out: dict = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                pairs = []
-                merged: dict[int, int] = dict(u)
-                for b, q in v:
-                    for a, p in u:
-                        if b < a:
-                            pairs.extend([(b, a)] * (p * q))
-                    merged[b] = merged.get(b, 0) + q
-                factor = exp_map(alg.coeff, pairs)
-                coeff = cu * cv if factor.is_one() else cu * cv * factor
-                alg._accumulate(out, tuple(sorted(merged.items())), coeff)
-        return GrassElem(alg, out)
-
-    def scale(self, scalar) -> "GrassElem":
-        return self.scale_coeff(self.algebra.coeff.scalar(scalar))
-
-    def __pow__(self, n: int) -> "GrassElem":
-        if n < 0:
-            raise ValueError("negative power")
-        result = self.algebra.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
     def __hash__(self):
         return hash((self.algebra, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
-
-    # -- structure ----------------------------------------------------
-
-    def grade_components(self) -> dict[frozenset[int], "GrassElem"]:
-        parts: dict[frozenset[int], dict] = {}
-        for word, c in self.terms.items():
-            parts.setdefault(word_grade(word), {})[word] = c
-        return {g: GrassElem(self.algebra, t) for g, t in parts.items()}
 
     # -- rendering ----------------------------------------------------
 
@@ -234,8 +153,74 @@ class GrassElem(AlgebraElem):
                 parts.append(f"({c.render_expr()})*{letters}")
         return " + ".join(parts)
 
+
+class GrassAlgebra(WordAlgebra):
+    """Context object: base coefficient ring plus the truncation flag."""
+
+    _elem = GrassElem
+
+    def __init__(self, base: BaseRing | CoeffRing, truncated: bool = False):
+        super().__init__(base)
+        self.truncated = truncated
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, GrassAlgebra)
+            and other.coeff == self.coeff
+            and other.truncated == self.truncated
+        )
+
+    def __hash__(self):
+        return hash((self.coeff, self.truncated))
+
     def __repr__(self):
-        return f"GrassElem({self.render()})"
+        extra = ", truncated" if self.truncated else ""
+        return f"GrassAlgebra({self.coeff}{extra})"
+
+    # -- constructors ------------------------------------------------
+
+    def from_int(self, n: int) -> GrassElem:
+        return self.from_coeff(self.coeff.from_int(n))
+
+    def scalar(self, c) -> GrassElem:
+        return self.from_coeff(self.coeff.scalar(c))
+
+    def eps(self, i: int) -> GrassElem:
+        return self.from_coeff(self.coeff.eps(i))
+
+    def theta(self) -> GrassElem:
+        return self.from_coeff(self.coeff.theta())
+
+    def gen(self, i: int) -> GrassElem:
+        if i < 1:
+            raise ValueError("generator indices start at 1")
+        return GrassElem(self, {((i, 1),): self.coeff.one()})
+
+    # -- normalization -----------------------------------------------
+
+    _grade = staticmethod(word_grade)
+
+    def _reduce_coeff(self, word: Word, coeff: EpsPoly) -> EpsPoly:
+        """Reduce a coefficient modulo sum(theta*eps_i : i repeats in
+        word); in the truncated algebra such a word is 0."""
+        repeated = {i for i, m in word if m >= 2}
+        if not repeated or coeff.is_zero():
+            return coeff
+        if self.truncated:
+            return self.coeff.zero()
+        return theta_eps_residue(coeff, repeated)
+
+    def _merge(self, u: Word, v: Word) -> tuple:
+        """The word of u*v and its sign, the exp of the pairs (b, a) of
+        each letter b of v moved past a larger letter a of u."""
+        pairs = []
+        merged: dict[int, int] = dict(u)
+        for b, q in v:
+            for a, p in u:
+                if b < a:
+                    pairs.extend([(b, a)] * (p * q))
+            merged[b] = merged.get(b, 0) + q
+        return tuple(sorted(merged.items())), exp_map(self.coeff, pairs)
 
 
 # -- commutators -------------------------------------------------------

@@ -21,7 +21,7 @@ from .epsilon import CoeffRing, EpsPoly
 from .grassmann import GrassAlgebra, GrassElem, esgn
 from .salg import SAlgebra, SElem
 from .rings import RingMismatchError
-from .terms import add_term
+from .terms import TermMap, add_term
 
 
 class GradeMismatchError(ValueError):
@@ -229,11 +229,11 @@ def _render_entry(a) -> str:
 # -- graded multilinear polynomials and the involution --------------------
 
 
-class GradedPoly:
+class GradedPoly(TermMap):
     """Multilinear polynomial with C[eps] coefficients and a grade per
     variable position."""
 
-    __slots__ = ("n", "coeff", "grades", "coeffs")
+    __slots__ = ("n", "coeff", "grades")
 
     def __init__(
         self,
@@ -249,24 +249,23 @@ class GradedPoly:
                 raise ValueError(f"{key} is not a permutation of 1..{self.n}")
             if c.ring != coeff:
                 raise RingMismatchError("coefficient ring mismatch")
-        self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
+        self.terms = {k: c for k, c in coeffs.items() if not c.is_zero()}
 
-    def is_zero(self):
-        return not self.coeffs
+    @property
+    def coeffs(self) -> dict:
+        return self.terms
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedPoly)
-            and other.coeff == self.coeff
-            and other.grades == self.grades
-            and other.coeffs == self.coeffs
-        )
+    def _parent(self) -> tuple:
+        return (self.coeff, self.grades)
+
+    def _coeff_ring(self) -> CoeffRing:
+        return self.coeff
 
     def map_coeffs(self, fn) -> "GradedPoly":
         out = {}
-        for k, c in self.coeffs.items():
+        for k, c in self.terms.items():
             add_term(self.coeff, out, k, fn(k, c))
-        return GradedPoly(self.coeff, self.grades, out)
+        return self._new(out)
 
 
 def grassmann_involution(f: GradedPoly) -> GradedPoly:
@@ -279,14 +278,10 @@ def grassmann_involution(f: GradedPoly) -> GradedPoly:
 # -- hull elements and the factorization law ------------------------------
 
 
-# Matrix values for the term-map helpers.
-_MATRICES = SimpleNamespace(add=Matrix.__add__, is_zero=Matrix.is_zero)
-
-
-class HullElem:
+class HullElem(TermMap):
     """Formal sum of (matrix, word) tensors, collected on word keys."""
 
-    __slots__ = ("salgebra", "terms")
+    __slots__ = ("salgebra",)
 
     def __init__(self, salgebra: SAlgebra, terms: dict | None = None):
         self.salgebra = salgebra
@@ -296,30 +291,33 @@ class HullElem:
                 if not mat.is_zero():
                     self.terms[word] = mat
 
+    def _parent(self) -> tuple:
+        return (self.salgebra,)
+
+    def _coeff_ring(self):
+        """Matrices over C[eps], scaled by elements of C[eps]."""
+        return SimpleNamespace(
+            add=Matrix.__add__,
+            neg=Matrix.__neg__,
+            mul=Matrix.scale,
+            is_zero=Matrix.is_zero,
+            from_int=self.salgebra.coeff.from_int,
+        )
+
     def add_tensor(self, mat: Matrix, word_elem: SElem):
         """Accumulate mat (x) word_elem, distributing the word's C[eps]
         coefficients onto the matrix side.  The tensor is over C[eps], so
         matrix entries inherit the word's torsion reduction."""
-        reduce = self._reduce_entries
+        matrices, reduce = self._coeff_ring(), self._reduce
         for word, c in word_elem.terms.items():
             piece = reduce(word, mat.scale(c))
-            add_term(_MATRICES, self.terms, word, piece, reduce)
+            add_term(matrices, self.terms, word, piece, reduce)
 
-    def _reduce_entries(self, word, mat: Matrix) -> Matrix:
+    def _reduce(self, word, mat: Matrix) -> Matrix:
         reduce = self.salgebra._reduce_coeff
         return Matrix(
             [[reduce(word, entry) for entry in row] for row in mat.rows], mat.zero
         )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HullElem)
-            and other.salgebra == self.salgebra
-            and other.terms == self.terms
-        )
-
-    def is_zero(self):
-        return not self.terms
 
 
 def hull_word_grade(w: SElem) -> frozenset:

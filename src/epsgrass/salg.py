@@ -29,14 +29,15 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .epsilon import CoeffRing, EpsPoly, exp_map
+from .epsilon import EpsPoly, exp_map
 from .grassmann import (
+    WordAlgebra,
     substitute_eps,
     theta_eps_residue,
     word_eps_image,
     word_parity_pairs,
 )
-from .terms import AlgebraElem, add_term
+from .terms import AlgebraElem
 
 # generator key: (grade support frozenset, tag)
 GenKey = tuple[frozenset, int]
@@ -67,12 +68,31 @@ def _span_basis(grades) -> dict:
     return rows
 
 
-class SAlgebra:
+class SElem(AlgebraElem):
+    """Element of the free twisted-commutative algebra."""
+
+    __slots__ = ()
+
+    def render(self) -> str:
+        if not self.terms:
+            return "(0)"
+        parts = []
+        for word in sorted(self.terms, key=lambda w: tuple(_sort_key(k) for k in w)):
+            c = self.terms[word]
+            if word:
+                gens = "*".join(
+                    f"E[{{{','.join(map(str, sorted(g)))}}};{n}]" for g, n in word
+                )
+                parts.append(f"({c.render()}) * {gens}")
+            else:
+                parts.append(f"({c.render()})")
+        return " + ".join(parts)
+
+
+class SAlgebra(WordAlgebra):
     """Context for the free twisted-commutative algebra over C[eps]."""
 
-    def __init__(self, base):
-        self.coeff = base if isinstance(base, CoeffRing) else CoeffRing(base)
-        self.base = self.coeff.base
+    _elem = SElem
 
     def __eq__(self, other):
         return isinstance(other, SAlgebra) and other.coeff == self.coeff
@@ -83,27 +103,19 @@ class SAlgebra:
     def __repr__(self):
         return f"SAlgebra({self.coeff})"
 
-    def zero(self) -> "SElem":
-        return SElem(self, {})
-
-    def one(self) -> "SElem":
-        return self.from_coeff(self.coeff.one())
-
-    def from_coeff(self, c: EpsPoly) -> "SElem":
-        if c.is_zero():
-            return self.zero()
-        return SElem(self, {(): c})
-
-    def gen(self, grade: Iterable[int], tag: int) -> "SElem":
+    def gen(self, grade: Iterable[int], tag: int) -> SElem:
         key = (frozenset(grade), tag)
         return SElem(self, {(key,): self.coeff.one()})
 
-    def monomial(self, keys: Sequence[GenKey], coeff: EpsPoly | None = None) -> "SElem":
-        word = tuple(sorted(keys, key=_sort_key))
-        c = self.coeff.one() if coeff is None else coeff
-        terms: dict = {}
-        self._accumulate(terms, word, c)
-        return SElem(self, terms)
+    def monomial(self, keys: Sequence[GenKey], coeff: EpsPoly | None = None) -> SElem:
+        return super().monomial(tuple(sorted(keys, key=_sort_key)), coeff)
+
+    @staticmethod
+    def _grade(word) -> frozenset:
+        g: frozenset = frozenset()
+        for key in word:
+            g = g.symmetric_difference(key[0])
+        return g
 
     # -- torsion normalization ----------------------------------------
 
@@ -128,58 +140,13 @@ class SAlgebra:
         residue = theta_eps_residue(substitute_eps(coeff, alpha), basis.keys())
         return substitute_eps(residue, alpha)
 
-    def _accumulate(self, terms: dict, word, coeff: EpsPoly):
-        coeff = self._reduce_coeff(word, coeff)
-        if not coeff.is_zero():
-            add_term(self.coeff, terms, word, coeff, self._reduce_coeff)
-
-
-class SElem(AlgebraElem):
-    """Element of the free twisted-commutative algebra."""
-
-    __slots__ = ()
-
-    def __mul__(self, other: "SElem") -> "SElem":
-        self._check(other)
-        alg = self.algebra
-        out: dict = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                pairs = []
-                for kb in v:
-                    sb = _sort_key(kb)
-                    for ka in u:
-                        if sb < _sort_key(ka):
-                            pairs.extend(word_parity_pairs(ka[0], kb[0]))
-                factor = exp_map(alg.coeff, pairs)
-                merged = tuple(sorted(u + v, key=_sort_key))
-                coeff = cu * cv if factor.is_one() else cu * cv * factor
-                alg._accumulate(out, merged, coeff)
-        return SElem(alg, out)
-
-    def grade_components(self) -> dict[frozenset, "SElem"]:
-        parts: dict[frozenset, dict] = {}
-        for word, c in self.terms.items():
-            g: frozenset = frozenset()
-            for key in word:
-                g = g.symmetric_difference(key[0])
-            parts.setdefault(g, {})[word] = c
-        return {g: SElem(self.algebra, t) for g, t in parts.items()}
-
-    def render(self) -> str:
-        if not self.terms:
-            return "(0)"
-        parts = []
-        for word in sorted(self.terms, key=lambda w: tuple(_sort_key(k) for k in w)):
-            c = self.terms[word]
-            if word:
-                gens = "*".join(
-                    f"E[{{{','.join(map(str, sorted(g)))}}};{n}]" for g, n in word
-                )
-                parts.append(f"({c.render()}) * {gens}")
-            else:
-                parts.append(f"({c.render()})")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"SElem({self.render()})"
+    def _merge(self, u, v) -> tuple:
+        """The word of u*v and its sign, the exp of the parity pairs of
+        each generator of v moved past a larger one of u."""
+        pairs = []
+        for kb in v:
+            sb = _sort_key(kb)
+            for ka in u:
+                if sb < _sort_key(ka):
+                    pairs.extend(word_parity_pairs(ka[0], kb[0]))
+        return tuple(sorted(u + v, key=_sort_key)), exp_map(self.coeff, pairs)

@@ -48,6 +48,7 @@ from .linalg import NoUnitPivot, SmithSolver
 from .rings import BaseRing, IntegerRing
 from .terms import (
     NonMultilinearError,
+    TermMap,
     TracePoly,
     _letters_of_term,
     _render_term,
@@ -285,37 +286,30 @@ def _basis_term_key(t):
     return (1, _term_sort_key(t.term))
 
 
-class StandardForm:
+class StandardForm(TermMap):
     """Sum of standard terms with coefficients, in canonical term order."""
+
+    __slots__ = ("ring",)
 
     def __init__(self, ring: BaseRing, items: dict):
         self.ring = ring
-        self.items = {t: c for t, c in items.items() if not ring.is_zero(c)}
+        self.terms = {t: c for t, c in items.items() if not ring.is_zero(c)}
 
-    def is_zero(self) -> bool:
-        return not self.items
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, StandardForm)
-            and other.ring == self.ring
-            and other.items == self.items
-        )
+    @property
+    def items(self) -> dict:
+        return self.terms
 
     def to_trace_poly(self) -> TracePoly:
         acc = TracePoly.zero(self.ring)
-        for t, c in self.items.items():
+        for t, c in self.terms.items():
             acc = acc + t.to_trace_poly(self.ring).scale(c)
         return acc
 
     def render(self) -> str:
         return render_sum(
-            (self.ring.render(self.items[t]), t.render())
-            for t in sorted(self.items, key=_basis_term_key)
+            (self.ring.render(self.terms[t]), t.render())
+            for t in sorted(self.terms, key=_basis_term_key)
         )
-
-    def __repr__(self):
-        return f"StandardForm({self.render()})"
 
 
 # -- basis enumeration per block -------------------------------------------

@@ -1,12 +1,14 @@
 """Sparse term maps: the arithmetic every container shares.
 
 Every element of the package is a term map, a dict {key: nonzero
-coefficient}.  ``ring`` is any object with ``add``, ``mul`` and
-``is_zero``: a ``BaseRing``, or a ``CoeffRing`` over ``EpsPoly`` values.
-``reduce(key, c)``, where given, maps a coefficient to its canonical
-residue (the torsion of repeated words); stored coefficients are
-already reduced, so only a sum needs it.  ``TracePoly`` lives here so
-that the co-module code need not import the trace normalizer.
+coefficient}.  ``ring`` is any object with ``add``, ``neg``, ``mul``,
+``is_zero`` and ``from_int``: a ``BaseRing``, or a ``CoeffRing`` over
+``EpsPoly`` values.  ``reduce(key, c)``, where given, maps a coefficient
+to its canonical residue (the torsion of repeated words); stored
+coefficients are already reduced, so only a sum needs it.  ``TermMap``
+is the base of every container: it owns their parent check, equality,
+sums, negation, scaling and powers.  ``TracePoly`` lives here so that
+the co-module code need not import the trace normalizer.
 """
 
 from __future__ import annotations
@@ -68,60 +70,142 @@ def scale_terms(ring, terms: dict, c, reduce=None) -> dict:
     return out
 
 
-class AlgebraElem:
-    """Element of an algebra over C[eps]: a term map word -> EpsPoly.
+class TermMap:
+    """A finite sum of terms: ``terms`` maps each key to a nonzero
+    coefficient, already reduced.
 
-    The algebra supplies ``coeff`` (its ``CoeffRing``), ``_reduce_coeff``
-    (the canonical residue of a coefficient on a word) and
-    ``_accumulate`` (add one unreduced term to a term map).
+    A subclass names its parent, ``_parent()``: the tuple of its
+    constructor's arguments before the terms, which two operands must
+    share.  It names its coefficient ring, ``_coeff_ring()``, and, where
+    coefficients have canonical residues, ``_reduce(key, c)``.  Products
+    are each container's own; ``_one()`` is the unit of the one that has
+    a product.
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("terms",)
+    _reduce = None
 
-    def __init__(self, algebra, terms: dict):
-        self.algebra = algebra
-        self.terms = terms
+    def _parent(self) -> tuple:
+        return (self.ring,)
+
+    def _coeff_ring(self):
+        return self.ring
+
+    def _one(self):
+        raise TypeError(f"{type(self).__name__} has no product")
+
+    def _new(self, terms: dict):
+        """The element of the same parent with these terms."""
+        return type(self)(*self._parent(), terms)
+
+    def _check(self, other):
+        mine, theirs = self._parent(), other._parent()
+        if mine != theirs:
+            raise RingMismatchError(
+                f"{', '.join(map(str, mine))} vs {', '.join(map(str, theirs))}"
+            )
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _check(self, other):
-        if self.algebra != other.algebra:
-            raise RingMismatchError(f"{self.algebra} vs {other.algebra}")
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and other._parent() == self._parent()
+            and other.terms == self.terms
+        )
 
     def __add__(self, other):
         self._check(other)
-        alg = self.algebra
-        return type(self)(
-            alg, add_terms(alg.coeff, self.terms, other.terms, alg._reduce_coeff)
-        )
+        return self._new(add_terms(self._coeff_ring(), self.terms, other.terms, self._reduce))
 
     def __neg__(self):
-        alg = self.algebra
-        out: dict = {}
-        for w, c in self.terms.items():
-            # renormalize: torsion coordinates have canonical residues
-            alg._accumulate(out, w, -c)
-        return type(self)(alg, out)
+        # the negative of a nonzero residue is a nonzero residue
+        neg, reduce = self._coeff_ring().neg, self._reduce
+        if reduce is None:
+            return self._new({k: neg(c) for k, c in self.terms.items()})
+        return self._new({k: reduce(k, neg(c)) for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale_coeff(self, c):
-        alg = self.algebra
-        return type(self)(
-            alg, scale_terms(alg.coeff, self.terms, c, alg._reduce_coeff)
-        )
+        """Every coefficient times c, on the left of c."""
+        return self._new(scale_terms(self._coeff_ring(), self.terms, c, self._reduce))
+
+    scale = scale_coeff
 
     def scale_int(self, n: int):
-        return self.scale_coeff(self.algebra.coeff.from_int(n))
+        return self.scale_coeff(self._coeff_ring().from_int(n))
 
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and other.algebra == self.algebra
-            and other.terms == self.terms
-        )
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        result = self._one()
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def render(self) -> str:
+        """The text form; a container with no format of its own shows its
+        dict."""
+        return repr(self.terms)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render()})"
+
+
+class AlgebraElem(TermMap):
+    """Element of an algebra over C[eps]: a term map word -> EpsPoly.
+
+    The algebra supplies ``coeff`` (its ``CoeffRing``), ``_reduce_coeff``
+    (the canonical residue of a coefficient on a word), ``_merge`` (the
+    sorted word of a product of two words and its reordering sign, the
+    exp of the eps pairs of the letters that pass each other),
+    ``_grade`` (the Z2-grade of a word) and ``_accumulate`` (add one
+    unreduced term to a term map).
+    """
+
+    __slots__ = ("algebra",)
+
+    def __init__(self, algebra, terms: dict):
+        self.algebra = algebra
+        self.terms = terms
+
+    def _parent(self) -> tuple:
+        return (self.algebra,)
+
+    def _coeff_ring(self):
+        return self.algebra.coeff
+
+    @property
+    def _reduce(self):
+        return self.algebra._reduce_coeff
+
+    def _one(self):
+        return self.algebra.one()
+
+    def scale(self, scalar):
+        """Every coefficient times a scalar of the base ring."""
+        return self.scale_coeff(self.algebra.coeff.scalar(scalar))
+
+    def __mul__(self, other):
+        self._check(other)
+        alg = self.algebra
+        out: dict = {}
+        for u, cu in self.terms.items():
+            for v, cv in other.terms.items():
+                word, sign = alg._merge(u, v)
+                coeff = cu * cv if sign.is_one() else cu * cv * sign
+                alg._accumulate(out, word, coeff)
+        return self._new(out)
+
+    def grade_components(self) -> dict:
+        """The homogeneous components, keyed by their Z2-grade."""
+        parts: dict = {}
+        for word, c in self.terms.items():
+            parts.setdefault(self.algebra._grade(word), {})[word] = c
+        return {g: self._new(t) for g, t in parts.items()}
 
 
 # -- trace polynomials ---------------------------------------------------
@@ -160,14 +244,14 @@ def _render_term(term) -> str:
     return "*".join(parts)
 
 
-class TracePoly:
+class TracePoly(TermMap):
     """Finite sum of (coefficient, term) over a base ring.
 
     A term is a tuple of letters and formal traces ``("F", term)``; a
     polynomial without ``F`` is a plain noncommutative polynomial in the
     letters x_i."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring",)
 
     def __init__(self, ring: BaseRing, terms: dict | None = None):
         self.ring = ring
@@ -189,19 +273,8 @@ class TracePoly:
             raise ValueError("letters are numbered from 1")
         return cls(ring, {(i,): ring.one()})
 
-    def _check(self, other: "TracePoly"):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"{self.ring} vs {other.ring}")
-
-    def __add__(self, other: "TracePoly") -> "TracePoly":
-        self._check(other)
-        return TracePoly(self.ring, add_terms(self.ring, self.terms, other.terms))
-
-    def __neg__(self) -> "TracePoly":
-        return TracePoly(self.ring, {t: self.ring.neg(c) for t, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+    def _one(self) -> "TracePoly":
+        return TracePoly.const(self.ring, self.ring.one())
 
     def __mul__(self, other: "TracePoly") -> "TracePoly":
         self._check(other)
@@ -218,19 +291,6 @@ class TracePoly:
     def trace(self) -> "TracePoly":
         """Apply F, linearly."""
         return TracePoly(self.ring, {(("F", t),): c for t, c in self.terms.items()})
-
-    def scale(self, c) -> "TracePoly":
-        return TracePoly(self.ring, scale_terms(self.ring, self.terms, c))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TracePoly)
-            and other.ring == self.ring
-            and other.terms == self.terms
-        )
 
     def require_multilinear(self) -> int:
         """Return the arity n; every term must use x_1..x_n exactly once."""
@@ -254,6 +314,3 @@ class TracePoly:
             (self.ring.render(self.terms[term]), _render_term(term))
             for term in sorted(self.terms, key=_term_sort_key)
         )
-
-    def __repr__(self):
-        return f"TracePoly({self.render()})"

@@ -354,6 +354,15 @@ def test_cli_limits(capsys):
     assert code == 0 and out == "identity\n"
 
 
+def test_trace_arity_bound(capsys):
+    word7 = "Tr(" + "*".join(f"x{i}" for i in range(1, 8)) + ")"
+    for command in ("trace-check", "trace-witness"):
+        code, out, err = run_cli(capsys, command, word7)
+        assert code == 2 and out == "", command
+        assert "arity 7 exceeds the supported bound 6" in err, command
+    assert run_cli(capsys, "trace-check", "Tr(x1*x2*x3*x4*x5*x6)")[0] == 1
+
+
 def test_check_identity_of_long_sums(capsys):
     # s_7, the signed sum of the 5040 orderings of x1..x7, is not an
     # identity of the Grassmann algebra

@@ -283,15 +283,13 @@ def transforms(monkeypatch) -> list:
 
 
 def expansions(monkeypatch) -> list:
-    """The pair lists expanded in full from here on."""
+    """The factor lists of every expansion started from here on."""
     done = []
     expand = epsilon._expand
 
-    def counted(pairs, budget=float("inf")):
-        poly, left = expand(pairs, budget)
-        if poly is not None:
-            done.append(pairs)
-        return poly, left
+    def counted(factors, *rest):
+        done.append(factors)
+        return expand(factors, *rest)
 
     monkeypatch.setattr(epsilon, "_expand", counted)
     return done
@@ -539,9 +537,9 @@ def test_psi_on_9_to_12_letters_with_chunked_tables(monkeypatch, ring):
 @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
 def test_psi_of_a_group_both_expanded_and_transformed(monkeypatch, ring):
     # five adjacent transpositions join the group of twelve dense
-    # permutations of 10 letters; the budget pays to expand them, smallest
-    # support first, and the first dense graph overruns it, so the dense
-    # ones go through the transform
+    # permutations of 10 letters; the budget pays the bounds of their
+    # expansions, smallest support first, and the bound of the first dense
+    # graph overruns it, so the dense ones go through the transform
     sizes = transforms(monkeypatch)
     expanded = expansions(monkeypatch)
     rng = random.Random(101)
@@ -557,3 +555,17 @@ def test_psi_of_a_group_both_expanded_and_transformed(monkeypatch, ring):
     assert keyed(psi(f)) == oracle_psi(ring, f)
     assert sizes == [10]
     assert sorted(map(len, expanded)) == [1] * 5
+
+
+def test_psi_of_the_reversed_14_letter_word_starts_no_expansion(monkeypatch):
+    # the inversion graph is the complete graph on 14 letters: bounding its
+    # expansion by 2^15 - 1 + 76 * 2^15 term visits, far past the budget of
+    # 14 * 2^14 / 4, sends it to the transform before any pass is made
+    sigma = tuple(range(14, 0, -1))
+    f = MultilinearPoly(14, ZZ, {sigma: 1})
+    want = sum_of_exps(f)
+    sizes = transforms(monkeypatch)
+    expanded = expansions(monkeypatch)
+    assert keyed(psi(f)) == want
+    assert expanded == []
+    assert sizes == [14]
