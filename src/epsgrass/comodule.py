@@ -16,10 +16,11 @@ images B of an explicit spanning set (ascending prefix times
 commutators in ascending disjoint pairs) have a closed form
 (``SpanningTerm.sign_image``), and B is unitriangular: row T holds 1 at
 eps_T, and its other theta-free monomials sit at strict supersets of T.
-That proves an all-ones Smith diagonal over every base ring with no
-elimination, and makes a solve against B a triangular reduction, for
-the rank certificate (``comodule_rank``, which reads no n!-row sign
-table) and for normal forms, checked by psi of the residual.
+That proves an all-ones Smith diagonal over every base ring, and makes
+B an echelon that the unit-pivot ``SmithSolver`` of ``linalg`` keeps as
+it is, with pivot eps_T for row T.  Its one reduction serves the rank
+certificate (``comodule_rank``, which reads no n!-row sign table) and
+the normal forms, checked by psi of the residual.
 """
 
 from __future__ import annotations
@@ -31,14 +32,15 @@ from typing import Iterable, Iterator, Sequence
 
 from .epsilon import CoeffRing, EpsPoly, InternalError, all_monomials, exp_map
 from .grassmann import GrassElem, esgn, word_from_letters
+from .linalg import NoUnitPivot, SmithSolver
 from .rings import BaseRing, IntegerRing
 from .terms import TermMap, TracePoly, add_term
 from . import epsilon
 
 # The largest arity of the co-module certificate, whose budget is 30 s
 # cold.  On a shared 2-vCPU VM whose speed toggles, `comodule --n` takes
-# 0.62-0.93 s at n = 12 (19 MB peak RSS), 1.3-1.9 s at 13 (24 MB),
-# 3.5-3.7 s at 14 (36 MB) and 9.9-13.7 s at 15 (64 MB); with the bound
+# 0.62-0.93 s at n = 12 (19 MB peak RSS), 1.3-1.9 s at 13 (25 MB),
+# 3.5-3.7 s at 14 (37 MB) and 9.9-13.7 s at 15 (66 MB); with the bound
 # lifted, n = 16 takes 33-37 s at 134 MB, past the budget.
 MAX_COMODULE_ARITY = 15
 # ``epsgrass signs`` and ``matrix_dump`` list all n! signs of S_n.
@@ -261,10 +263,10 @@ def psi(f: MultilinearPoly) -> EpsPoly:
     return epsilon._to_poly(CoeffRing(f.ring), *_sign_sum(f))
 
 
-def sign_act(pi: Sequence[int], lam: EpsPoly, n: int | None = None) -> EpsPoly:
+def sign_act(pi: Sequence[int], lam: EpsPoly) -> EpsPoly:
     """Twisted action on the sign module: pi(lam) = esgn(pi) phi_pi(lam),
     esgn(pi) on unit words being the exp of pi's inversion graph."""
-    n = len(pi) if n is None else n
+    n = len(pi)
     if sorted(pi) != list(range(1, n + 1)):
         raise ValueError(f"{pi} is not a permutation of 1..{n}")
     pmap = {i + 1: pi[i] for i in range(n)}
@@ -416,9 +418,15 @@ _ROWS_CACHE: dict = {}
 
 def _spanning_rows(n: int):
     """(spanning terms, their sign images B over Z keyed by the pivot, the
-    mask of eps_T with T the term's tail), cached.  Check (a) runs on
-    build: row T holds 1 at eps_T, and its other theta-free monomials at
-    strict supersets of T; a row that breaks it raises ``InternalError``."""
+    mask of eps_T with T the term's tail, and the ``SmithSolver`` over B
+    in the order of the terms, on the masks below 2^(n+1)), cached.
+    Check (a) runs first: row T holds 1 at eps_T, and its other
+    theta-free monomials at strict supersets of T; a row that breaks it
+    raises ``InternalError``, as does a solver that finds no unit pivot.
+    The closed form puts the theta monomials of row T at strict supersets
+    of T too, so eps_T is its smallest unit entry and no row before it
+    has a pivot in it: the solver takes no elimination step, keeps every
+    row with pivot eps_T, and shares B's term dicts."""
     if n not in _ROWS_CACHE:
         coeff = CoeffRing(IntegerRing())
         terms = spanning_terms(n)
@@ -433,46 +441,23 @@ def _spanning_rows(n: int):
                     f"the row of {term.render()} is not unitriangular"
                 )
             rows[pivot] = row
-        _ROWS_CACHE[n] = (terms, rows)
+        try:
+            solver = SmithSolver([row.terms for row in rows.values()], 2 << n)
+        except NoUnitPivot as err:
+            raise InternalError(f"spanning set at arity {n} is not certified free: {err}") from err
+        _ROWS_CACHE[n] = (terms, rows, solver)
     return _ROWS_CACHE[n]
-
-
-def _reduce(rows: dict, p: EpsPoly) -> tuple[dict, dict]:
-    """(coordinates, residual) of p against the rows B: take the smallest
-    pivot left, record its coefficient c and subtract c times its row,
-    which changes only strict supersets of the pivot, until no pivot is
-    left.  p is in the span of B iff the residual is empty, and then its
-    coordinates are unique, over every base ring."""
-    frm = p.ring.base.from_int
-    left = dict(p.terms)  # raw sums, mapped into the ring when read
-    todo = [[] for _ in range(len(rows).bit_length() + 1)]  # pivots by |T| <= n
-    for m in left:
-        if m in rows:
-            todo[m.bit_count()].append(m)
-    coords = {}
-    for bucket in todo:
-        for pivot in bucket:
-            c = frm(left[pivot])
-            if c:
-                coords[pivot] = c
-                for m, v in rows[pivot].terms.items():
-                    if m not in left and m in rows:
-                        todo[m.bit_count()].append(m)
-                    left[m] = left.get(m, 0) - c * v
-            del left[pivot]
-    left = {m: c for m, c in zip(left, map(frm, left.values())) if c}
-    return coords, left
 
 
 def freeness_certificate(n: int) -> bool:
     """Check (a): the 2^(n-1) spanning rows B are unitriangular on the
     columns eps_T, |T| even, ordered by inclusion, so B has an all-ones
-    Smith diagonal over every base ring.  Returns True; a failure raises
-    ``InternalError``."""
+    Smith diagonal over every base ring, and the unit-pivot solver keeps
+    every row.  Returns True; a failure raises ``InternalError``."""
     if not 1 <= n <= MAX_COMODULE_ARITY:
         raise ValueError(f"arity must be between 1 and {MAX_COMODULE_ARITY}")
-    terms, rows = _spanning_rows(n)
-    if not len(rows) == len(terms) == 2 ** (n - 1):
+    terms, rows, solver = _spanning_rows(n)
+    if not len(solver.kept) == len(rows) == len(terms) == 2 ** (n - 1):
         raise InternalError(f"spanning set at arity {n} is not certified free")
     return True
 
@@ -490,8 +475,9 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
     (a) B is unitriangular (``freeness_certificate``), so it has an
         all-ones Smith diagonal and spans a direct summand of rank 2^(n-1);
     (b') 1 and sign_act(s_k, b), for every adjacent transposition
-        s_k = (k k+1) and every row b of B, reduce to zero against B;
-        ``_adjacent_act`` takes sign_act(s_k, b) in closed form.
+        s_k = (k k+1) and every row b of B, reduce to zero against B
+        (``SmithSolver.reduce``); ``_adjacent_act`` takes sign_act(s_k, b)
+        in closed form.
 
     By the cocycle law, A_sigma(lam) = esgn(sigma)*phi_sigma(lam) is a
     Z-linear action of S_n on C[eps] (``sign_act``) with A_sigma(1) the
@@ -503,12 +489,12 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
     if n in _RANK_CACHE:
         return _RANK_CACHE[n]
     freeness_certificate(n)  # (a); rejects an arity out of range
-    rows = _spanning_rows(n)[1]
-    if _reduce(rows, CoeffRing(IntegerRing()).one())[1]:  # (b')
+    _, rows, solver = _spanning_rows(n)
+    if solver.reduce({0: 1})[0]:  # (b')
         raise InternalError("1 is outside the spanning set's span")
     for k in range(1, n):
         for b in rows.values():
-            if _reduce(rows, _adjacent_act(k, b))[1]:
+            if solver.reduce(_adjacent_act(k, b).terms)[0]:
                 raise InternalError(
                     f"the spanning set's span is not stable under s_{k}: "
                     f"{b.render()} leaves it"
@@ -520,18 +506,18 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
 def grassmann_normal_form(f: MultilinearPoly) -> dict[SpanningTerm, object]:
     """Coordinates of f in the spanning basis, modulo the identity ideal.
 
-    Reduces psi(f) against the unitriangular sign images B of the
+    Solves psi(f) against the unitriangular sign images B of the
     spanning set, whose pivots are 1, so the coordinates are unique over
     every base ring, composite Z/m included; then verifies the residual
     f - sum c_B B is an identity.
     """
     ring = f.ring
     freeness_certificate(f.n)
-    terms, rows = _spanning_rows(f.n)
-    found, left = _reduce(rows, psi(f))
-    if left:
+    terms, _, solver = _spanning_rows(f.n)
+    found, ok = solver.solve(psi(f).terms, ring)
+    if not ok:
         raise InternalError("sign image not in the span of the spanning set")
-    coords = {t: found[pivot] for t, pivot in zip(terms, rows) if pivot in found}
+    coords = {t: c for t, c in zip(terms, found) if c}
     residual = dict(f.coeffs)
     for t, c in coords.items():
         minus = ring.neg(c)

@@ -10,9 +10,11 @@ it (``supertrace`` certifies its trace basis blocks this way).
 on +-1 entries only.  Such an elimination is a unimodular row transform,
 so it proves that the kept rows have an all-ones Smith diagonal without
 computing a general Smith normal form, and it yields a solve that is
-valid after base change to any commutative ring.  The torsion residues
-of the quotient algebras need no elimination: ``salg`` computes them in
-closed form.
+valid after base change to any commutative ring.  One loop,
+``SmithSolver.reduce``, reduces a vector against the kept rows: the
+build, the solve and the co-module's stability check all run through
+it.  The torsion residues of the quotient algebras need no elimination:
+``salg`` computes them in closed form.
 """
 
 from __future__ import annotations
@@ -44,107 +46,116 @@ class SmithSolver:
     against it over any base ring.
 
     ``rows`` is an iterable of sparse rows {column: int} with columns in
-    0..ncols-1.  Each row is reduced against the rows kept so far; a zero
-    residue means the row lies in their span (over Q, since every pivot
-    is a unit) and the row is skipped, otherwise the row is kept, with
-    pivot the first +-1 entry of its residue, and its index is appended
-    to ``kept``.  A residue with no +-1 entry raises ``NoUnitPivot``.
-    So the kept rows A are chosen exactly as a rational echelon would
-    choose them, and the elimination, a unimodular integer row transform
-    W with W*A equal to the identity on the pivot columns, is itself the
-    proof that A has an all-ones Smith diagonal: the same W works after
-    base change to any commutative ring.
+    0..ncols-1.  Each row is reduced against the rows kept so far
+    (``reduce``); a zero residue means the row lies in their span (over
+    Q, since every pivot is a unit) and the row is skipped, otherwise the
+    row is kept, with pivot the first +-1 entry of its residue, and its
+    index is appended to ``kept``.  A residue with no +-1 entry raises
+    ``NoUnitPivot``.  So the kept rows A are chosen exactly as a rational
+    echelon would choose them.  The elimination is a unimodular integer
+    row transform W, and W*A is unit-triangular on the pivot columns p_i:
+    its row R_i is +-1 at p_i and zero at the pivots of the rows before
+    it.  That is the proof that A has an all-ones Smith diagonal, and the
+    same W works after base change to any commutative ring.
 
     The test is incomplete: a matrix with unit Smith diagonal may offer
     no +-1 entry, as [[2, 3]] does.  The code never builds such a block;
     every block it certifies has a unit pivot at each step.
 
-    With R = W*A, x*A = v holds exactly when v equals sum_i v[p_i]*R_i
-    off the pivot columns p_i, and then x = sum_i v[p_i]*W_i.  The
-    solver keeps, sparse and by rows (one per column of A), only the
-    projector v[p_i] -> W_i (``projector``) and the cokernel test
-    (``cokernel``).  The vector comes as a sparse {column: value} map,
-    so a solve walks only the columns it holds and costs ring operations
-    in proportion to the nonzeros of the rows they select.
+    ``echelon`` holds (p_i, R_i, W_i) per kept row.  A row kept as it
+    came shares its dict as R_i, and its W_i, the i-th unit vector, is
+    None.
     """
 
     def __init__(self, rows, ncols: int):
         self.ncols = ncols
         self.kept: list[int] = []
-        # (pivot column, residue R_i, its combination W_i of kept rows);
-        # each residue is zero at the pivots of the rows before it
-        echelon: list[tuple[int, dict, dict]] = []
-        where: dict = {}  # pivot column -> index in echelon
+        self.echelon: list[tuple[int, dict, dict | None]] = []
+        self._where: dict = {}  # pivot column -> index in echelon
         for k, row in enumerate(rows):
-            res = {j: c for j, c in row.items() if c}
-            # clear pivots in echelon order; row i adds entries only at
-            # the pivots of later rows
-            todo = [where[j] for j in res if j in where]
-            heapify(todo)
-            steps = []
-            while todo:
-                i = heappop(todo)
-                p, r, _ = echelon[i]
-                c = res.get(p)
-                if c:
-                    q = c * r[p]  # r[p] is +-1, its own inverse
-                    _axpy(res, r, -q)
-                    steps.append((i, q))
-                    for j in r:
-                        if where.get(j, i) > i:
-                            heappush(todo, where[j])
+            if not all(row.values()):
+                row = {j: c for j, c in row.items() if c}
+            res, steps = self.reduce(row)
             if not res:
                 continue
             p = min((j for j, c in res.items() if c in (1, -1)), default=None)
             if p is None:
                 raise NoUnitPivot(f"row {k} leaves a residue with no unit entry")
-            combo = {len(echelon): 1}
-            for i, q in steps:
-                _axpy(combo, echelon[i][2], -q)
-            where[p] = len(echelon)
+            combo = None
+            if steps:
+                combo = {len(self.echelon): 1}
+                for i, q in steps:
+                    _axpy(combo, self.echelon[i][2] or {i: 1}, -q)
+            self._where[p] = len(self.echelon)
             self.kept.append(k)
-            echelon.append((p, res, combo))
+            self.echelon.append((p, res, combo))
         self.nrows = len(self.kept)
-        # back-substitute once, bottom up: the rows below are reduced, zero
-        # at every pivot but their own, so each clears one column here;
-        # then scale the pivot to 1
-        for i in range(len(echelon) - 1, -1, -1):
-            p, r, w = echelon[i]
-            for j in [j for j in r if where.get(j, i) > i]:
-                _, below, w_below = echelon[where[j]]
-                c = r[j]
-                _axpy(r, below, -c)
-                _axpy(w, w_below, -c)
-            if r[p] < 0:
-                for d in (r, w):
-                    for j in d:
-                        d[j] = -d[j]
-        self.projector = [()] * ncols
-        self.cokernel = [((j, 1),) for j in range(ncols)]
-        for p, r, w in echelon:
-            self.projector[p] = tuple(w.items())
-            self.cokernel[p] = tuple((j, -c) for j, c in r.items() if j != p)
+
+    def reduce(self, vec: dict) -> tuple[dict, list]:
+        """(residual, steps): clear the pivots of vec in echelon order,
+        each step (i, q) subtracting q*R_i with Python ``+`` and ``*``, so
+        the residual vec - sum q*R_i is zero at every pivot.  R_i is zero
+        at the pivots of the rows before it, so a step adds entries only
+        at the pivots of later rows.  vec is not changed; the residual is
+        vec itself when vec holds no pivot column."""
+        where = self._where
+        todo = [where[j] for j in vec if j in where]
+        if not todo:
+            return vec, []
+        echelon = self.echelon
+        res = dict(vec)
+        heapify(todo)
+        steps = []
+        while todo:
+            i = heappop(todo)
+            p, r, _ = echelon[i]
+            c = res.get(p)
+            if c:
+                q = c * r[p]  # r[p] is +-1, its own inverse
+                steps.append((i, q))
+                for j, v in r.items():
+                    w = res.get(j)
+                    if w is None:  # a new entry: queue its pivot, if any
+                        res[j] = -q * v
+                        if j in where:
+                            heappush(todo, where[j])
+                    else:
+                        w -= q * v
+                        if w:
+                            res[j] = w
+                        else:
+                            del res[j]
+        return res, steps
 
     def solve(self, vec: dict, ring):
         """Solve x*A = vec over ``ring``; vec is a sparse vector
-        {column: nonzero ring element}.
+        {column: ring element}.
+
+        vec = sum q*R_i + residual over the steps (i, q) of ``reduce``,
+        with R_i = W_i*A.  A combination of the R_i that is zero at every
+        pivot is zero, as the R_i are unit-triangular there, so vec is in
+        the row span over ``ring`` exactly when the residual maps to zero
+        in it, and then x = sum q*W_i, mapped into the ring once.
 
         Returns (x, residual_ok).  residual_ok is False when vec is not
         in the row span, in which case x is None.  A column outside
         0..ncols-1 raises ``ValueError``.
         """
-        add, mul, frm, is_zero = ring.add, ring.mul, ring.from_int, ring.is_zero
-        zero = ring.zero()
-        x = [zero] * self.nrows
-        test: dict = {}  # the coordinates of the residual that vec reaches
-        ncols = self.ncols
-        for i, c in vec.items():
-            if not 0 <= i < ncols:
-                raise ValueError(f"column {i} is outside 0..{ncols - 1}")
-            for k, v in self.cokernel[i]:
-                test[k] = add(test.get(k, zero), mul(c, frm(v)))
-            for k, v in self.projector[i]:
-                x[k] = add(x[k], mul(c, frm(v)))
-        if not all(is_zero(s) for s in test.values()):
+        lo, hi = min(vec, default=0), max(vec, default=0)
+        if lo < 0 or hi >= self.ncols:
+            raise ValueError(f"column {lo if lo < 0 else hi} is outside 0..{self.ncols - 1}")
+        res, steps = self.reduce(vec)
+        frm = ring.from_int
+        if any(map(frm, res.values())):
             return None, False
-        return x, True
+        x = [0] * self.nrows
+        echelon = self.echelon
+        for i, q in steps:
+            combo = echelon[i][2]
+            if combo is None:
+                x[i] += q
+            else:
+                for k, v in combo.items():
+                    x[k] += q * v
+        zero = frm(0)
+        return [frm(c) if c else zero for c in x], True

@@ -21,10 +21,10 @@ the coordinates in the basis are recovered by an exact integer linear
 solve.  A monomial evaluates to exactly one model monomial times
 exp(P), P the eps-index pairs of every reordering on the way: each
 factor 1 - eps_i*eps_j squares to 1, so the exps of the steps compose
-into the exp of their joined pairs, one ``exp_map`` per monomial.  One
-elimination per block of the basis, on +-1 pivots only, both picks the
-basis and certifies it: it is a unimodular integer transform, so the
-coordinates are unique and valid over every base ring.  Four defining
+into the exp of their joined pairs, one expansion over Z per monomial.
+One elimination per block of the basis, on +-1 pivots only, both picks
+the basis and certifies it: it is a unimodular integer transform, so
+the coordinates are unique and valid over every base ring.  Four defining
 identities generate everything:
 
     F(F(x)y) = F(x)F(y)        F(xF(y)) = F(x)F(y)
@@ -41,7 +41,7 @@ import random
 from itertools import permutations, product as iproduct
 from typing import NamedTuple, Sequence
 
-from .epsilon import CoeffRing, InternalError, exp_map
+from .epsilon import CoeffRing, InternalError, _expand, _odd_factors
 from .grassmann import GrassAlgebra, GrassElem, word_parity_pairs
 from .hull import Matrix
 from .linalg import NoUnitPivot, SmithSolver
@@ -53,7 +53,6 @@ from .terms import (
     _letters_of_term,
     _render_term,
     _term_sort_key,
-    add_term,
     render_sum,
 )
 
@@ -68,9 +67,9 @@ class TraceArgumentError(ValueError):
 # -- the graded evaluation model -----------------------------------------
 #
 # Values are C[eps]-combinations of monomials (w0, traces): a plain word
-# of letters followed by formal trace factors, as a term map
-# {(w0, traces): EpsPoly}.  Letters are graded by their own index; trace
-# values twist-commute past everything, and a trace argument may be
+# of letters followed by formal trace factors, as a flat vector
+# {((w0, traces), eps mask): c}.  Letters are graded by their own
+# index; trace values twist-commute past everything, and a trace argument may be
 # rotated at the cost of an exp factor.  The four defining identities
 # hold here, so evaluation kills exactly their consequences (on
 # multilinear input).
@@ -80,7 +79,7 @@ class TraceArgumentError(ValueError):
 # C[eps] is commutative and each factor 1 - eps_i*eps_j squares to 1,
 # over every ring and in the theta=0 quotient alike, so
 # exp(p)*exp(q) = exp(p + q).  The helpers below only append their pairs
-# to one list per term, which a single ``exp_map`` expands.
+# to one list per term, whose product of binomials is expanded once.
 
 
 def _sorted_traces(traces: tuple, pairs: list) -> tuple:
@@ -131,17 +130,20 @@ def _model_monomial(term: tuple, pairs: list) -> tuple:
     return w0, traces
 
 
-def model_eval(f: TracePoly, coeff: CoeffRing) -> dict:
-    """The model value of f: a term map {(w0, traces): EpsPoly}, with one
-    ``exp_map`` per term of f, scaled only by a coefficient other than 1."""
-    one = coeff.base.one()
-    out: dict = {}
+def model_eval(f: TracePoly) -> dict:
+    """The model value of f as a flat vector {((w0, traces), eps mask): c}
+    over f's ring: each term's exp is expanded over Z, the coefficients
+    are summed with Python arithmetic and mapped into the ring once, with
+    the zeros pruned, as ``EpsPoly.__mul__`` does."""
+    acc: dict = {}
     for term, c in f.terms.items():
         pairs: list = []
         key = _model_monomial(term, pairs)
-        value = exp_map(coeff, pairs)
-        add_term(coeff, out, key, value if c == one else value.scale(c))
-    return out
+        for m, v in _expand(_odd_factors(pairs)).items():
+            k = (key, m)
+            acc[k] = acc[k] + c * v if k in acc else c * v
+    frm = f.ring.from_int
+    return {k: c for k, c in zip(acc, map(frm, acc.values())) if c}
 
 
 # -- the standard form -----------------------------------------------------
@@ -482,17 +484,11 @@ def _block_solver(outer: frozenset, parts: frozenset):
     if not candidates:
         raise InternalError(f"no basis candidates for block {key}")
     zz = IntegerRing()
-    coeff = CoeffRing(zz)
     columns: dict = {}
     vectors = []
     for cand in candidates:
-        value = model_eval(cand.to_trace_poly(zz), coeff)
-        vec: dict = {}
-        for mono_key, poly in value.items():
-            for eps_key, c in poly.terms.items():
-                col = columns.setdefault((mono_key, eps_key), len(columns))
-                vec[col] = c
-        vectors.append(vec)
+        value = model_eval(cand.to_trace_poly(zz))
+        vectors.append({columns.setdefault(k, len(columns)): c for k, c in value.items()})
     try:
         solver = SmithSolver(vectors, len(columns))
     except NoUnitPivot as err:
@@ -514,25 +510,18 @@ def trace_normalize(f: TracePoly) -> StandardForm:
     if n > MAX_TRACE_ARITY:
         raise ValueError(f"arity {n} exceeds the supported bound {MAX_TRACE_ARITY}")
     ring = f.ring
-    value = model_eval(f, CoeffRing(ring))
     # group the value by block pattern
     groups: dict = {}
-    for (w0, traces), poly in value.items():
+    for (mono, m), c in model_eval(f).items():
+        w0, traces = mono
         pattern = (frozenset(w0), frozenset(frozenset(v) for v in traces))
-        groups.setdefault(pattern, {})[(w0, traces)] = poly
+        groups.setdefault(pattern, {})[mono, m] = c
     items: dict = {}
-    for pattern, part_terms in groups.items():
+    for pattern, part in groups.items():
         basis, columns, solver = _block_solver(*pattern)
-        vec: dict = {}
-        for mono_key, poly in part_terms.items():
-            for eps_key, c in poly.terms.items():
-                col = columns.get((mono_key, eps_key))
-                if col is None:
-                    raise InternalError(
-                        "value outside the span of the standard basis"
-                    )
-                vec[col] = c
-        sol, ok = solver.solve(vec, ring)
+        if not columns.keys() >= part.keys():
+            raise InternalError("value outside the span of the standard basis")
+        sol, ok = solver.solve({columns[k]: c for k, c in part.items()}, ring)
         if not ok:
             raise InternalError("value not solvable in the standard basis")
         for term, c in zip(basis, sol):
@@ -610,6 +599,9 @@ def eval_trace_poly(f: TracePoly, ctx: SuperTraceContext, subs: Sequence[Matrix]
 
 # -- witness search ------------------------------------------------------------
 
+# The substitutions ``witness_search`` tries per matrix size.
+WITNESS_ATTEMPTS_PER_SIZE = 400
+
 
 class Witness(NamedTuple):
     size: int
@@ -633,16 +625,12 @@ class Witness(NamedTuple):
         return "; ".join(parts)
 
 
-def witness_search(
-    f: TracePoly,
-    max_n: int,
-    seed: int = 0,
-    attempts_per_size: int = 400,
-) -> Witness | None:
+def witness_search(f: TracePoly, max_n: int, seed: int = 0) -> Witness | None:
     """Search for a matrix substitution with a nonzero value.
 
     Every letter becomes a coefficient times a matrix unit.  For each
-    matrix size from 2 to ``max_n``, the first attempt places x_i at
+    matrix size from 2 to ``max_n`` there are
+    ``WITNESS_ATTEMPTS_PER_SIZE`` attempts: the first places x_i at
     position (i-1, i) modulo the size with coefficient 1; every later
     attempt draws each letter's row and column uniformly at random and
     its coefficient from 1, e1, e2, e1*e2 (``algebra.gen``) or a product
@@ -657,7 +645,7 @@ def witness_search(
     coeff_pool = [algebra.one(), algebra.gen(1), algebra.gen(2), algebra.gen(1) * algebra.gen(2)]
     for size in range(2, max_n + 1):
         ctx = SuperTraceContext(size, algebra)
-        for attempt in range(attempts_per_size):
+        for attempt in range(WITNESS_ATTEMPTS_PER_SIZE):
             assignments = {}
             if attempt == 0 and size >= 2:
                 # deterministic first shot: identity-order path with wraparound

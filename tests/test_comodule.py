@@ -113,14 +113,14 @@ def test_psi_equivariance(rng):
         if h.is_zero():
             continue
         pi = random_perm(rng, n)
-        assert psi(sn_act_poly(pi, h)) == sign_act(pi, psi(h), n)
+        assert psi(sn_act_poly(pi, h)) == sign_act(pi, psi(h))
 
 
 def test_sign_act_examples():
     cz = CoeffRing(ZZ)
     lam = cz.one()
-    assert sign_act((1, 2), lam, 2) == lam
-    assert sign_act((2, 1), lam, 2) == cz.one() - cz.eps(1) * cz.eps(2)
+    assert sign_act((1, 2), lam) == lam
+    assert sign_act((2, 1), lam) == cz.one() - cz.eps(1) * cz.eps(2)
 
 
 def test_sign_act_is_group_action(rng):
@@ -130,7 +130,7 @@ def test_sign_act_is_group_action(rng):
         lam = esgn(cz, unit_words(n), random_perm(rng, n))
         s, t = random_perm(rng, n), random_perm(rng, n)
         st = tuple(s[t[i] - 1] for i in range(n))
-        assert sign_act(st, lam, n) == sign_act(s, sign_act(t, lam, n), n)
+        assert sign_act(st, lam) == sign_act(s, sign_act(t, lam))
 
 
 def test_sign_act_is_an_action_on_every_monomial():
@@ -139,16 +139,16 @@ def test_sign_act_is_an_action_on_every_monomial():
     for n in range(1, 5):
         perms = list(permutations(range(1, n + 1)))
         basis = [cz.monomial(t, eps) for t, eps in all_monomials(range(1, n + 1))]
-        image = {(s, i): sign_act(s, m, n) for s in perms for i, m in enumerate(basis)}
+        image = {(s, i): sign_act(s, m) for s in perms for i, m in enumerate(basis)}
         for s in perms:
             for t in perms:
                 st = tuple(s[t[i] - 1] for i in range(n))
                 for i in range(len(basis)):
-                    assert image[st, i] == sign_act(s, image[t, i], n), (s, t, i)
+                    assert image[st, i] == sign_act(s, image[t, i]), (s, t, i)
         for k in range(1, n):
             s_k = tuple(range(1, k)) + (k + 1, k) + tuple(range(k + 2, n + 1))
             for i, m in enumerate(basis):
-                assert sign_act(s_k, image[s_k, i], n) == m
+                assert sign_act(s_k, image[s_k, i]) == m
 
 
 @pytest.mark.parametrize(
@@ -230,7 +230,8 @@ def test_comodule_rank_matches_elimination_oracles(n):
 
 
 def reduce_by_scan(rows: dict, p: EpsPoly) -> tuple[dict, dict]:
-    """``_reduce`` by walking every pivot eps_T in order of |T|, then T."""
+    """The reduction against B by walking every pivot eps_T in order of
+    |T|, then T: (coordinates by pivot, residual)."""
     left = dict(p.terms)
     coords = {}
     for pivot in sorted(rows, key=lambda m: (m.bit_count(), monomial_key(m))):
@@ -249,7 +250,10 @@ def test_reduce_matches_a_scan_of_every_pivot():
     rng = random.Random(37)
     cz = CoeffRing(ZZ)
     for n in range(1, 8):
-        _, rows = comodule._spanning_rows(n)
+        _, rows, solver = comodule._spanning_rows(n)
+        # the solver keeps every row of B as it is, with pivot eps_T
+        assert [(p, r) for p, r, _ in solver.echelon] == [(p, b.terms) for p, b in rows.items()]
+        assert all(r is rows[p].terms and w is None for p, r, w in solver.echelon)
         keys = list(rows)
         for _ in range(30):
             p = cz.zero()
@@ -257,7 +261,9 @@ def test_reduce_matches_a_scan_of_every_pivot():
                 p = p + rows[key].scale(rng.choice((-3, -1, 1, 2)))
             if rng.random() < 0.5:
                 p = p + cz.monomial(rng.randint(0, 1), rng.sample(range(1, n + 1), rng.randint(0, n)), 5)
-            assert comodule._reduce(rows, p) == reduce_by_scan(rows, p)
+            left, steps = solver.reduce(p.terms)
+            coords = {solver.echelon[i][0]: q for i, q in steps}
+            assert (coords, left) == reduce_by_scan(rows, p)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -265,11 +271,11 @@ def test_whole_table_checks_still_hold(n):
     # the table certificate the generator certificate replaced: every sign
     # row S reduces to zero against the spanning rows B, and B = T*S
     perms, cols, sign_rows = sign_matrix_int(n)
-    terms, rows = comodule._spanning_rows(n)
+    terms, rows, solver = comodule._spanning_rows(n)
     cz = CoeffRing(ZZ)
     for row in sign_rows:
         sign = sum((cz.monomial(*cols[j], v) for j, v in enumerate(row) if v), cz.zero())
-        assert comodule._reduce(rows, sign)[1] == {}
+        assert solver.reduce(sign.terms)[0] == {}
     table = dict(zip(perms, sign_rows))
     for term, poly in zip(terms, rows.values()):
         combo = [0] * len(cols)
@@ -347,6 +353,20 @@ def test_comodule_rank_rejects_rows_not_unitriangular(monkeypatch):
     assert comodule_rank(2, ZZ) == 2  # the real spanning rows still certify
 
 
+def test_comodule_rank_rejects_rows_without_a_unit_pivot(monkeypatch):
+    # both rows pass check (a), which leaves theta monomials free, but
+    # the row of x1*x2*... picks theta as its pivot, and clearing it from
+    # the row of [x1,x2]*[x3,x4] leaves -3*eps1*eps2*eps3*eps4 -
+    # 2*eps1*eps2, with no +-1 entry
+    cz = CoeffRing(ZZ)
+    rows = list(comodule._spanning_rows(4)[1].values())  # before any patch
+    e12, e1234 = cz.eps(1) * cz.eps(2), cz.eps(1) * cz.eps(2) * cz.eps(3) * cz.eps(4)
+    rows[1] = e12 + cz.theta() + e1234.scale_int(2)
+    rows[7] = e1234 + cz.theta().scale_int(2)
+    with pytest.raises(InternalError, match="arity 4 is not certified free: row 7"):
+        rank_on_spanning_rows(monkeypatch, 4, rows)
+
+
 def test_comodule_rank_rejects_span_not_stable(monkeypatch):
     # [1, eps1*eps2 + theta] is unitriangular and holds 1, but
     # s_1(1) = 1 - eps1*eps2 reduces to theta, outside its span
@@ -397,7 +417,7 @@ def test_adjacent_act_is_sign_act(n):
     for k in range(1, n):
         s_k = tuple(range(1, k)) + (k + 1, k) + tuple(range(k + 2, n + 1))
         for b in rows.values():
-            assert comodule._adjacent_act(k, b) == sign_act(s_k, b, n), (k, b)
+            assert comodule._adjacent_act(k, b) == sign_act(s_k, b), (k, b)
 
 
 def test_stability_check_survives_optimize():

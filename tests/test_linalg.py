@@ -152,7 +152,7 @@ def test_smith_solver_matches_dense_formula():
     assert len(certified) > 20
     for a, solver in certified:
         n, c = len(a), len(a[0])
-        for ring in (ZZ, QQ, GF(5), ModRing(4)):
+        for ring in (ZZ, QQ, GF(5), ModRing(4), ModRing(6)):
             x = [ring.sample(rng) for _ in range(n)]
             inside = [
                 ring_sum(ring, (ring.mul(x[i], ring.from_int(a[i][j])) for i in range(n)))
@@ -172,8 +172,9 @@ def test_smith_solver_signed_permutation_is_sparse():
     rows = [{j: rng.choice((1, -1))} for j in perm]
     solver = SmithSolver(rows, n)
     assert solver.kept == list(range(n))
-    assert sum(len(row) for row in solver.projector) == n
-    assert sum(len(row) for row in solver.cokernel) == 0
+    # every row is kept as it came: one entry, its pivot, and no combination
+    assert sum(len(row) for _, row, _ in solver.echelon) == n
+    assert all(combo is None for _, _, combo in solver.echelon)
 
 
 def test_smith_solver_rejects_wrong_length():

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from epsgrass import CoeffRing, GF, GrassAlgebra, QQ, ZZ, supertrace
+from epsgrass.epsilon import monomial_key
 from epsgrass.hull import Matrix
 from epsgrass.rings import IntegerRing, ModRing
 from epsgrass.supertrace import (
@@ -23,7 +24,7 @@ from epsgrass.supertrace import (
     witness_search,
 )
 
-from conftest import keyed, random_grass_elem
+from conftest import random_grass_elem
 from esgn_oracle import model_value, reduce
 from forest_oracle import nested_monomials
 from rank_oracle import rational_choice
@@ -498,7 +499,11 @@ def all_blocks(max_letters):
 
 
 def model_terms(value):
-    return {mono: keyed(poly) for mono, poly in value.items()}
+    """The flat model value as {mono: {(t, eps): c}}."""
+    out: dict = {}
+    for (mono, mask), c in value.items():
+        out.setdefault(mono, {})[monomial_key(mask)] = c
+    return out
 
 
 def nests(term) -> bool:
@@ -512,7 +517,6 @@ def nests(term) -> bool:
 def test_model_eval_matches_stepwise_oracle_on_block_candidates():
     # every candidate of the blocks with at most 4 letters, over Z; the
     # nested monomials all nest a trace in a trace
-    coeff = CoeffRing(ZZr)
     checked = 0
     for outer, parts in all_blocks(4):
         candidates = list(supertrace.enumerate_block_basis(outer, parts))
@@ -520,7 +524,7 @@ def test_model_eval_matches_stepwise_oracle_on_block_candidates():
         assert all(nests(m.term) for m in nested), (outer, parts)
         for cand in candidates + nested:
             f = cand.to_trace_poly(ZZr)
-            got = model_terms(supertrace.model_eval(f, coeff))
+            got = model_terms(supertrace.model_eval(f))
             assert got == model_value(f.terms), cand.render()
             checked += 1
     assert checked == 777
@@ -547,7 +551,6 @@ def test_nested_monomials_match_the_full_parent_map_walk():
 
 @pytest.mark.parametrize("ring", [ModRing(4), ModRing(6), QQ], ids=["Z4", "Z6", "Q"])
 def test_model_eval_matches_stepwise_oracle_on_random_polys(ring, rng):
-    coeff = CoeffRing(ring)
     raised = 0
     for _ in range(150):
         f = _random_trace_poly(rng, rng.randint(1, 5))
@@ -560,13 +563,13 @@ def test_model_eval_matches_stepwise_oracle_on_random_polys(ring, rng):
             want = model_value(terms)
         except ValueError:
             with pytest.raises(TraceArgumentError):
-                supertrace.model_eval(f, coeff)
+                supertrace.model_eval(f)
             raised += 1
             continue
         if ring is not QQ:
             want = {mono: reduce(p, ring.m) for mono, p in want.items()}
             want = {mono: p for mono, p in want.items() if p}
-        assert model_terms(supertrace.model_eval(f, coeff)) == want, f.render()
+        assert model_terms(supertrace.model_eval(f)) == want, f.render()
     assert 0 < raised < 150
 
 
@@ -574,13 +577,11 @@ def test_model_eval_rotates_repeated_letters_as_a_multiset(rng):
     # moving a letter past the rest of a trace argument passes every other
     # copy of a repeated letter: Tr(x2*x1*x1) rotates x2 past x1 twice,
     # which costs exp(2*eps1*eps2) = 1
-    coeff = CoeffRing(ZZr)
     for f in (word(2, 1, 1).trace(), word(2, 1, 2, 3).trace()):
-        assert model_terms(supertrace.model_eval(f, coeff)) == model_value(f.terms)
-    assert model_terms(supertrace.model_eval(word(2, 1, 1).trace(), coeff)) == {
+        assert model_terms(supertrace.model_eval(f)) == model_value(f.terms)
+    assert model_terms(supertrace.model_eval(word(2, 1, 1).trace())) == {
         ((), ((1, 1, 2),)): {(0, ()): 1}
     }
-    z4 = CoeffRing(ModRing(4))
     for _ in range(200):
         letters = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 7)))
         cut = rng.randint(0, len(letters) - 2)
@@ -589,10 +590,10 @@ def test_model_eval_rotates_repeated_letters_as_a_multiset(rng):
             arg = (arg[0], ("F", arg[1:-1]), arg[-1])
         terms = {letters[:cut] + (("F", arg),): rng.choice([-3, -1, 1, 2])}
         want = model_value(terms)
-        got = supertrace.model_eval(TracePoly(ZZr, terms), coeff)
+        got = supertrace.model_eval(TracePoly(ZZr, terms))
         assert model_terms(got) == want, terms
         reduced = {key: ModRing(4).from_int(c) for key, c in terms.items()}
-        got = supertrace.model_eval(TracePoly(ModRing(4), reduced), z4)
+        got = supertrace.model_eval(TracePoly(ModRing(4), reduced))
         want = {mono: reduce(p, 4) for mono, p in want.items()}
         assert model_terms(got) == {mono: p for mono, p in want.items() if p}, terms
 
@@ -600,7 +601,6 @@ def test_model_eval_rotates_repeated_letters_as_a_multiset(rng):
 def test_block_basis_is_the_rational_choice():
     # the unit-pivot elimination keeps exactly the candidates whose model
     # values leave the rational span of the earlier ones
-    coeff = CoeffRing(ZZr)
     blocks = list(all_blocks(4))
     assert len(blocks) == 74
     for outer, parts in blocks:
@@ -609,14 +609,8 @@ def test_block_basis_is_the_rational_choice():
         columns: dict = {}
         vectors = []
         for cand in candidates:
-            value = supertrace.model_eval(cand.to_trace_poly(ZZr), coeff)
-            vectors.append(
-                {
-                    columns.setdefault((mono, eps), len(columns)): c
-                    for mono, poly in value.items()
-                    for eps, c in poly.terms.items()
-                }
-            )
+            value = supertrace.model_eval(cand.to_trace_poly(ZZr))
+            vectors.append({columns.setdefault(key, len(columns)): c for key, c in value.items()})
         dense = [[vec.get(j, 0) for j in range(len(columns))] for vec in vectors]
         chosen = [candidates[k] for k in rational_choice(dense)]
         assert supertrace._block_solver(outer, parts)[0] == chosen, (outer, parts)
