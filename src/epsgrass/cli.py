@@ -32,11 +32,11 @@ from .comodule import (
     MAX_COMODULE_ARITY,
     MAX_SIGN_TABLE_ARITY,
     MultilinearPoly,
+    _spanning_rows,
     comodule_rank,
     freeness_certificate,
     is_identity,
     matrix_dump,
-    spanning_terms,
     unit_words,
 )
 from .epsilon import CoeffRing, InternalError
@@ -182,7 +182,7 @@ def _run(args) -> int:
     if command == "comodule":
         rank = comodule_rank(args.n, ring)
         free = freeness_certificate(args.n)  # True, or InternalError
-        basis = [t.render() for t in spanning_terms(args.n)]
+        basis = [t.render() for t in _spanning_rows(args.n)[0]]  # the certified terms
         lines = [f"rank {rank}", "free: yes", "basis:"]
         lines.extend(f"  {b}" for b in basis)
         if args.dump_matrix:

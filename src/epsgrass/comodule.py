@@ -40,7 +40,7 @@ from . import epsilon
 # The largest arity of the co-module certificate, whose budget is 30 s
 # cold.  On a shared 2-vCPU VM whose speed toggles, `comodule --n` takes
 # 0.62-0.93 s at n = 12 (19 MB peak RSS), 1.3-1.9 s at 13 (25 MB),
-# 3.5-3.7 s at 14 (37 MB) and 9.9-13.7 s at 15 (66 MB); with the bound
+# 3.5-3.7 s at 14 (37 MB) and 9.9-13.7 s at 15 (62 MB); with the bound
 # lifted, n = 16 takes 33-37 s at 134 MB, past the budget.
 MAX_COMODULE_ARITY = 15
 # ``epsgrass signs`` and ``matrix_dump`` list all n! signs of S_n.
@@ -417,35 +417,35 @@ _ROWS_CACHE: dict = {}
 
 
 def _spanning_rows(n: int):
-    """(spanning terms, their sign images B over Z keyed by the pivot, the
-    mask of eps_T with T the term's tail, and the ``SmithSolver`` over B
-    in the order of the terms, on the masks below 2^(n+1)), cached.
-    Check (a) runs first: row T holds 1 at eps_T, and its other
-    theta-free monomials at strict supersets of T; a row that breaks it
-    raises ``InternalError``, as does a solver that finds no unit pivot.
-    The closed form puts the theta monomials of row T at strict supersets
-    of T too, so eps_T is its smallest unit entry and no row before it
-    has a pivot in it: the solver takes no elimination step, keeps every
-    row with pivot eps_T, and shares B's term dicts."""
+    """(spanning terms, the ``SmithSolver`` over their sign images B over
+    Z, in the order of the terms, on the masks below 2^(n+1)), cached.
+    Check (a) runs first: row T holds 1 at eps_T, with T the term's
+    tail, and its other theta-free monomials at strict supersets of T; a
+    row that breaks it raises ``InternalError``, as does a solver that
+    finds no unit pivot.  The closed form puts the theta monomials of row
+    T at strict supersets of T too, so eps_T is its smallest unit entry
+    and no row before it has a pivot in it: the solver takes no
+    elimination step and keeps every row with pivot eps_T, and its
+    echelon is B, held nowhere else."""
     if n not in _ROWS_CACHE:
         coeff = CoeffRing(IntegerRing())
         terms = spanning_terms(n)
-        rows = {}
+        rows = []
         for term in terms:
-            row, pivot = term.sign_image(coeff), sum(1 << t for t in term.tail)
-            if row.terms.get(pivot) != 1 or any(
-                not (m & 1 or m & pivot == pivot) for m in row.terms if m != pivot
+            row, pivot = term.sign_image(coeff).terms, sum(1 << t for t in term.tail)
+            if row.get(pivot) != 1 or any(
+                not (m & 1 or m & pivot == pivot) for m in row if m != pivot
             ):
                 raise InternalError(
                     f"spanning set at arity {n} is not certified free: "
                     f"the row of {term.render()} is not unitriangular"
                 )
-            rows[pivot] = row
+            rows.append(row)
         try:
-            solver = SmithSolver([row.terms for row in rows.values()], 2 << n)
+            solver = SmithSolver(rows, 2 << n)
         except NoUnitPivot as err:
             raise InternalError(f"spanning set at arity {n} is not certified free: {err}") from err
-        _ROWS_CACHE[n] = (terms, rows, solver)
+        _ROWS_CACHE[n] = (terms, solver)
     return _ROWS_CACHE[n]
 
 
@@ -456,8 +456,8 @@ def freeness_certificate(n: int) -> bool:
     every row.  Returns True; a failure raises ``InternalError``."""
     if not 1 <= n <= MAX_COMODULE_ARITY:
         raise ValueError(f"arity must be between 1 and {MAX_COMODULE_ARITY}")
-    terms, rows, solver = _spanning_rows(n)
-    if not len(solver.kept) == len(rows) == len(terms) == 2 ** (n - 1):
+    terms, solver = _spanning_rows(n)
+    if not len(solver.kept) == len(terms) == 2 ** (n - 1):
         raise InternalError(f"spanning set at arity {n} is not certified free")
     return True
 
@@ -489,11 +489,13 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
     if n in _RANK_CACHE:
         return _RANK_CACHE[n]
     freeness_certificate(n)  # (a); rejects an arity out of range
-    _, rows, solver = _spanning_rows(n)
+    _, solver = _spanning_rows(n)
     if solver.reduce({0: 1})[0]:  # (b')
         raise InternalError("1 is outside the spanning set's span")
+    coeff = CoeffRing(IntegerRing())
     for k in range(1, n):
-        for b in rows.values():
+        for _, row, _ in solver.echelon:
+            b = EpsPoly(coeff, row)
             if solver.reduce(_adjacent_act(k, b).terms)[0]:
                 raise InternalError(
                     f"the spanning set's span is not stable under s_{k}: "
@@ -513,7 +515,7 @@ def grassmann_normal_form(f: MultilinearPoly) -> dict[SpanningTerm, object]:
     """
     ring = f.ring
     freeness_certificate(f.n)
-    terms, _, solver = _spanning_rows(f.n)
+    terms, solver = _spanning_rows(f.n)
     found, ok = solver.solve(psi(f).terms, ring)
     if not ok:
         raise InternalError("sign image not in the span of the spanning set")

@@ -193,18 +193,30 @@ _FOLDS = {
 }
 
 
-def _evaluate(node, leaf):
+def _evaluate(node, leaf, word=None):
     """The value of an expression.  ``leaf(node)`` gives the value of a
     node that is not a binary operation.  The left operands of a chain of
     binary operations are walked in a loop, so a long sum or product
-    costs no recursion depth."""
+    costs no recursion depth.  Given ``word``, a run of letters in a
+    product, x<i>*x<j>*..., is one value ``word(nodes)`` in place of a
+    leaf and a product per letter; the leaves are still taken from left
+    to right, so the first bad one raises."""
     chain = []
     while node[0] in _FOLDS:
         chain.append(node)
         node = node[1]
-    value = leaf(node)
-    for op, _, rhs in reversed(chain):
-        value = _FOLDS[op](value, _evaluate(rhs, leaf) if rhs[0] in _FOLDS else leaf(rhs))
+    value, run = None, []
+    for op, _, rhs in [(None, None, node), *reversed(chain)]:
+        if word is not None and rhs[0] == "var" and op in (None, "mul"):
+            run.append(rhs)
+            continue
+        if run:
+            value = word(run) if value is None else value * word(run)
+            run = []
+        rhs = _evaluate(rhs, leaf, word) if rhs[0] in _FOLDS else leaf(rhs)
+        value = rhs if value is None else _FOLDS[op](value, rhs)
+    if run:
+        value = word(run) if value is None else value * word(run)
     return value
 
 
@@ -240,22 +252,30 @@ def compile_grass(node, algebra: GrassAlgebra) -> GrassElem:
 def compile_trace_poly(node, ring: BaseRing) -> TracePoly:
     """Evaluate an expression in formal variables, with or without Tr."""
 
+    def word(nodes):
+        letters = []
+        for node in nodes:
+            if node[2] is not None:
+                raise ValueError("grade annotations are not supported here")
+            if node[1] < 1:
+                raise ValueError("letters are numbered from 1")
+            letters.append(node[1])
+        return TracePoly(ring, {tuple(letters): ring.one()})
+
     def leaf(node):
         op = node[0]
         if op == "int":
             return TracePoly.const(ring, ring.from_int(node[1]))
         if op == "var":
-            if node[2] is not None:
-                raise ValueError("grade annotations are not supported here")
-            return TracePoly.letter(ring, node[1])
+            return word((node,))
         if op == "neg":
-            return -_evaluate(node[1], leaf)
+            return -_evaluate(node[1], leaf, word)
         if op == "tr":
-            return _evaluate(node[1], leaf).trace()
+            return _evaluate(node[1], leaf, word).trace()
         if op in ("theta", "eps", "gen"):
             raise ValueError("concrete generators are not allowed in variable polynomials")
         if op == "scomm":
             raise ValueError("the twisted commutator needs graded operands")
         raise AssertionError(node)
 
-    return _evaluate(node, leaf)
+    return _evaluate(node, leaf, word)

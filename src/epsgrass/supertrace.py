@@ -24,7 +24,11 @@ factor 1 - eps_i*eps_j squares to 1, so the exps of the steps compose
 into the exp of their joined pairs, one expansion over Z per monomial.
 One elimination per block of the basis, on +-1 pivots only, both picks
 the basis and certifies it: it is a unimodular integer transform, so
-the coordinates are unique and valid over every base ring.  Four defining
+the coordinates are unique and valid over every base ring.  A block's
+candidates are evaluated in one pass: each structured term gives its
+signed words directly (each commutator a*b, or b*a with the opposite
+sign), each distinct exp of the block is expanded once, and the
+columns are numbered as the entries are summed.  Four defining
 identities generate everything:
 
     F(F(x)y) = F(x)F(y)        F(xF(y)) = F(x)F(y)
@@ -45,7 +49,7 @@ from .epsilon import CoeffRing, InternalError, _expand, _odd_factors
 from .grassmann import GrassAlgebra, GrassElem, word_parity_pairs
 from .hull import Matrix
 from .linalg import NoUnitPivot, SmithSolver
-from .rings import BaseRing, IntegerRing
+from .rings import BaseRing
 from .terms import (
     NonMultilinearError,
     TermMap,
@@ -130,23 +134,48 @@ def _model_monomial(term: tuple, pairs: list) -> tuple:
     return w0, traces
 
 
+def _model_sum(items, columns: dict, expansions: dict) -> dict:
+    """The sum of c times the model value of each (term, int or ring
+    element c) item, as a vector {column: c} summed with Python
+    arithmetic, zeros kept.  The column of an entry ((w0, traces), eps
+    mask) is ``columns[entry]``, numbered len(columns) when first seen.
+    ``expansions`` maps the odd factors of an exp to its expansion over
+    Z, (masks, coefficients), so each distinct exp is expanded once per
+    ``expansions`` dict."""
+    acc: dict = {}
+    for term, c in items:
+        pairs: list = []
+        mono = _model_monomial(term, pairs)
+        factors = tuple(_odd_factors(pairs))
+        exp = expansions.get(factors)
+        if exp is None:  # masks and coefficients, kept as tuples to save memory
+            exp = _expand(factors)
+            exp = expansions[factors] = (tuple(exp), tuple(exp.values()))
+        for m, v in zip(*exp):
+            j = columns.setdefault((mono, m), len(columns))
+            acc[j] = acc[j] + c * v if j in acc else c * v
+    return acc
+
+
 def model_eval(f: TracePoly) -> dict:
     """The model value of f as a flat vector {((w0, traces), eps mask): c}
-    over f's ring: each term's exp is expanded over Z, the coefficients
-    are summed with Python arithmetic and mapped into the ring once, with
-    the zeros pruned, as ``EpsPoly.__mul__`` does."""
-    acc: dict = {}
-    for term, c in f.terms.items():
-        pairs: list = []
-        key = _model_monomial(term, pairs)
-        for m, v in _expand(_odd_factors(pairs)).items():
-            k = (key, m)
-            acc[k] = acc[k] + c * v if k in acc else c * v
+    over f's ring: the coefficients are summed with Python arithmetic and
+    mapped into the ring once, with the zeros pruned, as
+    ``EpsPoly.__mul__`` does."""
+    columns: dict = {}
+    acc = _model_sum(f.terms.items(), columns, {})
     frm = f.ring.from_int
-    return {k: c for k, c in zip(acc, map(frm, acc.values())) if c}
+    # columns numbered afresh come in the order acc first holds them
+    return {k: c for k, c in zip(columns, map(frm, acc.values())) if c}
 
 
 # -- the standard form -----------------------------------------------------
+
+
+def _words_poly(term, ring: BaseRing) -> TracePoly:
+    """``to_trace_poly`` of a basis term: its ``words`` over ``ring``."""
+    frm, is_zero = ring.from_int, ring.is_zero
+    return TracePoly(ring, {t: v for t, c in term.words().items() if not is_zero(v := frm(c))})
 
 
 class MonomialTerm(NamedTuple):
@@ -161,8 +190,10 @@ class MonomialTerm(NamedTuple):
     def letters(self) -> list[int]:
         return _letters_of_term(self.term)
 
-    def to_trace_poly(self, ring: BaseRing) -> TracePoly:
-        return TracePoly(ring, {self.term: ring.one()})
+    def words(self) -> dict:
+        return {self.term: 1}
+
+    to_trace_poly = _words_poly
 
     def render(self) -> str:
         return _render_term(self.term)
@@ -208,22 +239,25 @@ class StandardTerm(NamedTuple):
             out.extend(t)
         return out
 
-    def to_trace_poly(self, ring: BaseRing) -> TracePoly:
-        one = ring.one()
+    def words(self) -> dict:
+        """The expansion {term: int}, in the order of the product of the
+        factors: each trace word appends its trace, and each commutator
+        appends a*b, or b*a with the opposite sign.  Terms meet only when
+        a letter repeats, and then they are summed; a standard term's
+        coefficients are all +-1."""
+        out = {self.w + tuple(("F", v) for v in self.vs): 1}
+        swaps = [(wi + (("F", ui),), (("F", ui),) + wi) for wi, ui in self.ms]
+        swaps += [((("F", u), ("F", u2)), (("F", u2), ("F", u))) for u, u2 in self.ffs]
+        swaps += [((("F", (s,) + t),), (("F", t + (s,)),)) for s, t in self.tcs]
+        for ab, ba in swaps:
+            nxt: dict = {}
+            for term, c in out.items():
+                nxt[term + ab] = nxt.get(term + ab, 0) + c
+                nxt[term + ba] = nxt.get(term + ba, 0) - c
+            out = nxt
+        return out
 
-        def word(letters):
-            return TracePoly(ring, {tuple(letters): one})
-
-        acc = word(self.w)
-        for v in self.vs:
-            acc = acc * word(v).trace()
-        for wi, ui in self.ms:
-            acc = acc * word(wi).commutator(word(ui).trace())
-        for u, u2 in self.ffs:
-            acc = acc * word(u).trace().commutator(word(u2).trace())
-        for s, t in self.tcs:
-            acc = acc * word((s,)).commutator(word(t)).trace()
-        return acc
+    to_trace_poly = _words_poly
 
     def render(self) -> str:
         parts = []
@@ -463,6 +497,21 @@ def enumerate_nested_monomials(outer: frozenset, parts: frozenset) -> list[Monom
     return out
 
 
+def _candidate_vectors(candidates: list) -> tuple[dict, list]:
+    """(columns, vectors): the model value of each candidate's ``words``
+    over Z as a vector {column: nonzero int}, with the columns
+    {((w0, traces), eps mask): column} numbered as they are first seen.
+    Each distinct exp of the candidates is expanded once, in a table
+    dropped with the call."""
+    columns: dict = {}
+    expansions: dict = {}
+    vectors = []
+    for cand in candidates:
+        acc = _model_sum(cand.words().items(), columns, expansions)
+        vectors.append(acc if all(acc.values()) else {j: c for j, c in acc.items() if c})
+    return columns, vectors
+
+
 _BLOCK_CACHE: dict = {}
 
 
@@ -470,12 +519,13 @@ def _block_solver(outer: frozenset, parts: frozenset):
     """Basis and integer solver for one block of the standard form.
 
     Candidates are taken in order: the five-block structured terms
-    first, then irreducible nested monomials.  Their model values go to
-    one unit-pivot elimination (``SmithSolver``), which keeps a candidate
-    exactly when its value leaves the rational span of the earlier ones;
-    the kept candidates are the basis.  The elimination is a unimodular
-    integer certificate, so the coordinates are valid over every base
-    ring; a block that offers no +-1 pivot raises ``InternalError``."""
+    first, then irreducible nested monomials.  Their model values
+    (``_candidate_vectors``) go to one unit-pivot elimination
+    (``SmithSolver``), which keeps a candidate exactly when its value
+    leaves the rational span of the earlier ones; the kept candidates
+    are the basis.  The elimination is a unimodular integer
+    certificate, so the coordinates are valid over every base ring; a
+    block that offers no +-1 pivot raises ``InternalError``."""
     key = (outer, parts)
     if key in _BLOCK_CACHE:
         return _BLOCK_CACHE[key]
@@ -483,12 +533,7 @@ def _block_solver(outer: frozenset, parts: frozenset):
     candidates.extend(enumerate_nested_monomials(outer, parts))
     if not candidates:
         raise InternalError(f"no basis candidates for block {key}")
-    zz = IntegerRing()
-    columns: dict = {}
-    vectors = []
-    for cand in candidates:
-        value = model_eval(cand.to_trace_poly(zz))
-        vectors.append({columns.setdefault(k, len(columns)): c for k, c in value.items()})
+    columns, vectors = _candidate_vectors(candidates)
     try:
         solver = SmithSolver(vectors, len(columns))
     except NoUnitPivot as err:

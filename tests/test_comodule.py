@@ -229,6 +229,13 @@ def test_comodule_rank_matches_elimination_oracles(n):
         assert fraction_rank(rows) == r
 
 
+def spanning_rows(n: int) -> dict:
+    """The spanning rows B as {pivot: EpsPoly}, read off the echelon of
+    the solver that ``_spanning_rows`` keeps."""
+    cz = CoeffRing(ZZ)
+    return {p: EpsPoly(cz, r) for p, r, _ in comodule._spanning_rows(n)[1].echelon}
+
+
 def reduce_by_scan(rows: dict, p: EpsPoly) -> tuple[dict, dict]:
     """The reduction against B by walking every pivot eps_T in order of
     |T|, then T: (coordinates by pivot, residual)."""
@@ -250,10 +257,15 @@ def test_reduce_matches_a_scan_of_every_pivot():
     rng = random.Random(37)
     cz = CoeffRing(ZZ)
     for n in range(1, 8):
-        _, rows, solver = comodule._spanning_rows(n)
-        # the solver keeps every row of B as it is, with pivot eps_T
-        assert [(p, r) for p, r, _ in solver.echelon] == [(p, b.terms) for p, b in rows.items()]
-        assert all(r is rows[p].terms and w is None for p, r, w in solver.echelon)
+        terms, solver = comodule._spanning_rows(n)
+        rows = spanning_rows(n)
+        # the solver keeps every row of B as it is, with pivot eps_T: the
+        # closed form of each term's row, in the order of the terms
+        assert solver.kept == list(range(len(terms)))
+        assert [(p, r) for p, r, _ in solver.echelon] == [
+            (sum(1 << t for t in term.tail), term.sign_image(cz).terms) for term in terms
+        ]
+        assert all(w is None for _, _, w in solver.echelon)
         keys = list(rows)
         for _ in range(30):
             p = cz.zero()
@@ -271,7 +283,8 @@ def test_whole_table_checks_still_hold(n):
     # the table certificate the generator certificate replaced: every sign
     # row S reduces to zero against the spanning rows B, and B = T*S
     perms, cols, sign_rows = sign_matrix_int(n)
-    terms, rows, solver = comodule._spanning_rows(n)
+    terms, solver = comodule._spanning_rows(n)
+    rows = spanning_rows(n)
     cz = CoeffRing(ZZ)
     for row in sign_rows:
         sign = sum((cz.monomial(*cols[j], v) for j, v in enumerate(row) if v), cz.zero())
@@ -336,7 +349,7 @@ def rank_on_spanning_rows(monkeypatch, n, polys):
 
 def test_comodule_rank_rejects_rows_not_unitriangular(monkeypatch):
     cz = CoeffRing(ZZ)
-    rows3 = list(comodule._spanning_rows(3)[1].values())  # before any patch
+    rows3 = list(spanning_rows(3).values())  # before any patch
     e12 = cz.eps(1) * cz.eps(2)
     for rows in (
         [cz.one(), e12.scale_int(2)],  # pivot 2
@@ -359,7 +372,7 @@ def test_comodule_rank_rejects_rows_without_a_unit_pivot(monkeypatch):
     # the row of [x1,x2]*[x3,x4] leaves -3*eps1*eps2*eps3*eps4 -
     # 2*eps1*eps2, with no +-1 entry
     cz = CoeffRing(ZZ)
-    rows = list(comodule._spanning_rows(4)[1].values())  # before any patch
+    rows = list(spanning_rows(4).values())  # before any patch
     e12, e1234 = cz.eps(1) * cz.eps(2), cz.eps(1) * cz.eps(2) * cz.eps(3) * cz.eps(4)
     rows[1] = e12 + cz.theta() + e1234.scale_int(2)
     rows[7] = e1234 + cz.theta().scale_int(2)
@@ -413,7 +426,7 @@ def test_comodule_rank_rejects_a_wrong_twist(monkeypatch):
 def test_adjacent_act_is_sign_act(n):
     # the closed form of check (b') against the generic twisted action, on
     # every spanning row and every adjacent transposition
-    rows = comodule._spanning_rows(n)[1]
+    rows = spanning_rows(n)
     for k in range(1, n):
         s_k = tuple(range(1, k)) + (k + 1, k) + tuple(range(k + 2, n + 1))
         for b in rows.values():
@@ -599,7 +612,7 @@ def test_freeness_basis_matches_known_rank4_span():
     def vector(p):
         return [keyed(p).get(key, 0) for key in cols]
 
-    rows = comodule._spanning_rows(3)[1]
+    rows = spanning_rows(3)
     cz = CoeffRing(ZZ)
     expected_polys = [
         cz.one(),

@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -24,9 +23,11 @@ from epsgrass.supertrace import (
     witness_search,
 )
 
+from block_shapes import all_blocks
 from conftest import random_grass_elem
 from esgn_oracle import model_value, reduce
 from forest_oracle import nested_monomials
+from product_oracle import candidate_values, product_trace_poly
 from rank_oracle import rational_choice
 
 ZZr = IntegerRing()
@@ -476,28 +477,6 @@ def test_identity_decision_composite_modulus():
     assert not is_trace_identity(two_comm)
 
 
-def set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for p in set_partitions(rest):
-        for i in range(len(p)):
-            yield p[:i] + [[first] + p[i]] + p[i + 1:]
-        yield [[first]] + p
-
-
-def all_blocks(max_letters):
-    """Every block (outer letters, trace parts) on 1..n, n <= max_letters."""
-    for n in range(1, max_letters + 1):
-        letters = list(range(1, n + 1))
-        for k in range(n + 1):
-            for outer in combinations(letters, k):
-                rest = [i for i in letters if i not in outer]
-                for parts in set_partitions(rest):
-                    yield frozenset(outer), frozenset(frozenset(p) for p in parts)
-
-
 def model_terms(value):
     """The flat model value as {mono: {(t, eps): c}}."""
     out: dict = {}
@@ -614,3 +593,44 @@ def test_block_basis_is_the_rational_choice():
         dense = [[vec.get(j, 0) for j in range(len(columns))] for vec in vectors]
         chosen = [candidates[k] for k in rational_choice(dense)]
         assert supertrace._block_solver(outer, parts)[0] == chosen, (outer, parts)
+
+
+def block_candidates(outer, parts) -> list:
+    candidates = list(supertrace.enumerate_block_basis(outer, parts))
+    return candidates + supertrace.enumerate_nested_monomials(outer, parts)
+
+
+def test_certifier_vectors_match_one_model_eval_per_candidate():
+    # the certifier evaluates a block's candidates in one pass, each
+    # distinct exp expanded once and the columns numbered as they come;
+    # every candidate's vector, keyed back by (monomial, mask), is the
+    # model_eval of its product-built polynomial.  About 1.3 s.
+    blocks = list(all_blocks(5))
+    assert len(blocks) == 277
+    checked = 0
+    for outer, parts in blocks:
+        candidates = block_candidates(outer, parts)
+        columns, vectors = supertrace._candidate_vectors(candidates)
+        keys = list(columns)
+        assert columns == {key: j for j, key in enumerate(keys)}
+        assert len(vectors) == len(candidates)
+        for cand, vec, want in zip(candidates, vectors, candidate_values(candidates)):
+            assert all(vec.values()), cand.render()
+            assert {keys[j]: c for j, c in vec.items()} == want, cand.render()
+            checked += 1
+    assert checked == 10603
+
+
+def test_signed_words_equal_the_product_expansion():
+    # StandardTerm.words gives the terms of the product of its factors,
+    # with the same coefficients and in the same order, on every
+    # structured candidate of the blocks with at most 6 letters.  About
+    # 2.7 s.
+    checked = 0
+    for outer, parts in all_blocks(6):
+        for cand in supertrace.enumerate_block_basis(outer, parts):
+            want = product_trace_poly(cand, ZZr).terms
+            assert list(cand.words().items()) == list(want.items()), cand.render()
+            assert cand.to_trace_poly(ZZr) == TracePoly(ZZr, want)
+            checked += 1
+    assert checked == 54977
