@@ -36,7 +36,6 @@ from .grassmann import (
     word_grade,
     word_letters,
 )
-from .salg import SAlgebra, SElem
 
 __all__ = [
     "ZZ",
@@ -71,3 +70,13 @@ __all__ = [
     "SAlgebra",
     "SElem",
 ]
+
+
+def __getattr__(name):
+    """``SAlgebra`` and ``SElem``, imported on first use (PEP 562), so that
+    a command that needs no superalgebra does not compile ``salg``."""
+    if name in ("SAlgebra", "SElem"):
+        from . import salg
+
+        return getattr(salg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,6 +16,15 @@ capability, 4 internal error (``InternalError``: a certificate check
 failed), 141 the reader closed the output pipe (as ``epsgrass signs
 --n 7 | head -1`` does; nothing more is printed, and 141 = 128 +
 SIGPIPE is what a shell reports for a program that the signal ends).
+
+Start-up dominates one call: a process spends far longer importing and
+compiling the package than answering a small query.  So this module
+loads at start-up only ``rings``, ``terms``, ``epsilon``,
+``grassmann``, ``linalg``, ``comodule``, ``expr`` and ``supertrace``
+(loading ``supertrace`` per command instead would move its compile
+into the first ``trace-check`` query).  ``hull``, and ``salg`` behind
+it, load only where they run: in ``idempotents``, and in
+``trace-witness`` when it builds its witness matrices.
 """
 
 from __future__ import annotations
@@ -42,7 +51,6 @@ from .comodule import (
 from .epsilon import CoeffRing, InternalError
 from .expr import compile_grass, compile_trace_poly, parse, reject_trace
 from .grassmann import GrassAlgebra, esgn
-from .hull import all_sign_maps, idempotent_system_check, projected_commutation_check
 from .rings import CapabilityError, ring_from_spec
 from .supertrace import (
     SuperTraceContext,
@@ -209,6 +217,10 @@ def _run(args) -> int:
         return EXIT_OK
 
     if command == "idempotents":
+        # imported here, so that the commands that do not run hull do not
+        # compile it
+        from .hull import all_sign_maps, idempotent_system_check, projected_commutation_check
+
         coeff = CoeffRing(ring)
         indices = range(1, args.x_size + 1)
         complete = idempotent_system_check(coeff, indices)

@@ -30,7 +30,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
-from .epsilon import CoeffRing, EpsPoly, InternalError, all_monomials, exp_map
+from .epsilon import CoeffRing, EpsPoly, InternalError, all_monomials
 from .grassmann import GrassElem, esgn, word_from_letters
 from .linalg import NoUnitPivot, SmithSolver
 from .rings import BaseRing, IntegerRing
@@ -263,20 +263,12 @@ def psi(f: MultilinearPoly) -> EpsPoly:
     return epsilon._to_poly(CoeffRing(f.ring), *_sign_sum(f))
 
 
-def sign_act(pi: Sequence[int], lam: EpsPoly) -> EpsPoly:
-    """Twisted action on the sign module: pi(lam) = esgn(pi) phi_pi(lam),
-    esgn(pi) on unit words being the exp of pi's inversion graph."""
-    n = len(pi)
-    if sorted(pi) != list(range(1, n + 1)):
-        raise ValueError(f"{pi} is not a permutation of 1..{n}")
-    pmap = {i + 1: pi[i] for i in range(n)}
-    return exp_map(lam.ring, _inversion_graph(pi)) * epsilon.phi_sigma(pmap, lam)
-
-
 def _adjacent_act(k: int, b: EpsPoly) -> EpsPoly:
-    """sign_act(s_k, b) for s_k = (k k+1), over Z, in one pass over b's
-    masks: swap eps_k and eps_(k+1), then multiply by 1 - eps_k*eps_(k+1),
-    the exp of s_k's one inversion."""
+    """The twisted action of s_k = (k k+1) on b, over Z, in one pass over
+    b's masks: swap eps_k and eps_(k+1), then multiply by
+    1 - eps_k*eps_(k+1), the exp of s_k's one inversion.  The tests
+    compare it with ``sign_act`` of ``tests/conftest.py``, the action
+    of any permutation."""
     pair = 3 << k
     out: dict = {}
     for m, c in b.terms.items():
@@ -397,6 +389,12 @@ class SpanningTerm(tuple):
         return EpsPoly(coeff, terms)
 
     def render(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        """``render``'s text, built on first use and kept on the term like
+        ``words``: every ``comodule --n`` query prints the cached terms."""
         parts = [f"x{i}" for i in self.prefix]
         parts.extend(
             f"[x{a},x{b}]" for a, b in zip(self.tail[::2], self.tail[1::2])
@@ -474,13 +472,14 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
 
     (a) B is unitriangular (``freeness_certificate``), so it has an
         all-ones Smith diagonal and spans a direct summand of rank 2^(n-1);
-    (b') 1 and sign_act(s_k, b), for every adjacent transposition
+    (b') 1 and A_(s_k)(b), for every adjacent transposition
         s_k = (k k+1) and every row b of B, reduce to zero against B
-        (``SmithSolver.reduce``); ``_adjacent_act`` takes sign_act(s_k, b)
-        in closed form.
+        (``SmithSolver.reduce``); ``_adjacent_act`` takes A_(s_k)(b) in
+        closed form.
 
     By the cocycle law, A_sigma(lam) = esgn(sigma)*phi_sigma(lam) is a
-    Z-linear action of S_n on C[eps] (``sign_act``) with A_sigma(1) the
+    Z-linear action of S_n on C[eps] (``sign_act`` of
+    ``tests/conftest.py``, which the tests check) with A_sigma(1) the
     sign row of sigma, and the s_k generate S_n, so (b') puts every sign
     row in span(B).  Each row of B is psi of its term, a Z-combination of
     sign rows, so span(S) = span(B), free of rank 2^(n-1) over every

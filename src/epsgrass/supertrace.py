@@ -41,13 +41,11 @@ the witness search for non-identities.
 
 from __future__ import annotations
 
-import random
 from itertools import permutations, product as iproduct
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .epsilon import CoeffRing, InternalError, _expand, _odd_factors
 from .grassmann import GrassAlgebra, GrassElem, word_parity_pairs
-from .hull import Matrix
 from .linalg import NoUnitPivot, SmithSolver
 from .rings import BaseRing
 from .terms import (
@@ -59,6 +57,9 @@ from .terms import (
     _term_sort_key,
     render_sum,
 )
+
+if TYPE_CHECKING:
+    from .hull import Matrix
 
 MAX_TRACE_ARITY = 6
 
@@ -596,17 +597,25 @@ def is_trace_identity(f: TracePoly) -> bool:
 
 class SuperTraceContext:
     """Matrix size n over a twisted Grassmann algebra, with the trace-like
-    function sending a matrix to (sum of diagonal entries) * identity."""
+    function sending a matrix to (sum of diagonal entries) * identity.
+
+    ``hull`` (and ``salg`` behind it) is imported by the methods that
+    build a matrix, so that ``trace-check`` and the other commands that
+    build none do not compile it at start-up."""
 
     def __init__(self, n: int, algebra: GrassAlgebra):
         self.n = n
         self.algebra = algebra
 
     def zero_matrix(self) -> Matrix:
+        from .hull import Matrix
+
         z = self.algebra.zero()
         return Matrix([[z for _ in range(self.n)] for _ in range(self.n)], z)
 
     def identity(self) -> Matrix:
+        from .hull import Matrix
+
         return Matrix.identity(self.n, self.algebra.zero(), self.algebra.one())
 
     def unit(self, r: int, c: int, value: GrassElem | None = None) -> Matrix:
@@ -682,6 +691,8 @@ def witness_search(f: TracePoly, max_n: int, seed: int = 0) -> Witness | None:
     of two of these, seeded by ``seed``.  Returns the first substitution
     with a nonzero value, or None.
     """
+    import random
+
     n_letters = f.require_multilinear()
     if n_letters == 0:
         return None

@@ -6,7 +6,8 @@ import pytest
 # python -O; the oracle's Smith certificate check needs the same
 pytest.register_assert_rewrite("smith_oracle")
 
-from epsgrass import CoeffRing, GrassAlgebra, ZZ
+from epsgrass import CoeffRing, GrassAlgebra, ZZ, exp_map, phi_sigma
+from epsgrass.comodule import _inversion_graph
 from epsgrass.epsilon import monomial_key
 
 
@@ -57,3 +58,15 @@ def random_perm(rng, n):
 
 def zz_algebra(truncated=False):
     return GrassAlgebra(CoeffRing(ZZ), truncated=truncated)
+
+
+def sign_act(pi, lam):
+    """Twisted action on the sign module: pi(lam) = esgn(pi) phi_pi(lam),
+    esgn(pi) on unit words being the exp of pi's inversion graph.  The
+    library needs only the adjacent transpositions
+    (``comodule._adjacent_act``); the tests check that one against it."""
+    n = len(pi)
+    if sorted(pi) != list(range(1, n + 1)):
+        raise ValueError(f"{pi} is not a permutation of 1..{n}")
+    pmap = {i + 1: pi[i] for i in range(n)}
+    return exp_map(lam.ring, _inversion_graph(pi)) * phi_sigma(pmap, lam)

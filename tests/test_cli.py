@@ -287,18 +287,61 @@ def test_signs_arity_bounds(capsys):
     assert code == 0 and out == "1: [1]\n"
 
 
-def test_cli_import_leaves_numpy_out():
-    code = "import sys, epsgrass.cli\nprint('numpy' in sys.modules)\n"
+def fresh_python(*args):
+    """Run the interpreter with ``args`` in a new process on this tree."""
     src = os.path.dirname(os.path.dirname(epsgrass.__file__))
-    done = subprocess.run(
-        [sys.executable, "-c", code],
+    return subprocess.run(
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_cli_import_leaves_numpy_out():
+    done = fresh_python("-c", "import sys, epsgrass.cli\nprint('numpy' in sys.modules)\n")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+# Only a fresh process shows a broken deferred import: the other tests
+# load hull and salg in this one.
+def test_cli_import_leaves_hull_and_salg_out():
+    code = (
+        "import sys, epsgrass.cli\n"
+        "print(sorted({'epsgrass.hull', 'epsgrass.salg'} & set(sys.modules)))\n"
+        "from epsgrass import SAlgebra, SElem\n"
+        "names = {}\n"
+        "exec('from epsgrass import *', names)\n"
+        "print(sorted(set(epsgrass.__all__) - set(names)), SAlgebra.__name__, SElem.__name__)\n"
+    )
+    done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n[] SAlgebra SElem\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["idempotents", "--X", "2"], 3, "", "capability error: 2 is not invertible in Z\n"),
+        (
+            ["idempotents", "--X", "2", "--ring", "q"],
+            0,
+            "complete system: yes\nprojected commutation: yes\n",
+            "",
+        ),
+        (
+            ["trace-witness", "x1*x2"],
+            0,
+            "witness: matrix size 2; x1 -> (1) * E[1,2]; x2 -> (1) * E[2,1]\n",
+            "",
+        ),
+    ],
+)
+def test_commands_that_load_hull_in_a_fresh_process(argv, code, out, err):
+    done = fresh_python("-m", "epsgrass.cli", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
 
 def test_grade_annotation_rejected(capsys):

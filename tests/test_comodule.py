@@ -22,7 +22,6 @@ from epsgrass.comodule import (
     is_identity,
     matrix_dump,
     psi,
-    sign_act,
     sign_matrix_int,
     sn_act_poly,
     spanning_terms,
@@ -31,7 +30,7 @@ from epsgrass.comodule import (
 from epsgrass.epsilon import EpsPoly, all_monomials, monomial_key
 from epsgrass.terms import TracePoly
 
-from conftest import keyed, random_perm, zz_algebra
+from conftest import keyed, random_perm, sign_act, zz_algebra
 from rank_oracle import fraction_rank
 from smith_oracle import smith_full_scan
 
