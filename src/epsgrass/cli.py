@@ -69,7 +69,7 @@ EXIT_PIPE = 141
 # The bounds of the integer options, checked before any work: command ->
 # [(option, name in messages, lowest, highest, flag or None)]; a
 # bound with a flag applies only when that flag is set.  The co-module
-# certificate reaches arity 15 in 9.9-13.7 s cold (33-37 s at 16, see
+# certificate reaches arity 15 in 10.0-11.5 s cold (32-35 s at 16, see
 # comodule.MAX_COMODULE_ARITY), but the sign table behind signs and
 # --dump-matrix holds n! rows (9-14 s at 8).
 # idempotents costs O(4^X) products (16 s over Q at --X 6); a witness

@@ -18,9 +18,13 @@ commutators in ascending disjoint pairs) have a closed form
 eps_T, and its other theta-free monomials sit at strict supersets of T.
 That proves an all-ones Smith diagonal over every base ring, and makes
 B an echelon that the unit-pivot ``SmithSolver`` of ``linalg`` keeps as
-it is, with pivot eps_T for row T.  Its one reduction serves the rank
-certificate (``comodule_rank``, which reads no n!-row sign table) and
-the normal forms, checked by psi of the residual.
+it is, with pivot eps_T for row T; the normal forms solve against it,
+checked by psi of the residual.  The rank certificate (``comodule_rank``,
+which reads no n!-row sign table) takes no reduction: S_n acts on B
+explicitly.  With b_T the row of tail T and s_k = (k k+1), s_k*b_T is
+-b_T if k and k+1 are both in T, b_T' if exactly one is, T' being T with
+k and k+1 exchanged, and b_T - b_(T+{k,k+1}) if neither is; the
+certificate checks each of these (n-1)*2^(n-1) equalities.
 """
 
 from __future__ import annotations
@@ -39,9 +43,9 @@ from . import epsilon
 
 # The largest arity of the co-module certificate, whose budget is 30 s
 # cold.  On a shared 2-vCPU VM whose speed toggles, `comodule --n` takes
-# 0.62-0.93 s at n = 12 (19 MB peak RSS), 1.3-1.9 s at 13 (25 MB),
-# 3.5-3.7 s at 14 (37 MB) and 9.9-13.7 s at 15 (62 MB); with the bound
-# lifted, n = 16 takes 33-37 s at 134 MB, past the budget.
+# 0.73-0.90 s at n = 12 (19 MB peak RSS), 1.3-1.9 s at 13 (24 MB),
+# 4.1-4.3 s at 14 (36 MB) and 10.0-11.5 s at 15 (65 MB); with the bound
+# lifted, n = 16 takes 32-35 s at 137 MB, past the budget.
 MAX_COMODULE_ARITY = 15
 # ``epsgrass signs`` and ``matrix_dump`` list all n! signs of S_n.
 MAX_SIGN_TABLE_ARITY = 8
@@ -129,15 +133,6 @@ def is_identity(f: MultilinearPoly) -> bool:
     acc, den = _sign_sum(f)
     frm = f.ring.from_int
     return not any(frm(c if den == 1 else Fraction(c, den)) for c in acc.values())
-
-
-def sn_act_poly(pi: Sequence[int], f: MultilinearPoly) -> MultilinearPoly:
-    """Variable reordering action: keys sigma map to pi∘sigma."""
-    out: dict = {}
-    for key, c in f.coeffs.items():
-        new = tuple(pi[i - 1] for i in key)
-        out[new] = c
-    return MultilinearPoly(f.n, f.ring, out)
 
 
 # -- the sign co-module --------------------------------------------------
@@ -268,7 +263,10 @@ def _adjacent_act(k: int, b: EpsPoly) -> EpsPoly:
     b's masks: swap eps_k and eps_(k+1), then multiply by
     1 - eps_k*eps_(k+1), the exp of s_k's one inversion.  The tests
     compare it with ``sign_act`` of ``tests/conftest.py``, the action
-    of any permutation."""
+    of any permutation.  On the row b_T of the spanning term of tail T
+    it gives the rows of ``_adjacent_rule``: -b_T if k and k+1 are both
+    in T, b_T' if exactly one is, T' being T with k and k+1 exchanged,
+    and b_T - b_(T+{k,k+1}) if neither is."""
     pair = 3 << k
     out: dict = {}
     for m, c in b.terms.items():
@@ -279,6 +277,14 @@ def _adjacent_act(k: int, b: EpsPoly) -> EpsPoly:
         out[m] = out.get(m, 0) + c
         out[prod] = out.get(prod, 0) - (c << (t >> 1))
     return EpsPoly(b.ring, {m: c for m, c in out.items() if c})
+
+
+def _adjacent_rule(k: int, tail: int) -> tuple:
+    """s_k*b_T as (tail mask, +-1) pairs, T the tail of mask ``tail``."""
+    pair = 3 << k
+    if tail & pair:
+        return ((tail, -1),) if tail & pair == pair else ((tail ^ pair, 1),)
+    return ((tail, 1), (tail | pair, -1))
 
 
 def _sign_rows(n: int, cols: list) -> Iterator[list[int]]:
@@ -472,10 +478,12 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
 
     (a) B is unitriangular (``freeness_certificate``), so it has an
         all-ones Smith diagonal and spans a direct summand of rank 2^(n-1);
-    (b') 1 and A_(s_k)(b), for every adjacent transposition
-        s_k = (k k+1) and every row b of B, reduce to zero against B
-        (``SmithSolver.reduce``); ``_adjacent_act`` takes A_(s_k)(b) in
-        closed form.
+    (b') the row of the empty tail is 1, and A_(s_k)(b_T), for every
+        adjacent transposition s_k = (k k+1) and every row b_T of B, T
+        the term's tail, equals its closed form (``_adjacent_rule``):
+        -b_T if k and k+1 are both in T, b_T' if exactly one is, T'
+        being T with k and k+1 exchanged, and b_T - b_(T+{k,k+1}) if
+        neither is.  ``_adjacent_act`` takes A_(s_k)(b_T) in one pass.
 
     By the cocycle law, A_sigma(lam) = esgn(sigma)*phi_sigma(lam) is a
     Z-linear action of S_n on C[eps] (``sign_act`` of
@@ -488,18 +496,20 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
     if n in _RANK_CACHE:
         return _RANK_CACHE[n]
     freeness_certificate(n)  # (a); rejects an arity out of range
-    _, solver = _spanning_rows(n)
-    if solver.reduce({0: 1})[0]:  # (b')
-        raise InternalError("1 is outside the spanning set's span")
+    terms, solver = _spanning_rows(n)
+    # B by tail mask, never by pivot: a corrupted row may pivot off eps_T
+    rows = {sum(1 << t for t in term.tail): row for term, (_, row, _) in zip(terms, solver.echelon)}
+    if rows[0] != {0: 1}:  # (b')
+        raise InternalError(f"the row of {terms[0].render()} is not 1")
     coeff = CoeffRing(IntegerRing())
     for k in range(1, n):
-        for _, row, _ in solver.echelon:
-            b = EpsPoly(coeff, row)
-            if solver.reduce(_adjacent_act(k, b).terms)[0]:
-                raise InternalError(
-                    f"the spanning set's span is not stable under s_{k}: "
-                    f"{b.render()} leaves it"
-                )
+        for term, (tail, row) in zip(terms, rows.items()):
+            want: dict = {}
+            for t, sign in _adjacent_rule(k, tail):
+                for m, c in rows[t].items():
+                    want[m] = want.get(m, 0) + sign * c
+            if _adjacent_act(k, EpsPoly(coeff, row)).terms != {m: c for m, c in want.items() if c}:
+                raise InternalError(f"s_{k} moves the row of {term.render()} off its closed form")
     _RANK_CACHE[n] = 2 ** (n - 1)
     return _RANK_CACHE[n]
 

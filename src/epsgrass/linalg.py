@@ -12,9 +12,9 @@ so it proves that the kept rows have an all-ones Smith diagonal without
 computing a general Smith normal form, and it yields a solve that is
 valid after base change to any commutative ring.  One loop,
 ``SmithSolver.reduce``, reduces a vector against the kept rows: the
-build, the solve and the co-module's stability check all run through
-it.  The torsion residues of the quotient algebras need no elimination:
-``salg`` computes them in closed form.
+build and the solve both run through it.  The torsion residues of the
+quotient algebras need no elimination: ``salg`` computes them in closed
+form.
 """
 
 from __future__ import annotations

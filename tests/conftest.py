@@ -7,7 +7,7 @@ import pytest
 pytest.register_assert_rewrite("smith_oracle")
 
 from epsgrass import CoeffRing, GrassAlgebra, ZZ, exp_map, phi_sigma
-from epsgrass.comodule import _inversion_graph
+from epsgrass.comodule import MultilinearPoly, _inversion_graph
 from epsgrass.epsilon import monomial_key
 
 
@@ -70,3 +70,12 @@ def sign_act(pi, lam):
         raise ValueError(f"{pi} is not a permutation of 1..{n}")
     pmap = {i + 1: pi[i] for i in range(n)}
     return exp_map(lam.ring, _inversion_graph(pi)) * phi_sigma(pmap, lam)
+
+
+def sn_act_poly(pi, f):
+    """Variable reordering action: keys sigma map to pi∘sigma."""
+    out: dict = {}
+    for key, c in f.coeffs.items():
+        new = tuple(pi[i - 1] for i in key)
+        out[new] = c
+    return MultilinearPoly(f.n, f.ring, out)

@@ -9,7 +9,7 @@ from itertools import permutations
 import pytest
 
 from epsgrass import GF, QQ, ZZ, CoeffRing, GrassAlgebra, GrassElem, ModRing, comodule, esgn
-from epsgrass import epsilon, grassmann
+from epsgrass import cli, epsilon, grassmann
 from epsgrass.comodule import (
     MAX_COMODULE_ARITY,
     InternalError,
@@ -23,14 +23,13 @@ from epsgrass.comodule import (
     matrix_dump,
     psi,
     sign_matrix_int,
-    sn_act_poly,
     spanning_terms,
     unit_words,
 )
 from epsgrass.epsilon import EpsPoly, all_monomials, monomial_key
 from epsgrass.terms import TracePoly
 
-from conftest import keyed, random_perm, sign_act, zz_algebra
+from conftest import keyed, random_perm, sign_act, sn_act_poly, zz_algebra
 from rank_oracle import fraction_rank
 from smith_oracle import smith_full_scan
 
@@ -379,24 +378,43 @@ def test_comodule_rank_rejects_rows_without_a_unit_pivot(monkeypatch):
         rank_on_spanning_rows(monkeypatch, 4, rows)
 
 
+def first_unstable_generator(n: int):
+    """Check (b') by reduction, the oracle of the closed-form check: 0 if
+    1 leaves span(B), else the first k such that s_k moves a row of B out
+    of span(B) (``SmithSolver.reduce`` leaves a residual), else None."""
+    _, solver = comodule._spanning_rows(n)
+    if solver.reduce({0: 1})[0]:
+        return 0
+    cz = CoeffRing(ZZ)
+    for k in range(1, n):
+        for _, row, _ in solver.echelon:
+            if solver.reduce(comodule._adjacent_act(k, EpsPoly(cz, row)).terms)[0]:
+                return k
+    return None
+
+
 def test_comodule_rank_rejects_span_not_stable(monkeypatch):
     # [1, eps1*eps2 + theta] is unitriangular and holds 1, but
     # s_1(1) = 1 - eps1*eps2 reduces to theta, outside its span
     cz = CoeffRing(ZZ)
     e = {(i, j): cz.eps(i) * cz.eps(j) for i, j in ((1, 2), (1, 3), (2, 3))}
-    with pytest.raises(InternalError, match="not stable under s_1"):
+    with pytest.raises(InternalError, match=r"s_1 moves the row of x1\*x2 off its closed form"):
         rank_on_spanning_rows(monkeypatch, 2, [cz.one(), e[1, 2] + cz.theta()])
+    assert first_unstable_generator(2) == 1
     # the extra theta*eps2 and theta*eps1 on the rows of eps1*eps3 and
     # eps2*eps3 swap under s_1, so the span stays stable under it, but not
-    # under s_2: the last generator counts
+    # under s_2: the reduction finds the last generator.  The closed form
+    # is stricter: s_1 sends the row of eps1*eps3 into the span, but not
+    # onto the row of eps2*eps3
     rows = [
         cz.one(),
         e[1, 2],
         e[1, 3] - cz.theta() * cz.eps(1) * e[2, 3] + cz.theta() * cz.eps(2),
         e[2, 3] + cz.theta() * cz.eps(1),
     ]
-    with pytest.raises(InternalError, match="not stable under s_2"):
+    with pytest.raises(InternalError, match=r"s_1 moves the row of x2\*\[x1,x3\] off"):
         rank_on_spanning_rows(monkeypatch, 3, rows)
+    assert first_unstable_generator(3) == 2
     monkeypatch.undo()
     assert comodule_rank(2, ZZ) == 2  # the real spanning rows still certify
     assert comodule_rank(3, ZZ) == 4
@@ -405,8 +423,21 @@ def test_comodule_rank_rejects_span_not_stable(monkeypatch):
 def test_comodule_rank_rejects_span_missing_one(monkeypatch):
     cz = CoeffRing(ZZ)
     rows = [cz.one() + cz.theta(), cz.eps(1) * cz.eps(2)]
-    with pytest.raises(InternalError, match="1 is outside"):
+    with pytest.raises(InternalError, match=r"the row of x1\*x2 is not 1"):
         rank_on_spanning_rows(monkeypatch, 2, rows)
+    assert first_unstable_generator(2) == 0
+
+
+def test_rows_pivoting_off_eps_t_raise_internal_error(monkeypatch):
+    # the solver pivots the row of [x1,x2] on theta, its first unit entry,
+    # not on eps1*eps2: check (b') finds the row by its tail, so it raises
+    # InternalError, and the CLI exits 4, never with a KeyError
+    cz = CoeffRing(ZZ)
+    rows = [cz.one(), cz.eps(1) * cz.eps(2) + cz.theta()]
+    with pytest.raises(InternalError):
+        rank_on_spanning_rows(monkeypatch, 2, rows)
+    assert [p for p, _, _ in comodule._spanning_rows(2)[1].echelon] == [0, 1]
+    assert cli.main(["comodule", "--n", "2"]) == 4
 
 
 def test_comodule_rank_rejects_a_wrong_twist(monkeypatch):
@@ -417,7 +448,7 @@ def test_comodule_rank_rejects_a_wrong_twist(monkeypatch):
 
     monkeypatch.setattr(comodule, "_adjacent_act", untwisted)
     monkeypatch.setattr(comodule, "_RANK_CACHE", {})
-    with pytest.raises(InternalError, match="not stable under s_1"):
+    with pytest.raises(InternalError, match=r"s_1 moves the row of x1\*x2\*x3\*x4 off"):
         comodule_rank(4, ZZ)
 
 
@@ -432,23 +463,104 @@ def test_adjacent_act_is_sign_act(n):
             assert comodule._adjacent_act(k, b) == sign_act(s_k, b), (k, b)
 
 
+def closed_form(k: int, tail: frozenset) -> dict:
+    """s_k*b_T as {tail: +-1}, the three cases of the rule stated on sets."""
+    pair = frozenset((k, k + 1))
+    if pair <= tail:
+        return {tail: -1}
+    if pair & tail:
+        return {tail ^ pair: 1}
+    return {tail: 1, tail | pair: -1}
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_every_image_equals_its_closed_form_and_reduces_to_zero(n):
+    # check (b') both ways: each image of a row of B under s_k is the
+    # signed row, or difference of rows, of the rule, and reduces to zero
+    # against B; the library's rule is the one stated here
+    terms, solver = comodule._spanning_rows(n)
+    cz = CoeffRing(ZZ)
+    rows = {frozenset(term.tail): EpsPoly(cz, row) for term, (_, row, _) in zip(terms, solver.echelon)}
+    assert rows[frozenset()] == cz.one()
+    for k in range(1, n):
+        for tail, b in rows.items():
+            image = comodule._adjacent_act(k, b)
+            rule = closed_form(k, tail)
+            mask = sum(1 << t for t in tail)
+            assert comodule._adjacent_rule(k, mask) == tuple(
+                (sum(1 << t for t in t2), c) for t2, c in rule.items()
+            )
+            assert image == sum((rows[t2].scale_int(c) for t2, c in rule.items()), cz.zero()), (k, tail)
+            assert solver.reduce(image.terms)[0] == {}
+    assert first_unstable_generator(n) is None
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_action_on_b_satisfies_the_coxeter_relations(n):
+    # the +-1 matrix of each s_k on B in spanning_terms order, from the
+    # rule: s_k^2 = 1, (s_k s_(k+1))^3 = 1 and (s_j s_k)^2 = 1 for
+    # |j - k| > 1, on every basis vector, so the rule is an action of S_n
+    tails = [sum(1 << t for t in term.tail) for term in spanning_terms(n)]
+    index = {t: i for i, t in enumerate(tails)}
+    matrix = {
+        k: [{index[t]: c for t, c in comodule._adjacent_rule(k, tail)} for tail in tails]
+        for k in range(1, n)
+    }
+    assert all(set(row.values()) <= {-1, 1} for m in matrix.values() for row in m)
+
+    def act(word, i):
+        vec = {i: 1}
+        for k in word:
+            out: dict = {}
+            for j, c in vec.items():
+                for l, v in matrix[k][j].items():
+                    out[l] = out.get(l, 0) + c * v
+            vec = {j: c for j, c in out.items() if c}
+        return vec
+
+    words = [(k, k) for k in range(1, n)]
+    words += [(k, k + 1) * 3 for k in range(1, n - 1)]
+    words += [(j, k) * 2 for j in range(1, n) for k in range(j + 2, n)]
+    for word in words:
+        for i in range(len(tails)):
+            assert act(word, i) == {i: 1}, (word, i)
+    # and the relations are not empty: s_1 moves b_() when n >= 2
+    if n >= 2:
+        assert act((1,), 0) != {0: 1}
+
+
 def test_stability_check_survives_optimize():
-    # under python -O: a row that is not unitriangular exits 4 from the
-    # CLI, and a span that is not stable raises
+    # under python -O: every corrupted case above exits 4 from the CLI,
+    # and a row that s_1 moves off its closed form raises
     code = (
-        "from epsgrass import ZZ, CoeffRing, cli, comodule\n"
+        "from epsgrass import ZZ, CoeffRing, cli, comodule, epsilon\n"
         "cz = CoeffRing(ZZ)\n"
+        "e12, e13, e23 = cz.eps(1) * cz.eps(2), cz.eps(1) * cz.eps(3), cz.eps(2) * cz.eps(3)\n"
+        "t1, t2 = cz.theta() * cz.eps(1), cz.theta() * cz.eps(2)\n"
+        "cases = [\n"
+        "    [cz.one(), e12 * cz.from_int(2)],\n"
+        "    [cz.one(), e12 + cz.theta()],\n"
+        "    [cz.one() + cz.theta(), e12],\n"
+        "    [cz.one(), e12, e13 - t1 * e23 + t2, e23 + t1],\n"
+        "]\n"
         "rows = {}\n"
+        "sign_image = comodule.SpanningTerm.sign_image\n"
         "comodule.SpanningTerm.sign_image = lambda term, coeff: rows[term]\n"
-        "terms = comodule.spanning_terms(2)\n"
-        "rows.update(zip(terms, [cz.one(), cz.eps(1) * cz.eps(2) * cz.from_int(2)]))\n"
-        "print('exit', cli.main(['comodule', '--n', '2']))\n"
+        "for polys in cases:\n"
+        "    n = len(polys).bit_length()\n"
+        "    comodule._ROWS_CACHE.clear()\n"
+        "    rows.update(zip(comodule.spanning_terms(n), polys))\n"
+        "    print('exit', cli.main(['comodule', '--n', str(n)]))\n"
         "comodule._ROWS_CACHE.clear()\n"
-        "rows.update(zip(terms, [cz.one(), cz.eps(1) * cz.eps(2) + cz.theta()]))\n"
+        "rows.update(zip(comodule.spanning_terms(2), cases[1]))\n"
         "try:\n"
         "    comodule.comodule_rank(2, ZZ)\n"
         "except comodule.InternalError as err:\n"
         "    print('raised:', err)\n"
+        "comodule.SpanningTerm.sign_image = sign_image\n"
+        "comodule._ROWS_CACHE.clear()\n"
+        "comodule._adjacent_act = lambda k, b: epsilon.phi_sigma({k: k + 1, k + 1: k}, b)\n"
+        "print('exit', cli.main(['comodule', '--n', '4']))\n"
     )
     src = os.path.dirname(os.path.dirname(comodule.__file__))
     done = subprocess.run(
@@ -459,9 +571,14 @@ def test_stability_check_survives_optimize():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("exit 4\n"), done.stdout
+    assert done.stdout.startswith("exit 4\n" * 4), done.stdout
+    assert done.stdout.endswith("exit 4\n"), done.stdout
     assert "internal error: spanning set at arity 2 is not certified free" in done.stderr
-    assert "raised: the spanning set's span is not stable under s_1" in done.stdout
+    assert "internal error: s_1 moves the row of x1*x2 off its closed form" in done.stderr
+    assert "internal error: the row of x1*x2 is not 1" in done.stderr
+    assert "internal error: s_1 moves the row of x2*[x1,x3] off its closed form" in done.stderr
+    assert "internal error: s_1 moves the row of x1*x2*x3*x4 off its closed form" in done.stderr
+    assert "raised: s_1 moves the row of x1*x2 off its closed form" in done.stdout
 
 
 def test_spanning_terms_count():
