@@ -25,9 +25,12 @@ into the exp of their joined pairs, one expansion over Z per monomial.
 One elimination per block of the basis, on +-1 pivots only, both picks
 the basis and certifies it: it is a unimodular integer transform, so
 the coordinates are unique and valid over every base ring.  A block's
-candidates are evaluated in one pass: each structured term gives its
-signed words directly (each commutator a*b, or b*a with the opposite
-sign), each distinct exp of the block is expanded once, and the
+candidates are evaluated in one pass, a structured term from its
+fields: all of its signed words (each commutator a*b, or b*a with the
+opposite sign) share one model monomial, and swapping a commutator
+adds a fixed pair list to the exp of the all-a*b word, pairs(u_i, w_i)
+for [w_i, F(u_i)], pairs(u, u') for [F(u), F(u')] and pairs(s, t) for
+F([s, t]).  Each distinct exp of the block is expanded once, and the
 columns are numbered as the entries are summed.  Four defining
 identities generate everything:
 
@@ -102,7 +105,14 @@ def _canonical_rotation(word: tuple, pairs: list) -> tuple:
     first one, if several are equal); each left-rotation by one
     letter costs exp(eps_letter eps_rest), whose pairs go to
     ``pairs``.  The rest is the other letters as a multiset: a
-    repeated letter moves past each of its other copies."""
+    repeated letter moves past each of its other copies.  With distinct
+    letters the minimal rotation starts at the least letter, and moving
+    the head before it to the back costs pairs(head, rest): each pair
+    inside the head is charged twice and cancels."""
+    if len(set(word)) == len(word):
+        shift = word.index(min(word))
+        pairs.extend(word_parity_pairs(word[:shift], word[shift:]))
+        return word[shift:] + word[:shift]
     shift = min(range(len(word)), key=lambda k: word[k:] + word[:k])
     for head in word[:shift]:
         rest = list(word)
@@ -114,14 +124,14 @@ def _canonical_rotation(word: tuple, pairs: list) -> tuple:
 def _model_monomial(term: tuple, pairs: list) -> tuple:
     """The model monomial (w0, traces) of one term; the pairs of every
     reordering on the way go to ``pairs``."""
-    w0: tuple = ()
+    w0: list = []
     traces: tuple = ()
     for atom in term:
         if isinstance(atom, int):
             # the trace factors collected so far move past the letter
             for v in traces:
                 pairs.extend(word_parity_pairs(v, (atom,)))
-            w0 += (atom,)
+            w0.append(atom)
             continue
         arg, inner = _model_monomial(atom[1], pairs)
         if not arg:
@@ -132,30 +142,44 @@ def _model_monomial(term: tuple, pairs: list) -> tuple:
         # between the outer trace values and the inner ones
         rotated = _canonical_rotation(arg, pairs)
         traces = _sorted_traces(traces + (rotated,) + inner, pairs)
-    return w0, traces
+    return tuple(w0), traces
 
 
-def _model_sum(items, columns: dict, expansions: dict) -> dict:
-    """The sum of c times the model value of each (term, int or ring
-    element c) item, as a vector {column: c} summed with Python
-    arithmetic, zeros kept.  The column of an entry ((w0, traces), eps
-    mask) is ``columns[entry]``, numbered len(columns) when first seen.
-    ``expansions`` maps the odd factors of an exp to its expansion over
-    Z, (masks, coefficients), so each distinct exp is expanded once per
-    ``expansions`` dict."""
-    acc: dict = {}
+def _term_entries(items):
+    """The (model monomial, odd factors, c) entry of each (term, c)
+    item: c times the term's model value is c times the monomial times
+    the product of the binomials (1 - f) over the factor masks f."""
     for term, c in items:
         pairs: list = []
         mono = _model_monomial(term, pairs)
-        factors = tuple(_odd_factors(pairs))
+        yield mono, tuple(_odd_factors(pairs)), c
+
+
+def _model_sum(entries, columns: dict, expansions: dict, n: int) -> tuple:
+    """(acc, n): the sum of the (monomial, odd factors, int or ring
+    element c) entries, as a vector acc = {column: c} summed with Python
+    arithmetic, zeros kept, and the number of columns after it.  The
+    column of ((w0, traces), eps mask) is ``columns[(w0, traces)][mask]``,
+    numbered n, n + 1, ... as first seen, so each entry hashes its
+    monomial once.  ``expansions`` maps the odd factors of an exp to its
+    expansion over Z, (masks, coefficients), so each distinct exp is
+    expanded once per ``expansions`` dict."""
+    acc: dict = {}
+    for mono, factors, c in entries:
         exp = expansions.get(factors)
         if exp is None:  # masks and coefficients, kept as tuples to save memory
             exp = _expand(factors)
             exp = expansions[factors] = (tuple(exp), tuple(exp.values()))
+        cols = columns.get(mono)
+        if cols is None:
+            cols = columns[mono] = {}
         for m, v in zip(*exp):
-            j = columns.setdefault((mono, m), len(columns))
+            j = cols.get(m)
+            if j is None:
+                j = cols[m] = n
+                n += 1
             acc[j] = acc[j] + c * v if j in acc else c * v
-    return acc
+    return acc, n
 
 
 def model_eval(f: TracePoly) -> dict:
@@ -164,10 +188,14 @@ def model_eval(f: TracePoly) -> dict:
     mapped into the ring once, with the zeros pruned, as
     ``EpsPoly.__mul__`` does."""
     columns: dict = {}
-    acc = _model_sum(f.terms.items(), columns, {})
+    acc, n = _model_sum(_term_entries(f.terms.items()), columns, {}, 0)
+    keys: list = [None] * n
+    for mono, cols in columns.items():
+        for m, j in cols.items():
+            keys[j] = mono, m
     frm = f.ring.from_int
     # columns numbered afresh come in the order acc first holds them
-    return {k: c for k, c in zip(columns, map(frm, acc.values())) if c}
+    return {k: c for k, c in zip(keys, map(frm, acc.values())) if c}
 
 
 # -- the standard form -----------------------------------------------------
@@ -200,17 +228,15 @@ class MonomialTerm(NamedTuple):
         return _render_term(self.term)
 
 
-def _monomial_irreducible(term, top=True) -> bool:
+def _monomial_irreducible(term) -> bool:
     """No trace atom at the boundary of any trace argument, and every
     trace argument owns at least one letter."""
     for atom in term:
         if not isinstance(atom, int):
             arg = atom[1]
-            if not arg:
+            if not (arg and isinstance(arg[0], int) and isinstance(arg[-1], int)):
                 return False
-            if not isinstance(arg[0], int) or not isinstance(arg[-1], int):
-                return False
-            if not _monomial_irreducible(arg, False):
+            if not _monomial_irreducible(arg):
                 return False
     return True
 
@@ -227,14 +253,8 @@ class StandardTerm(NamedTuple):
 
     def letters(self) -> list[int]:
         out = list(self.w)
-        for v in self.vs:
-            out.extend(v)
-        for wi, ui in self.ms:
-            out.extend(wi)
-            out.extend(ui)
-        for u, u2 in self.ffs:
-            out.extend(u)
-            out.extend(u2)
+        for word in (*self.vs, *(word for pair in self.ms + self.ffs for word in pair)):
+            out.extend(word)
         for s, t in self.tcs:
             out.append(s)
             out.extend(t)
@@ -261,23 +281,12 @@ class StandardTerm(NamedTuple):
     to_trace_poly = _words_poly
 
     def render(self) -> str:
-        parts = []
-        if self.w:
-            parts.append("*".join(f"x{i}" for i in self.w))
-        parts.extend("Tr(%s)" % "*".join(f"x{i}" for i in v) for v in self.vs)
-        for wi, ui in self.ms:
-            wtxt = "*".join(f"x{i}" for i in wi)
-            utxt = "*".join(f"x{i}" for i in ui)
-            parts.append(f"[{wtxt},Tr({utxt})]")
-        for u, u2 in self.ffs:
-            parts.append(
-                "[Tr(%s),Tr(%s)]"
-                % ("*".join(f"x{i}" for i in u), "*".join(f"x{i}" for i in u2))
-            )
-        for s, t in self.tcs:
-            parts.append(
-                "Tr([x%d,%s])" % (s, "*".join(f"x{i}" for i in t))
-            )
+        r = _render_term
+        parts = [r(self.w)] if self.w else []
+        parts += [f"Tr({r(v)})" for v in self.vs]
+        parts += [f"[{r(wi)},Tr({r(ui)})]" for wi, ui in self.ms]
+        parts += [f"[Tr({r(u)}),Tr({r(u2)})]" for u, u2 in self.ffs]
+        parts += [f"Tr([x{s},{r(t)}])" for s, t in self.tcs]
         return "*".join(parts) if parts else "1"
 
 
@@ -359,14 +368,8 @@ def _cyclic_min_words(part: frozenset) -> list[tuple]:
 
 
 def _tc_options(part: frozenset) -> list[tuple]:
-    out = []
     top = max(part)
-    for s in sorted(part):
-        if s == top:
-            continue
-        for t in permutations(sorted(part - {s})):
-            out.append((s, t))
-    return out
+    return [(s, t) for s in sorted(part) if s != top for t in permutations(sorted(part - {s}))]
 
 
 def _outer_arrangements(outer: frozenset, k: int):
@@ -378,7 +381,7 @@ def _outer_arrangements(outer: frozenset, k: int):
         slots = [[] for _ in range(k + 1)]
         for letter, slot in zip(letters, assign):
             slots[slot].append(letter)
-        if any(not slots[j] for j in range(1, k + 1)):
+        if not all(slots[1:]):
             continue
         for orders in iproduct(*(permutations(s) for s in slots)):
             results.append((orders[0], list(orders[1:])))
@@ -446,15 +449,10 @@ def _host_forests(part_list: list):
 
 
 def _interleavings(letters, fatoms, boundary_letters: bool):
-    items = list(letters) + list(fatoms)
-    out = []
-    for perm in permutations(range(len(items))):
-        seq = tuple(items[k] for k in perm)
-        if boundary_letters and seq:
-            if not isinstance(seq[0], int) or not isinstance(seq[-1], int):
-                continue
-        out.append(seq)
-    return out
+    seqs = permutations((*letters, *fatoms))
+    if not boundary_letters:
+        return list(seqs)
+    return [s for s in seqs if not s or (isinstance(s[0], int) and isinstance(s[-1], int))]
 
 
 def enumerate_nested_monomials(outer: frozenset, parts: frozenset) -> list[MonomialTerm]:
@@ -498,19 +496,62 @@ def enumerate_nested_monomials(outer: frozenset, parts: frozenset) -> list[Monom
     return out
 
 
-def _candidate_vectors(candidates: list) -> tuple[dict, list]:
-    """(columns, vectors): the model value of each candidate's ``words``
-    over Z as a vector {column: nonzero int}, with the columns
-    {((w0, traces), eps mask): column} numbered as they are first seen.
+def _structured_entries(term: StandardTerm) -> list:
+    """The entries (``_term_entries``) of ``term.words()``, in its order,
+    from one model monomial.  Every word has the monomial of the first
+    word, which takes a*b in each commutator, and swapping one
+    commutator to b*a adds a fixed pair list to the first word's pairs,
+    mod 2, whatever the other commutators take:
+
+    - [w_i, F(u_i)]: pairs(u_i, w_i), the letters of w_i also pass the
+      trace value u_i, which now comes before them;
+    - [F(u), F(u')]: pairs(u, u'), the one sort inversion between the
+      two trace values flips, and the others stay;
+    - F([s, t]): pairs(s, t), the words s*t and t*s are one rotation
+      step apart, and rotating to the same minimal word costs that one
+      step more or less."""
+    first = term.w + tuple(("F", v) for v in term.vs)
+    flips = []
+    for wi, ui in term.ms:
+        first += wi + (("F", ui),)
+        flips.append(word_parity_pairs(ui, wi))
+    for u, u2 in term.ffs:
+        first += ("F", u), ("F", u2)
+        flips.append(word_parity_pairs(u, u2))
+    for s, t in term.tcs:
+        first += (("F", (s,) + t),)
+        flips.append(word_parity_pairs((s,), t))
+    pairs: list = []
+    mono = _model_monomial(first, pairs)
+    if not flips:
+        return [(mono, tuple(_odd_factors(pairs)), 1)]
+    signed = [(frozenset(_odd_factors(pairs)), 1)]
+    for flip in flips:
+        flip = frozenset(_odd_factors(flip))
+        signed = [x for odd, c in signed for x in ((odd, c), (odd ^ flip, -c))]
+    return [(mono, tuple(sorted(odd)), c) for odd, c in signed]
+
+
+def _candidate_vectors(candidates: list) -> tuple[dict, int, list]:
+    """(columns, n, vectors): the model value of each candidate's
+    ``words`` over Z as a vector {column: nonzero int}, with the n
+    columns {(w0, traces): {eps mask: column}} numbered as they are first
+    seen.  A structured candidate's value comes from its fields
+    (``_structured_entries``), a nested monomial's from its one word.
     Each distinct exp of the candidates is expanded once, in a table
     dropped with the call."""
     columns: dict = {}
     expansions: dict = {}
     vectors = []
+    n = 0
     for cand in candidates:
-        acc = _model_sum(cand.words().items(), columns, expansions)
+        if isinstance(cand, StandardTerm):
+            entries = _structured_entries(cand)
+        else:
+            entries = _term_entries(((cand.term, 1),))
+        acc, n = _model_sum(entries, columns, expansions, n)
         vectors.append(acc if all(acc.values()) else {j: c for j, c in acc.items() if c})
-    return columns, vectors
+    return columns, n, vectors
 
 
 _BLOCK_CACHE: dict = {}
@@ -534,9 +575,9 @@ def _block_solver(outer: frozenset, parts: frozenset):
     candidates.extend(enumerate_nested_monomials(outer, parts))
     if not candidates:
         raise InternalError(f"no basis candidates for block {key}")
-    columns, vectors = _candidate_vectors(candidates)
+    columns, n, vectors = _candidate_vectors(candidates)
     try:
-        solver = SmithSolver(vectors, len(columns))
+        solver = SmithSolver(vectors, n)
     except NoUnitPivot as err:
         raise InternalError(
             f"standard basis for block {key} is not unimodularly independent: {err}"
@@ -565,9 +606,11 @@ def trace_normalize(f: TracePoly) -> StandardForm:
     items: dict = {}
     for pattern, part in groups.items():
         basis, columns, solver = _block_solver(*pattern)
-        if not columns.keys() >= part.keys():
-            raise InternalError("value outside the span of the standard basis")
-        sol, ok = solver.solve({columns[k]: c for k, c in part.items()}, ring)
+        try:
+            vec = {columns[mono][m]: c for (mono, m), c in part.items()}
+        except KeyError:
+            raise InternalError("value outside the span of the standard basis") from None
+        sol, ok = solver.solve(vec, ring)
         if not ok:
             raise InternalError("value not solvable in the standard basis")
         for term, c in zip(basis, sol):
@@ -662,11 +705,7 @@ class Witness(NamedTuple):
     assignments: dict  # letter -> (row, col, GrassElem coefficient)
 
     def matrices(self, ctx: SuperTraceContext) -> list[Matrix]:
-        out = []
-        for i in sorted(self.assignments):
-            r, c, coeff = self.assignments[i]
-            out.append(ctx.unit(r, c, coeff))
-        return out
+        return [ctx.unit(*self.assignments[i]) for i in sorted(self.assignments)]
 
     def render(self) -> str:
         parts = [f"matrix size {self.size}"]
@@ -703,12 +742,10 @@ def witness_search(f: TracePoly, max_n: int, seed: int = 0) -> Witness | None:
         ctx = SuperTraceContext(size, algebra)
         for attempt in range(WITNESS_ATTEMPTS_PER_SIZE):
             assignments = {}
-            if attempt == 0 and size >= 2:
+            if attempt == 0:
                 # deterministic first shot: identity-order path with wraparound
                 for i in range(1, n_letters + 1):
-                    r = (i - 1) % size
-                    c = i % size
-                    assignments[i] = (r, c, algebra.one())
+                    assignments[i] = ((i - 1) % size, i % size, algebra.one())
             else:
                 letters = list(range(1, n_letters + 1))
                 rng.shuffle(letters)

@@ -8,8 +8,10 @@ shape is the number of outer letters and the part sizes.
     PYTHONPATH=src python tests/block_shapes.py [letters]
 
 certifies the first block of each shape on ``letters`` letters (default
-7, 45 shapes) in one process, from empty caches, and prints each
-shape's time and the total.  A block that fails its certificate raises
+7, 45 shapes) in one process, from empty caches, and prints for each
+shape the candidates evaluated (structured terms and nested monomials),
+the number kept (and how many of them are nested) and the time, then
+the total.  A block that fails its certificate raises
 ``InternalError``, which ends the run with a traceback and exit 1.
 """
 
@@ -17,7 +19,12 @@ import sys
 from itertools import combinations
 from time import perf_counter
 
-from epsgrass.supertrace import _block_solver
+from epsgrass.supertrace import (
+    MonomialTerm,
+    _block_solver,
+    enumerate_block_basis,
+    enumerate_nested_monomials,
+)
 
 
 def set_partitions(items):
@@ -61,11 +68,19 @@ def main(n: int) -> None:
     shapes = block_shapes(n)
     total = 0.0
     for shape in sorted(shapes):
+        block = shapes[shape]
+        structured = len(enumerate_block_basis(*block))
+        nested = len(enumerate_nested_monomials(*block))
         start = perf_counter()
-        basis, _, _ = _block_solver(*shapes[shape])
+        basis, _, _ = _block_solver(*block)
         took = perf_counter() - start
         total += took
-        print(f"{shape}: {len(basis)} basis terms, {took:.2f} s", flush=True)
+        kept_nested = sum(isinstance(t, MonomialTerm) for t in basis)
+        print(
+            f"{shape}: {structured} structured + {nested} nested candidates, "
+            f"{len(basis)} kept ({kept_nested} nested), {took:.2f} s",
+            flush=True,
+        )
     print(f"{len(shapes)} shapes on {n} letters certified in {total:.1f} s")
 
 
