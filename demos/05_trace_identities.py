@@ -12,14 +12,8 @@ everything that is not a consequence.
 
 from epsgrass import CoeffRing, GrassAlgebra, ZZ
 from epsgrass.rings import IntegerRing
-from epsgrass.supertrace import (
-    SuperTraceContext,
-    TracePoly,
-    eval_trace_poly,
-    is_trace_identity,
-    trace_normalize,
-    witness_search,
-)
+from epsgrass.hull import SuperTraceContext, eval_trace_poly, witness_search
+from epsgrass.supertrace import TracePoly, is_trace_identity, trace_normalize
 
 ring = IntegerRing()
 x = lambda i: TracePoly.letter(ring, i)  # noqa: E731

@@ -24,7 +24,7 @@ loads at start-up only ``rings``, ``terms``, ``epsilon``,
 (loading ``supertrace`` per command instead would move its compile
 into the first ``trace-check`` query).  ``hull``, and ``salg`` behind
 it, load only where they run: in ``idempotents``, and in
-``trace-witness`` when it builds its witness matrices.
+``trace-witness``, whose witness search and matrix model are in ``hull``.
 """
 
 from __future__ import annotations
@@ -52,12 +52,7 @@ from .epsilon import CoeffRing, InternalError
 from .expr import compile_grass, compile_trace_poly, parse, reject_trace
 from .grassmann import GrassAlgebra, esgn
 from .rings import CapabilityError, ring_from_spec
-from .supertrace import (
-    SuperTraceContext,
-    eval_trace_poly,
-    trace_normalize,
-    witness_search,
-)
+from .supertrace import trace_normalize
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -193,9 +188,12 @@ def _run(args) -> int:
         basis = [t.render() for t in _spanning_rows(args.n)[0]]  # the certified terms
         lines = [f"rank {rank}", "free: yes", "basis:"]
         lines.extend(f"  {b}" for b in basis)
+        details = {"free": free, "basis": basis, "n": args.n}
         if args.dump_matrix:
-            lines = chain(lines, matrix_dump(args.n))
-        _report(args, ring, rank, {"free": free, "basis": basis, "n": args.n}, lines)
+            # one generator of the rows, consumed by the format that prints it
+            details["matrix"] = dump = matrix_dump(args.n)
+            lines = chain(lines, dump)
+        _report(args, ring, rank, details, lines)
         return EXIT_OK
 
     if command == "signs":
@@ -251,6 +249,8 @@ def _run(args) -> int:
         return EXIT_OK if verdict else EXIT_NEGATIVE
 
     if command == "trace-witness":
+        from .hull import SuperTraceContext, eval_trace_poly, witness_search
+
         f = compile_trace_poly(tree, ring)
         if trace_normalize(f).is_zero():
             _report(args, ring, None, {"identity": True}, ["identity; no witness exists"])

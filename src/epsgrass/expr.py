@@ -4,7 +4,7 @@
     term   := factor ('*' factor)*
     factor := INT | SYM | '(' expr ')' | '[' expr ',' expr ']'
             | '{' expr ',' expr '}' | 'Tr' '(' expr ')'
-    SYM    := theta | eps<k> | e<k> | x<k> (@'{'k(,k)*'}')?
+    SYM    := theta | eps<k> | e<k> | x<k>
 
 Whitespace insensitive.  The leading minus is accepted so canonical
 renderings (which may start with a negative coefficient) parse back.
@@ -48,7 +48,7 @@ class ExprSyntaxError(ValueError):
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<int>[0-9]+)"
-    r"|(?P<sym>theta|eps[0-9]+|e[0-9]+|x[0-9]+(?:@\{[0-9]+(?:,[0-9]+)*\})?|Tr)"
+    r"|(?P<sym>theta|eps[0-9]+|e[0-9]+|x[0-9]+|Tr)"
     r"|(?P<punct>[-+*()\[\]{},])"
     r"|(?P<bad>\S)"
     r")"
@@ -143,11 +143,7 @@ class Parser:
             if tok.startswith("eps"):
                 return ("eps", self.index(tok[3:], pos))
             if tok.startswith("x"):
-                if "@" in tok:
-                    name, grade = tok.split("@", 1)
-                    indices = tuple(self.index(v, pos) for v in grade.strip("{}").split(","))
-                    return ("var", self.index(name[1:], pos), indices)
-                return ("var", self.index(tok[1:], pos), None)
+                return ("var", self.index(tok[1:], pos))
             return ("gen", self.index(tok[1:], pos))
         if tok == "(":
             inner = self.expr()
@@ -237,8 +233,6 @@ def compile_grass(node, algebra: GrassAlgebra) -> GrassElem:
         if op == "neg":
             return -_evaluate(node[1], leaf)
         if op == "var":
-            if node[2] is not None:
-                raise ValueError("grade annotations are not supported here")
             return algebra.gen(node[1])
         if op == "scomm":
             return scommutator(_evaluate(node[1], leaf), _evaluate(node[2], leaf))
@@ -255,8 +249,6 @@ def compile_trace_poly(node, ring: BaseRing) -> TracePoly:
     def word(nodes):
         letters = []
         for node in nodes:
-            if node[2] is not None:
-                raise ValueError("grade annotations are not supported here")
             if node[1] < 1:
                 raise ValueError("letters are numbered from 1")
             letters.append(node[1])

@@ -9,19 +9,25 @@ multilinear graded identities through the sign involution
 f* = sum esgn(sigma) a_sigma x_sigma(1)...x_sigma(n); evaluating a
 graded polynomial on simple tensors (matrix (x) word) factors as
 f*(matrices) (x) product of words.
+
+Matrix algebras over the twisted Grassmann algebra, with F the ordinary
+matrix trace, satisfy the four defining identities of ``supertrace``;
+they provide the soundness checks of its standard form and the witness
+search for non-identities (``witness_search``).
 """
 
 from __future__ import annotations
 
+import random
 from itertools import product as iproduct
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .epsilon import CoeffRing, EpsPoly
 from .grassmann import GrassAlgebra, GrassElem, esgn
 from .salg import SAlgebra, SElem
 from .rings import RingMismatchError
-from .terms import TermMap, add_term
+from .terms import TermMap, TracePoly, _letters_of_term, add_term
 
 
 class GradeMismatchError(ValueError):
@@ -224,6 +230,124 @@ class Matrix:
 
 def _render_entry(a) -> str:
     return a.render() if hasattr(a, "render") else str(a)
+
+
+# -- trace polynomials on matrix algebras ----------------------------------
+
+
+class SuperTraceContext:
+    """Matrix size n over a twisted Grassmann algebra, with the trace-like
+    function sending a matrix to (sum of diagonal entries) * identity."""
+
+    def __init__(self, n: int, algebra: GrassAlgebra):
+        self.n = n
+        self.algebra = algebra
+
+    def zero_matrix(self) -> Matrix:
+        z = self.algebra.zero()
+        return Matrix([[z for _ in range(self.n)] for _ in range(self.n)], z)
+
+    def identity(self) -> Matrix:
+        return Matrix.identity(self.n, self.algebra.zero(), self.algebra.one())
+
+    def unit(self, r: int, c: int, value: GrassElem | None = None) -> Matrix:
+        m = self.zero_matrix()
+        m.rows[r][c] = value if value is not None else self.algebra.one()
+        return m
+
+    def estr(self, m: Matrix) -> Matrix:
+        tr = m.trace()
+        return self.identity().scale(tr)
+
+
+def eval_trace_poly(f: TracePoly, ctx: SuperTraceContext, subs: Sequence[Matrix]) -> Matrix:
+    """Evaluate with x_i -> subs[i-1] and F -> the context trace."""
+    letters = set()
+    for term in f.terms:
+        letters.update(_letters_of_term(term))
+    if letters and max(letters) > len(subs):
+        raise ValueError(f"need {max(letters)} substitutions, got {len(subs)}")
+
+    def eval_term(term) -> Matrix:
+        acc = ctx.identity()
+        for atom in term:
+            if isinstance(atom, int):
+                acc = acc * subs[atom - 1]
+            else:
+                acc = acc * ctx.estr(eval_term(atom[1]))
+        return acc
+
+    result = ctx.zero_matrix()
+    for term, c in f.terms.items():
+        result = result + eval_term(term).scale(ctx.algebra.scalar(c))
+    return result
+
+
+# -- witness search ------------------------------------------------------------
+
+# The substitutions ``witness_search`` tries per matrix size.
+WITNESS_ATTEMPTS_PER_SIZE = 400
+
+
+class Witness(NamedTuple):
+    size: int
+    assignments: dict  # letter -> (row, col, GrassElem coefficient)
+
+    def matrices(self, ctx: SuperTraceContext) -> list[Matrix]:
+        return [ctx.unit(*self.assignments[i]) for i in sorted(self.assignments)]
+
+    def render(self) -> str:
+        parts = [f"matrix size {self.size}"]
+        for i in sorted(self.assignments):
+            r, c, coeff = self.assignments[i]
+            text = coeff.render_expr()
+            if not (text.startswith("(") and text.endswith(")")):
+                text = f"({text})"
+            parts.append(f"x{i} -> {text} * E[{r + 1},{c + 1}]")
+        return "; ".join(parts)
+
+
+def witness_search(f: TracePoly, max_n: int, seed: int = 0) -> Witness | None:
+    """Search for a matrix substitution with a nonzero value.
+
+    Every letter becomes a coefficient times a matrix unit.  For each
+    matrix size from 2 to ``max_n`` there are
+    ``WITNESS_ATTEMPTS_PER_SIZE`` attempts: the first places x_i at
+    position (i-1, i) modulo the size with coefficient 1; every later
+    attempt draws each letter's row and column uniformly at random and
+    its coefficient from 1, e1, e2, e1*e2 (``algebra.gen``) or a product
+    of two of these, seeded by ``seed``.  Returns the first substitution
+    with a nonzero value, or None.
+    """
+    n_letters = f.require_multilinear()
+    if n_letters == 0:
+        return None
+    rng = random.Random(seed)
+    algebra = GrassAlgebra(CoeffRing(f.ring))
+    coeff_pool = [algebra.one(), algebra.gen(1), algebra.gen(2), algebra.gen(1) * algebra.gen(2)]
+    for size in range(2, max_n + 1):
+        ctx = SuperTraceContext(size, algebra)
+        for attempt in range(WITNESS_ATTEMPTS_PER_SIZE):
+            assignments = {}
+            if attempt == 0:
+                # deterministic first shot: identity-order path with wraparound
+                for i in range(1, n_letters + 1):
+                    assignments[i] = ((i - 1) % size, i % size, algebra.one())
+            else:
+                letters = list(range(1, n_letters + 1))
+                rng.shuffle(letters)
+                for i in letters:
+                    r = rng.randrange(size)
+                    c = rng.randrange(size)
+                    coeff = rng.choice(coeff_pool)
+                    if rng.random() < 0.5:
+                        coeff = coeff * rng.choice(coeff_pool)
+                    assignments[i] = (r, c, coeff)
+            witness = Witness(size, assignments)
+            value = eval_trace_poly(f, ctx, witness.matrices(ctx))
+            if not value.is_zero():
+                return witness
+    return None
 
 
 # -- graded multilinear polynomials and the involution --------------------

@@ -37,18 +37,18 @@ identities generate everything:
     F(F(x)y) = F(x)F(y)        F(xF(y)) = F(x)F(y)
     [x, F([y,z])] = 0          [F(x), [F(y), z]] = 0
 
-Matrix algebras over the twisted Grassmann algebra, with F the ordinary
-matrix trace, satisfy all four; they provide the soundness checks and
-the witness search for non-identities.
+This module evaluates nothing on matrices: the matrix model, in which
+the identities are checked and non-identities get a witness, lives
+beside the matrix type.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product as iproduct
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple
 
-from .epsilon import CoeffRing, InternalError, _expand, _odd_factors
-from .grassmann import GrassAlgebra, GrassElem, word_parity_pairs
+from .epsilon import InternalError, _expand, _odd_factors
+from .grassmann import word_parity_pairs
 from .linalg import NoUnitPivot, SmithSolver
 from .rings import BaseRing
 from .terms import (
@@ -60,9 +60,6 @@ from .terms import (
     _term_sort_key,
     render_sum,
 )
-
-if TYPE_CHECKING:
-    from .hull import Matrix
 
 MAX_TRACE_ARITY = 6
 
@@ -260,6 +257,24 @@ class StandardTerm(NamedTuple):
             out.extend(t)
         return out
 
+    def _commutators(self) -> list:
+        """(a*b atoms, b*a atoms, (p, q)) of each commutator, in the order
+        of the product: [w_i, F(u_i)], then [F(u), F(u')], then F([s, t]).
+        Swapping a commutator from a*b to b*a adds pairs(p, q) to the
+        exp of a word (``_structured_entries``).  It runs once for every
+        structured candidate of a block, so it is built in plain loops:
+        three list comprehensions took twice as long."""
+        out = []
+        for wi, ui in self.ms:
+            f = (("F", ui),)
+            out.append((wi + f, f + wi, (ui, wi)))
+        for u, u2 in self.ffs:
+            a, b = ("F", u), ("F", u2)
+            out.append(((a, b), (b, a), (u, u2)))
+        for s, t in self.tcs:
+            out.append(((("F", (s,) + t),), (("F", t + (s,)),), ((s,), t)))
+        return out
+
     def words(self) -> dict:
         """The expansion {term: int}, in the order of the product of the
         factors: each trace word appends its trace, and each commutator
@@ -267,10 +282,7 @@ class StandardTerm(NamedTuple):
         a letter repeats, and then they are summed; a standard term's
         coefficients are all +-1."""
         out = {self.w + tuple(("F", v) for v in self.vs): 1}
-        swaps = [(wi + (("F", ui),), (("F", ui),) + wi) for wi, ui in self.ms]
-        swaps += [((("F", u), ("F", u2)), (("F", u2), ("F", u))) for u, u2 in self.ffs]
-        swaps += [((("F", (s,) + t),), (("F", t + (s,)),)) for s, t in self.tcs]
-        for ab, ba in swaps:
+        for ab, ba, _ in self._commutators():
             nxt: dict = {}
             for term, c in out.items():
                 nxt[term + ab] = nxt.get(term + ab, 0) + c
@@ -510,17 +522,12 @@ def _structured_entries(term: StandardTerm) -> list:
     - F([s, t]): pairs(s, t), the words s*t and t*s are one rotation
       step apart, and rotating to the same minimal word costs that one
       step more or less."""
-    first = term.w + tuple(("F", v) for v in term.vs)
+    # a list is built faster than a generator: this runs once per candidate
+    first = term.w + tuple([("F", v) for v in term.vs])
     flips = []
-    for wi, ui in term.ms:
-        first += wi + (("F", ui),)
-        flips.append(word_parity_pairs(ui, wi))
-    for u, u2 in term.ffs:
-        first += ("F", u), ("F", u2)
-        flips.append(word_parity_pairs(u, u2))
-    for s, t in term.tcs:
-        first += (("F", (s,) + t),)
-        flips.append(word_parity_pairs((s,), t))
+    for ab, _, (p, q) in term._commutators():
+        first += ab
+        flips.append(word_parity_pairs(p, q))
     pairs: list = []
     mono = _model_monomial(first, pairs)
     if not flips:
@@ -633,131 +640,3 @@ def trace_normalize(f: TracePoly) -> StandardForm:
 def is_trace_identity(f: TracePoly) -> bool:
     """True iff f is a consequence of the four defining identities."""
     return trace_normalize(f).is_zero()
-
-
-# -- evaluation in matrix algebras -------------------------------------------
-
-
-class SuperTraceContext:
-    """Matrix size n over a twisted Grassmann algebra, with the trace-like
-    function sending a matrix to (sum of diagonal entries) * identity.
-
-    ``hull`` (and ``salg`` behind it) is imported by the methods that
-    build a matrix, so that ``trace-check`` and the other commands that
-    build none do not compile it at start-up."""
-
-    def __init__(self, n: int, algebra: GrassAlgebra):
-        self.n = n
-        self.algebra = algebra
-
-    def zero_matrix(self) -> Matrix:
-        from .hull import Matrix
-
-        z = self.algebra.zero()
-        return Matrix([[z for _ in range(self.n)] for _ in range(self.n)], z)
-
-    def identity(self) -> Matrix:
-        from .hull import Matrix
-
-        return Matrix.identity(self.n, self.algebra.zero(), self.algebra.one())
-
-    def unit(self, r: int, c: int, value: GrassElem | None = None) -> Matrix:
-        m = self.zero_matrix()
-        m.rows[r][c] = value if value is not None else self.algebra.one()
-        return m
-
-    def estr(self, m: Matrix) -> Matrix:
-        tr = m.trace()
-        return self.identity().scale(tr)
-
-
-def eval_trace_poly(f: TracePoly, ctx: SuperTraceContext, subs: Sequence[Matrix]) -> Matrix:
-    """Evaluate with x_i -> subs[i-1] and F -> the context trace."""
-    letters = set()
-    for term in f.terms:
-        letters.update(_letters_of_term(term))
-    if letters and max(letters) > len(subs):
-        raise ValueError(f"need {max(letters)} substitutions, got {len(subs)}")
-
-    def eval_term(term) -> Matrix:
-        acc = ctx.identity()
-        for atom in term:
-            if isinstance(atom, int):
-                acc = acc * subs[atom - 1]
-            else:
-                acc = acc * ctx.estr(eval_term(atom[1]))
-        return acc
-
-    result = ctx.zero_matrix()
-    for term, c in f.terms.items():
-        result = result + eval_term(term).scale(ctx.algebra.scalar(c))
-    return result
-
-
-# -- witness search ------------------------------------------------------------
-
-# The substitutions ``witness_search`` tries per matrix size.
-WITNESS_ATTEMPTS_PER_SIZE = 400
-
-
-class Witness(NamedTuple):
-    size: int
-    assignments: dict  # letter -> (row, col, GrassElem coefficient)
-
-    def matrices(self, ctx: SuperTraceContext) -> list[Matrix]:
-        return [ctx.unit(*self.assignments[i]) for i in sorted(self.assignments)]
-
-    def render(self) -> str:
-        parts = [f"matrix size {self.size}"]
-        for i in sorted(self.assignments):
-            r, c, coeff = self.assignments[i]
-            text = coeff.render_expr()
-            if not (text.startswith("(") and text.endswith(")")):
-                text = f"({text})"
-            parts.append(f"x{i} -> {text} * E[{r + 1},{c + 1}]")
-        return "; ".join(parts)
-
-
-def witness_search(f: TracePoly, max_n: int, seed: int = 0) -> Witness | None:
-    """Search for a matrix substitution with a nonzero value.
-
-    Every letter becomes a coefficient times a matrix unit.  For each
-    matrix size from 2 to ``max_n`` there are
-    ``WITNESS_ATTEMPTS_PER_SIZE`` attempts: the first places x_i at
-    position (i-1, i) modulo the size with coefficient 1; every later
-    attempt draws each letter's row and column uniformly at random and
-    its coefficient from 1, e1, e2, e1*e2 (``algebra.gen``) or a product
-    of two of these, seeded by ``seed``.  Returns the first substitution
-    with a nonzero value, or None.
-    """
-    import random
-
-    n_letters = f.require_multilinear()
-    if n_letters == 0:
-        return None
-    rng = random.Random(seed)
-    algebra = GrassAlgebra(CoeffRing(f.ring))
-    coeff_pool = [algebra.one(), algebra.gen(1), algebra.gen(2), algebra.gen(1) * algebra.gen(2)]
-    for size in range(2, max_n + 1):
-        ctx = SuperTraceContext(size, algebra)
-        for attempt in range(WITNESS_ATTEMPTS_PER_SIZE):
-            assignments = {}
-            if attempt == 0:
-                # deterministic first shot: identity-order path with wraparound
-                for i in range(1, n_letters + 1):
-                    assignments[i] = ((i - 1) % size, i % size, algebra.one())
-            else:
-                letters = list(range(1, n_letters + 1))
-                rng.shuffle(letters)
-                for i in letters:
-                    r = rng.randrange(size)
-                    c = rng.randrange(size)
-                    coeff = rng.choice(coeff_pool)
-                    if rng.random() < 0.5:
-                        coeff = coeff * rng.choice(coeff_pool)
-                    assignments[i] = (r, c, coeff)
-            witness = Witness(size, assignments)
-            value = eval_trace_poly(f, ctx, witness.matrices(ctx))
-            if not value.is_zero():
-                return witness
-    return None

@@ -26,7 +26,9 @@ from epsgrass.cli import main as cli_main
 from epsgrass.expr import compile_grass, parse
 from epsgrass.hull import (
     Matrix,
+    SuperTraceContext,
     all_sign_maps,
+    eval_trace_poly,
     hull_eval_factorization,
     grassmann_involution,
     idempotent_system_check,
@@ -34,13 +36,7 @@ from epsgrass.hull import (
     projected_commutation_check,
 )
 from epsgrass.salg import SAlgebra
-from epsgrass.supertrace import (
-    SuperTraceContext,
-    TraceArgumentError,
-    eval_trace_poly,
-    is_trace_identity,
-    trace_normalize,
-)
+from epsgrass.supertrace import TraceArgumentError, is_trace_identity, trace_normalize
 
 from conftest import random_grass_elem, random_perm, random_word, zz_algebra
 from test_hull import random_graded_poly

@@ -96,6 +96,21 @@ def test_comodule_dump_matrix(capsys):
     assert "# columns:" in out
 
 
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_comodule_dump_matrix_json(capsys, n):
+    code, out, _ = run_cli(capsys, "comodule", "--n", n, "--dump-matrix")
+    assert code == 0
+    lines = out.splitlines()
+    dump = lines[lines.index("basis:") + 1 :]
+    dump = dump[next(k for k, line in enumerate(dump) if not line.startswith("  ")) :]
+    code, out, _ = run_cli(capsys, "comodule", "--n", n, "--dump-matrix", "--format", "json")
+    assert code == 0
+    dumped = json.loads(out)["details"]
+    assert dumped.pop("matrix") == dump and dump[0].startswith("# columns:")
+    code, out, _ = run_cli(capsys, "comodule", "--n", n, "--format", "json")
+    assert code == 0 and json.loads(out)["details"] == dumped
+
+
 def test_signs_table_golden(capsys):
     code, out, _ = run_cli(capsys, "signs", "--n", "3")
     assert code == 0
@@ -319,6 +334,13 @@ def test_cli_import_leaves_hull_and_salg_out():
     done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n[] SAlgebra SElem\n"
+    code = (
+        "import sys, epsgrass.supertrace\n"
+        "print(sorted({'epsgrass.hull', 'epsgrass.salg'} & set(sys.modules)))\n"
+    )
+    done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(
@@ -337,6 +359,20 @@ def test_cli_import_leaves_hull_and_salg_out():
             "witness: matrix size 2; x1 -> (1) * E[1,2]; x2 -> (1) * E[2,1]\n",
             "",
         ),
+        (
+            ["trace-witness", "Tr(x1)*x2 - x2*Tr(x1)", "--max-n", "3"],
+            0,
+            "witness: matrix size 2; x1 -> (e1*e2) * E[2,2]; x2 -> (e2) * E[2,1]\n",
+            "",
+        ),
+        (
+            ["trace-witness", "Tr(x1)*x2 - x2*Tr(x1)", "--max-n", "3", "--format", "json"],
+            0,
+            '{\n  "command": "trace-witness",\n  "details": {\n    "nonzero": true,\n'
+            '    "size": 2\n  },\n  "result": "matrix size 2; x1 -> (e1*e2) * E[2,2];'
+            ' x2 -> (e2) * E[2,1]",\n  "ring": "Z"\n}\n',
+            "",
+        ),
     ],
 )
 def test_commands_that_load_hull_in_a_fresh_process(argv, code, out, err):
@@ -345,8 +381,8 @@ def test_commands_that_load_hull_in_a_fresh_process(argv, code, out, err):
 
 
 def test_grade_annotation_rejected(capsys):
-    code, _, err = run_cli(capsys, "check-identity", "x1@{1}*x2", "--vars", "2")
-    assert code == 2 and "grade annotation" in err
+    code, out, err = run_cli(capsys, "check-identity", "x1@{1}*x2", "--vars", "2")
+    assert (code, out, err) == (2, "", "error: unknown symbol '@{1}*x2' at line 1, column 3\n")
 
 
 def test_check_identity_json_agreement(capsys):

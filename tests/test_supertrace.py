@@ -7,20 +7,17 @@ import pytest
 
 from epsgrass import CoeffRing, GF, GrassAlgebra, QQ, ZZ, supertrace
 from epsgrass.epsilon import InternalError, _odd_factors, monomial_key
-from epsgrass.hull import Matrix
+from epsgrass.hull import Matrix, SuperTraceContext, eval_trace_poly, witness_search
 from epsgrass.rings import IntegerRing, ModRing
 from epsgrass.supertrace import (
     MonomialTerm,
     NonMultilinearError,
     StandardTerm,
-    SuperTraceContext,
     TraceArgumentError,
     TracePoly,
     check_standard_term,
-    eval_trace_poly,
     is_trace_identity,
     trace_normalize,
-    witness_search,
 )
 
 from block_shapes import all_blocks, block_shapes
