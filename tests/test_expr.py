@@ -32,9 +32,6 @@ def test_parse_grade_annotation():
     # whatever the indices after it
     with pytest.raises(ExprSyntaxError, match=r"unknown symbol '@\{1,3\}' at line 1, column 3"):
         parse("x2@{1,3}")
-    for k in (MAX_INDEX, MAX_INDEX + 1):
-        with pytest.raises(ExprSyntaxError, match=f"unknown symbol '@{{2,{k}' at line 1, column 8"):
-            parse(f"e1 + x1@{{2,{k}}}")
 
 
 def test_parse_errors_have_position():
@@ -59,8 +56,15 @@ def test_nesting_bound(opening, closing):
         parse(nested(3000))
 
 
-@pytest.mark.parametrize("template", ["eps{}", "e{}", "x{}"])
+@pytest.mark.parametrize("template", ["eps{}", "e{}", "x{}", "x1@{{2,{}}}"])
 def test_index_bound(template):
+    if "@" in template:
+        # a grade annotation is not syntax: the tokenizer stops at the '@'
+        # on either side of the bound
+        for k in (MAX_INDEX, MAX_INDEX + 1):
+            with pytest.raises(ExprSyntaxError, match=f"unknown symbol '@{{2,{k}' at line 1, column 8"):
+                parse("e1 + " + template.format(k))
+        return
     assert parse(template.format(MAX_INDEX))
     with pytest.raises(ExprSyntaxError, match=f"index {MAX_INDEX + 1} is above {MAX_INDEX} at line 1, column 6"):
         parse("e1 + " + template.format(MAX_INDEX + 1))
