@@ -72,8 +72,8 @@ EXIT_PIPE = 141
 # check-identity runs at most one subset transform per maximal vertex
 # set of its monomials' inversion graphs, 2^n fields at n letters: the
 # budget is 10 s and 256 MB cold, for the reversed word xn*...*x1 and
-# for 50 seeded random permutations, which --vars 20 meets: 1.8-2.5 s
-# at 125 MB and 2.9-3.4 s at 140 MB on a shared 2-vCPU VM (BENCH_18.json).
+# for 50 seeded random permutations, which --vars 20 meets: 1.1-1.7 s
+# at 125 MB and 3.5-4.2 s at 138 MB on a shared 2-vCPU VM (BENCH_25.json).
 CLI_LIMITS = {
     "comodule": [
         ("n", "arity", 1, MAX_COMODULE_ARITY, None),

@@ -8,8 +8,9 @@ psi(f)*e_1...e_n, so f is an identity iff psi(f) = 0.  The sign image
 psi(f) = sum of a_s*esgn(s) sums the exps of the inversion graphs with
 no esgn and no algebra product: one subset transform per maximal set of
 inverted letters (``epsilon._sum_exps``), fed parity words read off the
-permutations in one pass per chunk of the set's XOR tables
-(``_inversion_parity``); ``is_identity`` tests its int sums in the ring.
+permutations in one pass per chunk of the set, through XOR tables and
+rows built once per shape (``_inversion_parity``); ``is_identity`` tests
+its int sums in the ring.
 
 The generalized signs span a free module of rank 2^(n-1).  The sign
 images B of an explicit spanning set (ascending prefix times
@@ -21,10 +22,9 @@ B an echelon that the unit-pivot ``SmithSolver`` of ``linalg`` keeps as
 it is, with pivot eps_T for row T; the normal forms solve against it,
 checked by psi of the residual.  The rank certificate (``comodule_rank``,
 which reads no n!-row sign table) takes no reduction: S_n acts on B
-explicitly.  With b_T the row of tail T and s_k = (k k+1), s_k*b_T is
--b_T if k and k+1 are both in T, b_T' if exactly one is, T' being T with
-k and k+1 exchanged, and b_T - b_(T+{k,k+1}) if neither is; the
-certificate checks each of these (n-1)*2^(n-1) equalities.
+explicitly, each s_k = (k k+1) sending a row of B to plus or minus one
+row or to the difference of two (``_adjacent_rule``), and it checks
+each of these (n-1)*2^(n-1) equalities.
 """
 
 from __future__ import annotations
@@ -148,15 +148,14 @@ def _inversion_graph(sigma: Sequence[int]) -> list[tuple[int, int]]:
     return [(b, a) for k, a in enumerate(sigma) for b in sigma[k + 1:] if b < a]
 
 
-# The XOR tables of one group of permutations cover chunks of at most
-# _TABLE_WIDTH vertices, and add at most _TABLE_BYTES bytes of parity
+# The XOR tables and rows of one group of permutations cover chunks of
+# at most _TABLE_WIDTH vertices and add at most _TABLE_BYTES bytes of
 # words to the field masks: a group of 20 letters gets chunks of one
-# vertex, whose tables are the field masks themselves.  With 1 MB, the
-# tables of 14 letters raised the peak memory of check-identity on the
-# nested commutator of 14 letters above what the list of field values
-# needs.
+# vertex, which add none.  That is 512 KB for the tables (more raised the
+# peak memory of check-identity on the nested commutator of 14 letters)
+# and as much again for the rows.
 _TABLE_WIDTH = 8
-_TABLE_BYTES = 1 << 19
+_TABLE_BYTES = 1 << 20
 
 
 def _inversion_parity(vertices: tuple, masks: list, word_bytes: int):
@@ -166,31 +165,28 @@ def _inversion_parity(vertices: tuple, masks: list, word_bytes: int):
     before b, of at[a] & at[b], at[v] the field mask of v.
 
     The vertices, in increasing order, are cut into the fewest chunks of
-    about equal size whose tables fit the budget, and each chunk gets a
-    table: the XOR of the masks over each subset of it.  One pass over
-    sigma per chunk takes the inversions whose larger letter a is in the
-    chunk.  It keeps the set ``seen`` of the chunk's letters passed, and
-    at each letter b of the chunk XORs at[b] & table[the letters of
-    ``seen`` above b] into the word: one table read per letter, and one
-    pass when one chunk covers the vertices, as it does up to 8 of them.
-    The letters of earlier chunks are below all of ``seen``, so their
-    masks are XORed together until ``seen`` grows and then take one
-    table read for the lot; at one vertex per chunk that is one XOR per
-    inversion, as many as a loop over the earlier letters.  A letter
-    outside ``vertices`` is in no inversion."""
+    about equal size whose tables and rows (``epsilon._xor_tables``, one
+    build per shape) fit the budget.  One pass over sigma per chunk takes
+    the inversions whose larger letter a is in the chunk: it keeps the
+    set ``seen`` of the chunk's letters passed, and at each letter b of
+    the chunk XORs row_b[the letters of ``seen`` above b] = at[b] &
+    table[those letters] into the word, one read per letter.  The
+    letters of earlier chunks are below all of ``seen``, so their masks
+    are XORed together until ``seen`` grows and then take one table read
+    for the lot.  A letter outside ``vertices`` is in no inversion."""
     k = len(vertices)
-    count = -(-k // _TABLE_WIDTH)
-    while count < k and _table_words(_chunks(k, count)) * word_bytes > _TABLE_BYTES:
-        count += 1
-    passes = []  # per chunk: {letter: (at[letter], its bit or 0, the chunk after it)}, table
-    for lo, hi in _chunks(k, count):
-        table = [0]
-        for m in masks[lo:hi]:
-            table += [m, *(t ^ m for t in table[1:])]  # m itself, not a copy
-        full = (1 << hi - lo) - 1
+    # the fewest chunks, of sizes within one, whose rows (2^c - 1 - c words for
+    # c vertices) and tables after the first chunk (as many) fit the budget
+    for count in range(-(-k // _TABLE_WIDTH), k + 1):
+        chunks = tuple((k * i // count, k * (i + 1) // count) for i in range(count))
+        words = sum((1 << hi - lo) - 1 - (hi - lo) << (lo > 0) for lo, hi in chunks)
+        if words * word_bytes <= _TABLE_BYTES:
+            break
+    passes = []  # per chunk: {letter: (its row or at[letter], its bit or 0, its shift)}, table
+    for (lo, hi), (table, rows) in zip(chunks, epsilon._xor_tables(masks, word_bytes, chunks)):
         letter = {v: (m, 0, 0) for v, m in zip(vertices[:lo], masks)}
         for p in range(lo, hi):
-            letter[vertices[p]] = (masks[p], 1 << p - lo, full & -(2 << p - lo))
+            letter[vertices[p]] = (rows[p - lo], 1 << p - lo, p - lo + 1)
         passes.append((letter, table))
 
     def parity(sigma: Sequence[int]) -> int:
@@ -200,11 +196,11 @@ def _inversion_parity(vertices: tuple, masks: list, word_bytes: int):
             for b in sigma:
                 got = letter.get(b)
                 if got is not None:
-                    m, bit, after = got
+                    m, bit, shift = got
                     if bit:
-                        s = seen & after
+                        s = seen >> shift
                         if s:
-                            word ^= m & table[s]
+                            word ^= m[s]
                         if pending:
                             word ^= pending & table[seen]
                             pending = 0
@@ -216,18 +212,6 @@ def _inversion_parity(vertices: tuple, masks: list, word_bytes: int):
         return word
 
     return parity
-
-
-def _chunks(k: int, count: int) -> list:
-    """The (first, end) positions of ``count`` chunks of k positions whose
-    sizes differ by at most one."""
-    return [(k * i // count, k * (i + 1) // count) for i in range(count)]
-
-
-def _table_words(chunks: list) -> int:
-    """The XORs of two or more masks in the tables of the chunks: 2^c - 1 - c
-    for a chunk of c vertices."""
-    return sum((1 << hi - lo) - 1 - (hi - lo) for lo, hi in chunks)
 
 
 def _sign_sum(f: MultilinearPoly) -> tuple:
@@ -264,9 +248,7 @@ def _adjacent_act(k: int, b: EpsPoly) -> EpsPoly:
     1 - eps_k*eps_(k+1), the exp of s_k's one inversion.  The tests
     compare it with ``sign_act`` of ``tests/conftest.py``, the action
     of any permutation.  On the row b_T of the spanning term of tail T
-    it gives the rows of ``_adjacent_rule``: -b_T if k and k+1 are both
-    in T, b_T' if exactly one is, T' being T with k and k+1 exchanged,
-    and b_T - b_(T+{k,k+1}) if neither is."""
+    it gives the rows of ``_adjacent_rule``."""
     pair = 3 << k
     out: dict = {}
     for m, c in b.terms.items():

@@ -21,18 +21,21 @@ Coefficients accumulate with Python ``+`` and ``*`` (ints for Z and
 Z/m, Fractions for Q) and reduce once per output monomial through
 ``from_int``.  ``exp_sum``, and ``psi`` in ``comodule``, add up many
 exps with no product at all: one subset transform per maximal vertex
-set, fed a packed parity word per exp, from its edges or straight from
-a permutation through XOR tables built once per vertex set.  A vertex
-set with few or sparse graphs expands them instead, as long as that,
-fixed costs included, stays under half the transform.
+set, on a packed parity word per exp, from its edges or straight from a
+permutation through XOR tables built once per shape, read out in one
+cast and run in list slices.  A vertex set with few or sparse graphs
+expands them instead, as long as that, fixed costs included, stays
+under half the transform.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from itertools import chain, combinations
+from functools import reduce
+from itertools import chain, combinations, compress
 from math import lcm
-from operator import itemgetter
+from operator import itemgetter, sub, xor
 from typing import Iterable
 
 from .rings import BaseRing
@@ -355,19 +358,37 @@ def _field_masks(k: int, nbytes: int) -> tuple:
     return got
 
 
+# _XOR_TABLES[word_bytes, chunks]: the tables of ``comodule._inversion_parity``
+# for a shape, kept for the field masks they were built from, at most
+# _MEMO_VERTICES vertices: per chunk (lo, hi), the XOR of masks[lo:hi] over
+# each subset (kept after the first chunk only) and the row of each position
+# p, row[x] = masks[p] & table[x << p - lo + 1].  An entry holds at most 1 MB
+# (comodule._TABLE_BYTES) beyond the masks; at 7 vertices, 120 row words.
+_XOR_TABLES: dict = {}
+
+
+def _xor_tables(masks: list, word_bytes: int, chunks: tuple) -> list:
+    got = _XOR_TABLES.get((word_bytes, chunks))
+    if got is None or got[0] is not masks:
+        tables = []
+        for lo, hi in chunks:
+            table = [0]
+            for m in masks[lo:hi]:
+                table += [m, *(t ^ m for t in table[1:])]  # m itself, not a copy
+            rows = [[m & t for t in table[::2 << p]] for p, m in enumerate(masks[lo:hi])]
+            tables.append((table if lo else None, rows))
+        got = masks, tables
+        if len(masks) <= _MEMO_VERTICES:
+            _XOR_TABLES[word_bytes, chunks] = got
+    return got[1]
+
+
 def _edge_parity(vertices: tuple, masks: list, word_bytes: int):
     """The parity words of pair lists on ``vertices``: field T of exp(E)'s
     word holds e(T) mod 2, the number of pairs of E inside T, the XOR of
     the pairs' masks at[a] & at[b]."""
     at = dict(zip(vertices, masks))
-
-    def parity(edges: list) -> int:
-        word = 0
-        for a, b in edges:
-            word ^= at[a] & at[b]
-        return word
-
-    return parity
+    return lambda edges: reduce(xor, [at[a] & at[b] for a, b in edges], 0)
 
 
 def _add_subset_image(acc: dict, vertices: tuple, members: list, parity_of) -> None:
@@ -378,65 +399,65 @@ def _add_subset_image(acc: dict, vertices: tuple, members: list, parity_of) -> N
     has a field per subset T of the vertices, which holds e(T) mod 2.
     ``parity_of(vertices, masks, word_bytes)`` returns the map from x to
     its parity word, given the masks of the fields T that contain each
-    vertex and the size of a word in bytes, so it can build its tables
-    once per group."""
+    vertex and the size of a word in bytes."""
     k = len(vertices)
-    total = negative = 0
-    for _, c in members:
-        total += c
-        if c < 0:
-            negative -= c
-    base = total + 2 * negative  # sum |c|, the largest field value
+    size = 1 << k
+    base = sum(abs(c) for _, c in members)  # the largest field value
     nbytes = base.bit_length() + 7 >> 3
     masks, ones = _field_masks(k, nbytes)
     parity = parity_of(vertices, masks, nbytes << k)
-    # Scattering c into the set fields of a parity word is one multiply; a
-    # negative c scatters |c| into the clear fields, so no field goes
-    # below 0 or above sum |c|.
+    # c goes to the set fields of a parity word in one multiply, a negative
+    # c as |c| to the clear fields, so every field lies in 0..sum |c|
     packed = 0
     for x, c in members:
         word = parity(x)
         packed += c * word if c > 0 else -c * (word ^ ones)
     del masks, parity  # the parity tables go before the fields are read out
-    # g(T) = sum c*(-1)^e(T) = sum c - 2 * (sum of c over the odd e(T)),
-    # and that sum is field T minus ``negative``
-    data = packed.to_bytes(nbytes << k, "little")
-    g = [
-        base - 2 * int.from_bytes(data[i:i + nbytes], "little")
-        for i in range(0, len(data), nbytes)
-    ]
-    # Moebius transform: x(S) = sum over T in S of (-1)^(|S|-|T|) g(T)
-    size, run = 1 << k, 1
-    while run < size:
-        for lo in range(run, size, 2 * run):
-            for s in range(lo, lo + run):
-                g[s] -= g[s - run]
-        run *= 2
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(nbytes)  # the width's array type
+    if code:  # one cast; in big-endian order the last field comes first
+        g = memoryview(packed.to_bytes(nbytes << k, sys.byteorder)).cast(code).tolist()
+        if sys.byteorder == "big":
+            g.reverse()
+    else:
+        data = packed.to_bytes(nbytes << k, "little")
+        g = [int.from_bytes(data[i:i + nbytes], "little") for i in range(0, len(data), nbytes)]
+    # M(P)(S) = sum over T in S of (-1)^(|S|-|T|) P(T), P(T) the fields: a
+    # stage per vertex, in strided slices while fewer than its blocks
+    for run in (1 << j for j in range(k)):
+        step = 2 * run
+        if 2 * run * run < size:
+            for a in range(run, step):
+                g[a::step] = map(sub, g[a::step], g[a - run::step])
+        else:
+            for lo in range(run, size, step):
+                g[lo:lo + run] = map(sub, g[lo:lo + run], g[lo - run:lo])
+    # g(T) = sum c*(-1)^e(T) is sum |c| - 2*P(T), so its transform x is
+    # base - 2*P(empty set) at the empty set and -2*M(P)(S) elsewhere
+    x, g[0] = base - 2 * g[0], 0
+    if x:
+        acc[0] = acc[0] + x if 0 in acc else x
     # the eps mask of subset S is low[S's first half] | high[the rest]:
     # two tables of 2^(k/2) masks, not one of 2^k
-    half = k // 2
-    low, high = [0], [0]
-    for v in vertices[:half]:
-        low += [m | 1 << v for m in low]
-    for v in vertices[half:]:
-        high += [m | 1 << v for m in high]
+    half, low, high = k // 2, [0], [0]
+    for p, v in enumerate(vertices):
+        table = low if p < half else high
+        table += [m | 1 << v for m in table]
     cut = (1 << half) - 1
-    for s, x in enumerate(g):
-        if x:
-            d = s.bit_count()
-            q, r = divmod(x, 1 << (d + 1 >> 1))
-            if r:
-                raise InternalError(
-                    f"character sum {x} on {vertices} is not divisible by 2^{d + 1 >> 1}"
-                )
-            m = low[s & cut] | high[s >> half] | d & 1
-            acc[m] = acc[m] + q if m in acc else q
+    for s in compress(range(size), g):
+        x, d = -2 * g[s], s.bit_count()
+        q, r = divmod(x, 1 << (d + 1 >> 1))
+        if r:
+            raise InternalError(
+                f"character sum {x} on {vertices} is not divisible by 2^{d + 1 >> 1}"
+            )
+        m = low[s & cut] | high[s >> half] | d & 1
+        acc[m] = acc[m] + q if m in acc else q
 
 
 # What expanding one exp costs besides the terms it visits (building its
 # pair list, reducing and sorting it, adding the result), in term visits.
-# psi of the comodule and identities bench inputs ran fastest from about
-# 16 up (timed at 0, 8, 12, 16, 24, 32 and 48).
+# psi of the comodule and identities bench inputs ran fastest from 16 up,
+# with the bulk transform too (timed at 0, 8, 16, 24, 32; 48 before it).
 _EXPAND_COST = 24
 
 
@@ -450,28 +471,29 @@ def _sum_exps(items: Iterable, edges_of, parity_of) -> tuple:
     vertex set holds them and has at most max(k + 2, 10) vertices, or
     start one (merged into a sparse 18-letter group, 200 permutations of
     letters 1-12 took 1.06 s, not 0.08 s).  A group of k vertices has a
-    budget of half its transform, k*2^(k-1) steps, in term visits, and
-    first charges it the fixed cost of expanding every item,
-    ``_EXPAND_COST`` each.  It then expands its items, smallest supports
-    first, each charged ``_expand_bound`` of its odd factors, and
-    transforms the rest once the next bound overruns the budget, so no
-    expansion starts that the budget cannot pay for.  So a group of more
-    items than the budget pays for expands none, a dense graph on many
-    letters goes straight to the transform, and a single sparse graph on
-    many letters is expanded.
+    budget of half its transform, k*2^(k-1) steps, in term visits, less
+    ``_EXPAND_COST`` per item, the fixed cost of expanding it.  It expands
+    its items, smallest supports first, each charged ``_expand_bound`` of
+    its odd factors, and transforms the rest once the next bound overruns
+    the budget: a group of more items than the budget pays for expands
+    none, a dense graph on many letters goes straight to the transform,
+    and a single sparse graph on many letters is expanded.
     """
     items = sorted(items, key=lambda item: item[0].bit_count(), reverse=True)
-    den = lcm(*(c.denominator for _, _, c in items))
+    ints = all(type(c) is int for _, _, c in items)
+    den = 1 if ints else lcm(*(c.denominator for _, _, c in items))
     groups: dict = {}  # the support of a group -> its [(x, int coefficient)]
-    owner: dict = {}  # support -> the support of its group
+    owner: dict = {}  # support -> the members of its group
     for support, x, c in items:
-        if support not in owner:
+        members = owner.get(support)
+        if members is None:
             reach = max(support.bit_count() + 2, 10)
-            owner[support] = next(
+            top = next(
                 (top for top in groups if support & top == support and top.bit_count() <= reach),
                 support,
             )
-        groups.setdefault(owner[support], []).append((x, c.numerator * (den // c.denominator)))
+            members = owner[support] = groups.setdefault(top, [])
+        members.append((x, c if ints else c.numerator * (den // c.denominator)))
     del items  # the items go before the transforms
     acc: dict = {}  # mask -> int
     for top, members in groups.items():
@@ -479,8 +501,9 @@ def _sum_exps(items: Iterable, edges_of, parity_of) -> tuple:
         budget = (len(vertices) << len(vertices) >> 2) - len(members) * _EXPAND_COST
         members.reverse()
         for index, (x, c) in enumerate(members):
-            factors = _odd_factors(edges_of(x))
-            budget -= _expand_bound(factors)
+            if budget >= 0:  # else not even the first expansion is paid for
+                factors = _odd_factors(edges_of(x))
+                budget -= _expand_bound(factors)
             if budget < 0:
                 _add_subset_image(acc, vertices, members[index:], parity_of)
                 break
@@ -503,12 +526,7 @@ def exp_sum(ring: CoeffRing, items: Iterable) -> EpsPoly:
     2^(-ceil(|S|/2)) * sum over T in S of (-1)^(|S|-|T|) * (-1)^e(T);
     every other monomial is 0.  The sum is the character sum of a GF(2)
     quadratic form on S, so it is 0 or divisible by 2^ceil(|S|/2).
-
-    ``_sum_exps`` evaluates every exp on all the characters at once, in
-    one int with a field per T, and runs one Moebius transform per
-    maximal vertex set, unless expanding the small or sparse graphs, a
-    fixed cost each plus the terms visited, is cheaper.  The
-    coefficients accumulate as ints and map into the ring once.
+    ``_sum_exps`` sums the exps by that transform or by expanding them.
     """
     members = []
     for edges, c in items:

@@ -364,8 +364,9 @@ class StandardForm(TermMap):
         return acc
 
     def render(self) -> str:
+        # a term whose fields are all empty is the constant: an empty body
         return render_sum(
-            (self.ring.render(self.terms[t]), t.render())
+            (self.ring.render(self.terms[t]), t.render() if any(t) else "")
             for t in sorted(self.terms, key=_basis_term_key)
         )
 

@@ -407,6 +407,16 @@ def test_trace_check_json_agreement(capsys):
     assert payload["details"]["standard_form"] in out_t
 
 
+@pytest.mark.parametrize("text", ["2", "-3", "1", "-1"])
+def test_trace_check_renders_a_constant_bare(capsys, text):
+    # the constant term's body is empty and its coefficient prints alone
+    # (2 printed as 2*1): the form is the input, which parses back to itself
+    code, out, _ = run_cli(capsys, "trace-check", "--", text)
+    assert code == 1 and out == f"not an identity\nstandard form: {text}\n"
+    code, out, _ = run_cli(capsys, "trace-check", "--format", "json", "--", text)
+    assert code == 1 and json.loads(out)["details"]["standard_form"] == text
+
+
 def test_cli_limits(capsys):
     cases = [
         (("comodule", "--n"), ("0", "16"), "arity must be between 1 and 15"),

@@ -14,6 +14,7 @@ from itertools import permutations
 import pytest
 
 from epsgrass import GF, QQ, ZZ, CoeffRing, ModRing, comodule, epsilon, esgn
+from epsgrass.cli import main
 from epsgrass.comodule import MultilinearPoly, is_identity, psi, spanning_terms, unit_words
 from epsgrass.epsilon import exp_sum
 
@@ -460,36 +461,94 @@ def oracle_psi(ring, f: MultilinearPoly) -> dict:
     return in_ring(ring, sum_of_exps(MultilinearPoly(f.n, QQ if ring is QQ else ZZ, f.coeffs)))
 
 
+def parity_by_definition(vertices, masks, sigma) -> int:
+    """The parity word of sigma's inversion graph on ``vertices``: the XOR
+    over the inversions a > b inside the vertex set of at[a] & at[b];
+    letters outside the vertex set are skipped."""
+    at = dict(zip(vertices, masks))
+    want = 0
+    for i, a in enumerate(sigma):
+        for b in sigma[i + 1:]:
+            if a > b and a in at and b in at:
+                want ^= at[a] & at[b]
+    return want
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 8])
 def test_inversion_parity_words_at_every_table_width(monkeypatch, width):
-    # the table-driven parity word against its definition: the XOR over
-    # the inversions a > b inside the vertex set of at[a] & at[b]; letters
-    # outside the vertex set are skipped
+    # the parity word from the tables and rows against its definition
     monkeypatch.setattr(comodule, "_TABLE_WIDTH", width)
     rng = random.Random(103)
     for k in range(13):
         vertices = tuple(sorted(rng.sample(range(1, 15), k)))
         masks, _ = epsilon._field_masks(k, 1)
-        at = dict(zip(vertices, masks))
         parity = comodule._inversion_parity(vertices, masks, 1 << k)
         for _ in range(6):
             sigma = list(range(1, 15))
             rng.shuffle(sigma)
-            want = 0
-            for i, a in enumerate(sigma):
-                for b in sigma[i + 1:]:
-                    if a > b and a in at and b in at:
-                        want ^= at[a] & at[b]
-            assert parity(sigma) == want, (vertices, sigma)
+            assert parity(sigma) == parity_by_definition(vertices, masks, sigma), (vertices, sigma)
 
 
-@pytest.mark.parametrize("total", [255, 256, 65535, 65536])
+def test_inversion_parity_after_the_table_width_changes(monkeypatch):
+    # the memo of the tables is keyed by their chunks: a width patched once
+    # the shape's tables are built cuts new tables, and a width seen before
+    # finds its own again
+    rng = random.Random(113)
+    vertices = tuple(range(2, 12))
+    masks, _ = epsilon._field_masks(10, 1)
+    sigmas = [rng.sample(range(1, 13), 12) for _ in range(20)]
+    want = [parity_by_definition(vertices, masks, sigma) for sigma in sigmas]
+    for width in (8, 3, 8, 1, 5, 3):
+        monkeypatch.setattr(comodule, "_TABLE_WIDTH", width)
+        parity = comodule._inversion_parity(vertices, masks, 1 << 10)
+        assert [parity(sigma) for sigma in sigmas] == want, width
+    tables = epsilon._XOR_TABLES[1 << 10, ((0, 5), (5, 10))][1]  # of width 5
+    assert epsilon._xor_tables(masks, 1 << 10, ((0, 5), (5, 10))) is tables
+    chunks = ((0, 2), (2, 5), (5, 7), (7, 10))  # of width 3
+    tables = epsilon._xor_tables(masks, 1 << 10, chunks)
+    assert [len(rows) for _, rows in tables] == [2, 3, 2, 3] and tables[0][0] is None
+    assert epsilon._xor_tables(list(masks), 1 << 10, chunks) is not tables  # other masks
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_subset_transform_of_inversion_words_on_every_vertex_count(monkeypatch, k):
+    # the transform alone on k vertices, from the inversion parity words of
+    # permutations of 1..14, for two letter sets of each size in turn, which
+    # share the shape's memoized tables: against the closed form of each exp
+    rng = random.Random(107 + k)
+    for _ in range(2):
+        vertices = tuple(sorted(rng.sample(range(1, 15), k)))
+        supports = [frozenset({v} & set(vertices)) for v in range(1, 15)]
+        members = []
+        for _ in range(12 if k <= 8 else 2):
+            sigma = list(range(1, 15))
+            rng.shuffle(sigma)
+            members.append((tuple(sigma), rng.choice((-5, -3, -2, -1, 1, 2, 3, 7))))
+        acc: dict = {}
+        epsilon._add_subset_image(acc, vertices, members, comodule._inversion_parity)
+        want: dict = {}
+        for sigma, c in members:
+            for key, v in exp_graph(inversion_pairs(supports, sigma)).items():
+                want[key] = want.get(key, 0) + c * v
+        got = {epsilon.monomial_key(m): c for m, c in acc.items() if c}
+        assert got == {key: v for key, v in want.items() if v}, vertices
+    if k == 0:  # x1 is in no inversion: check-identity transforms on no vertex
+        sizes = transforms(monkeypatch)
+        assert main(["check-identity", "x1", "--vars", "1"]) == 1
+        assert sizes == [0]
+
+
+@pytest.mark.parametrize(
+    "total", [255, 256, 65535, 65536, 2**24 - 1, 2**24, 2**32 - 1, 2**32, 2**64 - 1, 2**64]
+)
 @pytest.mark.parametrize("ring", [ZZ, QQ], ids=["Z", "Q"])
 def test_psi_at_the_field_width_edges(monkeypatch, ring, total):
     # sum |c| = 255 fills a field of one byte and 256 takes two; 65535 and
-    # 65536 likewise for two and three.  Over Q the coefficients are
-    # sixths, so the scaled ints reach the edge.  Mixed signs, then all
-    # negative: a negative c scatters |c| into the clear fields.
+    # 65536 likewise for two and three, and so on up to fields of 9 bytes:
+    # the widths 1, 2, 4 and 8 are read in one cast, 3, 5 and 9 field by
+    # field.  Over Q the coefficients are sixths, so the scaled ints reach
+    # the edge.  Mixed signs, then all negative: a negative c scatters |c|
+    # into the clear fields.
     widths = []
     field_masks = epsilon._field_masks
 
