@@ -49,7 +49,7 @@ from .comodule import (
     unit_words,
 )
 from .epsilon import CoeffRing, InternalError
-from .expr import compile_grass, compile_trace_poly, parse, reject_trace
+from .expr import compile_grass, compile_trace_poly, parse
 from .grassmann import GrassAlgebra, esgn
 from .rings import CapabilityError, ring_from_spec
 from .supertrace import trace_normalize
@@ -64,7 +64,7 @@ EXIT_PIPE = 141
 # The bounds of the integer options, checked before any work: command ->
 # [(option, name in messages, lowest, highest, flag or None)]; a
 # bound with a flag applies only when that flag is set.  The co-module
-# certificate reaches arity 15 in 10.0-11.5 s cold (32-35 s at 16, see
+# certificate reaches arity 15 in 1.3-1.6 s cold (see
 # comodule.MAX_COMODULE_ARITY), but the sign table behind signs and
 # --dump-matrix holds n! rows (9-14 s at 8).
 # idempotents costs O(4^X) products (16 s over Q at --X 6); a witness
@@ -175,7 +175,6 @@ def _run(args) -> int:
         return EXIT_OK
 
     if command == "check-identity":
-        reject_trace(tree)
         f = MultilinearPoly.from_word_poly(compile_trace_poly(tree, ring), args.vars)
         verdict = is_identity(f)
         text = "identity" if verdict else "not an identity"

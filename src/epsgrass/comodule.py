@@ -15,26 +15,32 @@ its int sums in the ring.
 The generalized signs span a free module of rank 2^(n-1).  The sign
 images B of an explicit spanning set (ascending prefix times
 commutators in ascending disjoint pairs) have a closed form
-(``SpanningTerm.sign_image``), and B is unitriangular: row T holds 1 at
-eps_T, and its other theta-free monomials sit at strict supersets of T.
-That proves an all-ones Smith diagonal over every base ring, and makes
-B an echelon that the unit-pivot ``SmithSolver`` of ``linalg`` keeps as
-it is, with pivot eps_T for row T; the normal forms solve against it,
-checked by psi of the residual.  The rank certificate (``comodule_rank``,
-which reads no n!-row sign table) takes no reduction: S_n acts on B
-explicitly, each s_k = (k k+1) sending a row of B to plus or minus one
-row or to the difference of two (``_adjacent_rule``), and it checks
-each of these (n-1)*2^(n-1) equalities.
+(``SpanningTerm.sign_image``): row T is eps_T * prod_{p in Q}(1 -
+theta*eps_p), where (T, Q) is the term's descriptor, T its tail and Q
+the letters of its prefix above an odd number of letters of T
+(``_odd_letters``).  So B is unitriangular: row T holds 1 at eps_T, and
+its other monomials sit at strict supersets of T.  That proves an
+all-ones Smith diagonal over every base ring, and makes B an echelon
+that the unit-pivot ``SmithSolver`` of ``linalg`` keeps as it is, with
+pivot eps_T for row T; the normal forms solve against it, checked by psi
+of the residual.  The rank certificate (``comodule_rank``, which reads
+no n!-row sign table) takes no reduction and no product of rows: S_n
+acts on B explicitly, each s_k = (k k+1) sending a row of B to plus or
+minus one row or to the difference of two (``_adjacent_rule``).  s_k
+moves only the factor of a row on the letters k and k+1, so each of
+these (n-1)*2^(n-1) equalities is checked on the descriptors, with one
+two-letter identity per pattern of their bits on {k, k+1}.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
-from .epsilon import CoeffRing, EpsPoly, InternalError, all_monomials
+from .epsilon import CoeffRing, EpsPoly, InternalError, all_monomials, exp_map, phi_sigma
 from .grassmann import GrassElem, esgn, word_from_letters
 from .linalg import NoUnitPivot, SmithSolver
 from .rings import BaseRing, IntegerRing
@@ -43,9 +49,11 @@ from . import epsilon
 
 # The largest arity of the co-module certificate, whose budget is 30 s
 # cold.  On a shared 2-vCPU VM whose speed toggles, `comodule --n` takes
-# 0.73-0.90 s at n = 12 (19 MB peak RSS), 1.3-1.9 s at 13 (24 MB),
-# 4.1-4.3 s at 14 (36 MB) and 10.0-11.5 s at 15 (65 MB); with the bound
-# lifted, n = 16 takes 32-35 s at 137 MB, past the budget.
+# 0.15 s at n = 12 (19 MB peak RSS), 0.28-0.32 s at 13 (24 MB),
+# 0.60-1.05 s at 14 (36 MB) and 1.3-1.6 s at 15 (65 MB), most of it
+# building and rendering B; with the bound lifted, the certificate and
+# the rendered terms take 3.4-3.9 s at 132 MB for n = 16.  Raising the
+# bound waits for a probe of every bound on the same host.
 MAX_COMODULE_ARITY = 15
 # ``epsgrass signs`` and ``matrix_dump`` list all n! signs of S_n.
 MAX_SIGN_TABLE_ARITY = 8
@@ -76,9 +84,9 @@ class MultilinearPoly(TermMap):
     @classmethod
     def from_word_poly(cls, p: TracePoly, n: int) -> "MultilinearPoly":
         """The polynomial p as arity n; p must not apply Tr."""
+        if not all(isinstance(a, int) for w in p.terms for a in w):
+            raise ValueError("Tr(...) is only allowed in trace expressions")
         for w in p.terms:
-            if not all(isinstance(a, int) for a in w):
-                raise ValueError("Tr(...) is only allowed in trace expressions")
             if sorted(w) != list(range(1, n + 1)):
                 raise ValueError(
                     f"monomial {w} is not multilinear in x1..x{n}"
@@ -242,25 +250,6 @@ def psi(f: MultilinearPoly) -> EpsPoly:
     return epsilon._to_poly(CoeffRing(f.ring), *_sign_sum(f))
 
 
-def _adjacent_act(k: int, b: EpsPoly) -> EpsPoly:
-    """The twisted action of s_k = (k k+1) on b, over Z, in one pass over
-    b's masks: swap eps_k and eps_(k+1), then multiply by
-    1 - eps_k*eps_(k+1), the exp of s_k's one inversion.  The tests
-    compare it with ``sign_act`` of ``tests/conftest.py``, the action
-    of any permutation.  On the row b_T of the spanning term of tail T
-    it gives the rows of ``_adjacent_rule``."""
-    pair = 3 << k
-    out: dict = {}
-    for m, c in b.terms.items():
-        if m >> k & 1 != m >> k + 1 & 1:
-            m ^= pair
-        t = (m & 1) + (m & pair).bit_count()  # theta degree of m*eps_k*eps_(k+1)
-        prod = m & ~1 | pair | t & 1
-        out[m] = out.get(m, 0) + c
-        out[prod] = out.get(prod, 0) - (c << (t >> 1))
-    return EpsPoly(b.ring, {m: c for m, c in out.items() if c})
-
-
 def _adjacent_rule(k: int, tail: int) -> tuple:
     """s_k*b_T as (tail mask, +-1) pairs, T the tail of mask ``tail``."""
     pair = 3 << k
@@ -302,6 +291,34 @@ def matrix_dump(n: int) -> Iterator[str]:
 
 
 # -- spanning terms and normal forms -------------------------------------
+
+
+def _odd_letters(term) -> list[int]:
+    """Q of a spanning term, ascending: the letters of its prefix above an
+    odd number of letters of its tail.  With the tail T, (T, Q) is the
+    descriptor of the term's sign row (``sign_image``)."""
+    return [p for p in term.prefix if bisect(term.tail, p) & 1]
+
+
+def _closed_row(tail: int, letters) -> dict:
+    """eps_T * prod_{p in letters}(1 - theta*eps_p) as mask -> int, T the
+    letters of the mask ``tail``, none of them in ``letters``."""
+    return {m | tail: c for m, c in epsilon._expand([1 << p | 1 for p in letters]).items()}
+
+
+def _holds_locally(tail: int, q: int, targets: tuple) -> bool:
+    """The two-letter identity of check (b') on the letters 1 and 2, T and
+    Q given by the masks ``tail`` and ``q`` on them: the twisted action
+    (1 - eps_1*eps_2)*phi of s_1 on eps_T * prod_{p in Q}(1 - theta*eps_p)
+    is the sum of c times the factor of (T', Q') over the targets
+    (T', Q', c)."""
+    cz = CoeffRing(IntegerRing())
+
+    def factor(t: int, q: int) -> EpsPoly:
+        return EpsPoly(cz, _closed_row(t, [p for p in (1, 2) if q >> p & 1]))
+
+    moved = exp_map(cz, [(2, 1)]) * phi_sigma({1: 2, 2: 1}, factor(tail, q))
+    return moved == sum((factor(t, q).scale_int(c) for t, q, c in targets), cz.zero())
 
 
 class SpanningTerm(tuple):
@@ -355,7 +372,8 @@ class SpanningTerm(tuple):
     def sign_image(self, coeff: CoeffRing) -> EpsPoly:
         """psi(self.to_poly(ring)) in closed form, with no esgn: with T
         the tail and Q the letters of the prefix P above an odd number of
-        letters of T, it is eps_T * prod_{p in Q} (1 - theta*eps_p).
+        letters of T (``_odd_letters``), it is eps_T * prod_{p in Q} (1 -
+        theta*eps_p).
 
         Proof: [e_a, e_b] = eps_a*eps_b*e_a*e_b with central
         coefficients, so psi(self) = eps_T * esgn(P T).  P and T ascend,
@@ -366,7 +384,7 @@ class SpanningTerm(tuple):
         2^floor(|R|/2) at theta^(|R| mod 2) * eps_(T+R): 1 at eps_T, and
         theta-free monomials only at strict supersets of T besides.
         """
-        q = [1 << p for p in self.prefix if sum(t < p for t in self.tail) % 2]
+        q = [1 << p for p in _odd_letters(self)]
         tail = sum(1 << t for t in self.tail)
         terms = {}
         for r in range(len(q) + 1):
@@ -405,28 +423,26 @@ _ROWS_CACHE: dict = {}
 def _spanning_rows(n: int):
     """(spanning terms, the ``SmithSolver`` over their sign images B over
     Z, in the order of the terms, on the masks below 2^(n+1)), cached.
-    Check (a) runs first: row T holds 1 at eps_T, with T the term's
-    tail, and its other theta-free monomials at strict supersets of T; a
-    row that breaks it raises ``InternalError``, as does a solver that
-    finds no unit pivot.  The closed form puts the theta monomials of row
-    T at strict supersets of T too, so eps_T is its smallest unit entry
-    and no row before it has a pivot in it: the solver takes no
-    elimination step and keeps every row with pivot eps_T, and its
-    echelon is B, held nowhere else."""
+    Check (a) runs first: row T is its closed form eps_T *
+    prod_{p in Q}(1 - theta*eps_p), with (T, Q) the term's descriptor,
+    expanded by ``epsilon._expand`` and not by ``sign_image``'s sum over
+    subsets of Q.  That ties the rows to the descriptors that check (b')
+    reads; a row that breaks it raises ``InternalError``, as does a
+    solver that finds no unit pivot.  Q is disjoint from T, so row T
+    holds 1 at eps_T and its other monomials at strict supersets of T:
+    eps_T is its smallest unit entry and no row before it has a pivot in
+    it.  The solver takes no elimination step and keeps every row with
+    pivot eps_T, and its echelon is B, held nowhere else."""
     if n not in _ROWS_CACHE:
         coeff = CoeffRing(IntegerRing())
         terms = spanning_terms(n)
-        rows = []
-        for term in terms:
-            row, pivot = term.sign_image(coeff).terms, sum(1 << t for t in term.tail)
-            if row.get(pivot) != 1 or any(
-                not (m & 1 or m & pivot == pivot) for m in row if m != pivot
-            ):
+        rows = [term.sign_image(coeff).terms for term in terms]
+        for term, row in zip(terms, rows):
+            if row != _closed_row(sum(1 << t for t in term.tail), _odd_letters(term)):
                 raise InternalError(
                     f"spanning set at arity {n} is not certified free: "
-                    f"the row of {term.render()} is not unitriangular"
+                    f"the row of {term.render()} is not its closed form"
                 )
-            rows.append(row)
         try:
             solver = SmithSolver(rows, 2 << n)
         except NoUnitPivot as err:
@@ -436,8 +452,9 @@ def _spanning_rows(n: int):
 
 
 def freeness_certificate(n: int) -> bool:
-    """Check (a): the 2^(n-1) spanning rows B are unitriangular on the
-    columns eps_T, |T| even, ordered by inclusion, so B has an all-ones
+    """Check (a): each of the 2^(n-1) spanning rows B is the closed form of
+    its descriptor (T, Q), Q disjoint from T, so B is unitriangular on the
+    columns eps_T, |T| even, ordered by inclusion: it has an all-ones
     Smith diagonal over every base ring, and the unit-pivot solver keeps
     every row.  Returns True; a failure raises ``InternalError``."""
     if not 1 <= n <= MAX_COMODULE_ARITY:
@@ -456,16 +473,50 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
 
     It is 2^(n-1) over every commutative ring, so ``ring`` does not change
     the answer.  The rank is proved once per arity, without the sign
-    table, by exact integer checks on the spanning rows B:
+    table, by exact integer checks on the spanning rows B, the row b_T of
+    the term of descriptor (T, Q_T) being eps_T * prod_{p in Q_T}(1 -
+    theta*eps_p):
 
-    (a) B is unitriangular (``freeness_certificate``), so it has an
-        all-ones Smith diagonal and spans a direct summand of rank 2^(n-1);
+    (a) B is that closed form, so it is unitriangular
+        (``freeness_certificate``): it has an all-ones Smith diagonal and
+        spans a direct summand of rank 2^(n-1);
     (b') the row of the empty tail is 1, and A_(s_k)(b_T), for every
-        adjacent transposition s_k = (k k+1) and every row b_T of B, T
-        the term's tail, equals its closed form (``_adjacent_rule``):
-        -b_T if k and k+1 are both in T, b_T' if exactly one is, T'
-        being T with k and k+1 exchanged, and b_T - b_(T+{k,k+1}) if
-        neither is.  ``_adjacent_act`` takes A_(s_k)(b_T) in one pass.
+        adjacent transposition s_k = (k k+1) and every row b_T of B,
+        equals its closed form (``_adjacent_rule``): -b_T if k and k+1
+        are both in T, b_T' if exactly one is, T' being T with k and k+1
+        exchanged, and b_T - b_(T+{k,k+1}) if neither is.
+
+    (b') is checked on the descriptors.  With K = {k, k+1}, b_T = F*G,
+    where G = eps_(T&K) * prod_{p in Q_T&K}(1 - theta*eps_p) and F is
+    the factor on the other letters.  A_(s_k) = (1 -
+    eps_k*eps_(k+1))*phi_(s_k), and the ring map phi_(s_k) fixes F, so
+    A_(s_k)(b_T) = F*A_(s_k)(G).  So b_T meets the rule if (1) each row
+    b_T' that the rule names has T' and Q_T' equal to T and Q_T off K,
+    so that its factor off K is F too, and (2) A_(s_k)(G) is the signed
+    sum of the factors G' on K of those rows: an identity in theta, eps_k
+    and eps_(k+1) that depends only on the bits of T, Q_T, T' and Q_T'
+    on K.  The loop checks (1) for each (k, T), and (2) once per pattern
+    of bits, on the letters 1 and 2 (``_holds_locally``).
+
+    Both hold.  Let c be the parity of the letters of T below k.  The
+    letters of T below a letter off K differ from those of T' by 0 or 2,
+    which is (1); and k is in Q_T iff k is not in T and c is odd, k+1 iff
+    k+1 is not in T and c + [k in T] is odd, so the bits of (T, Q_T) on K
+    take 7 of their 16 values.  With eps_i^2 = theta*eps_i and theta^2 =
+    2, the identities (2) are:
+
+    - k and k+1 in T: G = eps_k*eps_(k+1), and A_(s_k)(G) = G -
+      theta^2*G = (1 - 2)*G = -G.
+    - exactly one in T, say k (k+1 is alike): G = eps_k*(1 -
+      theta*eps_(k+1))^a, a = 1 iff c is even, and G' = eps_(k+1)*(1 -
+      theta*eps_k)^(1-a).  As (1 - eps_k*eps_(k+1))*eps_(k+1) =
+      eps_(k+1)*(1 - theta*eps_k), A_(s_k)(G) = eps_(k+1)*(1 -
+      theta*eps_k)^(1+a) = G', since (1 - theta*eps_k)^2 = 1.
+    - neither in T: G is 1 (c even) or (1 - theta*eps_k)*(1 -
+      theta*eps_(k+1)) (c odd), which phi_(s_k) fixes, and the row of
+      T+K has G' = eps_k*eps_(k+1).  As eps_k*(1 - theta*eps_k) =
+      -eps_k, eps_k*eps_(k+1)*G = G' in both cases, so A_(s_k)(G) = G -
+      G'.
 
     By the cocycle law, A_sigma(lam) = esgn(sigma)*phi_sigma(lam) is a
     Z-linear action of S_n on C[eps] (``sign_act`` of
@@ -479,18 +530,22 @@ def comodule_rank(n: int, ring: BaseRing) -> int:
         return _RANK_CACHE[n]
     freeness_certificate(n)  # (a); rejects an arity out of range
     terms, solver = _spanning_rows(n)
-    # B by tail mask, never by pivot: a corrupted row may pivot off eps_T
-    rows = {sum(1 << t for t in term.tail): row for term, (_, row, _) in zip(terms, solver.echelon)}
-    if rows[0] != {0: 1}:  # (b')
+    if solver.echelon[0][1] != {0: 1}:  # (b')
         raise InternalError(f"the row of {terms[0].render()} is not 1")
-    coeff = CoeffRing(IntegerRing())
+    # (b') on the descriptors: Q by tail mask, and the verdict of each
+    # pattern, the bits of T and Q on {k, k+1} moved to {1, 2} with the
+    # bits and signs of the rule's rows
+    qs = {sum(1 << t for t in term.tail): sum(1 << p for p in _odd_letters(term)) for term in terms}
+    holds: dict = {}
     for k in range(1, n):
-        for term, (tail, row) in zip(terms, rows.items()):
-            want: dict = {}
-            for t, sign in _adjacent_rule(k, tail):
-                for m, c in rows[t].items():
-                    want[m] = want.get(m, 0) + sign * c
-            if _adjacent_act(k, EpsPoly(coeff, row)).terms != {m: c for m, c in want.items() if c}:
+        pair, shift = 3 << k, k - 1
+        for term, (tail, q) in zip(terms, qs.items()):
+            rule = _adjacent_rule(k, tail)
+            targets = tuple((t >> shift & 6, qs[t] >> shift & 6, c) for t, c in rule)
+            local = (tail >> shift & 6, q >> shift & 6, targets)
+            if local not in holds:
+                holds[local] = _holds_locally(*local)
+            if not holds[local] or any((t ^ tail | qs[t] ^ q) & ~pair for t, _ in rule):
                 raise InternalError(f"s_{k} moves the row of {term.render()} off its closed form")
     _RANK_CACHE[n] = 2 ** (n - 1)
     return _RANK_CACHE[n]

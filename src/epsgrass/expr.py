@@ -168,18 +168,6 @@ def parse(text: str):
     return Parser(text).parse()
 
 
-def reject_trace(node) -> None:
-    """Raise ValueError if the expression applies Tr anywhere."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if node[0] == "tr":
-            raise ValueError("Tr(...) is only allowed in trace expressions")
-        for child in node[1:]:
-            if isinstance(child, tuple):
-                stack.append(child)
-
-
 # The binary operations, folded with the values' own operators.
 _FOLDS = {
     "add": operator.add,

@@ -130,7 +130,12 @@ class ModRing(BaseRing):
             raise ValueError("modulus must be >= 2")
         self.m = m
         self.name = f"Z/{m}"
-        self.is_field = _is_prime(m)
+
+    @property
+    def is_field(self) -> bool:
+        # by trial division, so only on demand: a modulus whose least prime
+        # factor is large would take unbounded time
+        return _is_prime(self.m)
 
     def from_int(self, n: int):
         return n % self.m

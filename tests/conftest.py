@@ -63,8 +63,9 @@ def zz_algebra(truncated=False):
 def sign_act(pi, lam):
     """Twisted action on the sign module: pi(lam) = esgn(pi) phi_pi(lam),
     esgn(pi) on unit words being the exp of pi's inversion graph.  The
-    library needs only the adjacent transpositions
-    (``comodule._adjacent_act``); the tests check that one against it."""
+    library acts only with s_1 on the letters 1 and 2 (check (b') of
+    ``comodule.comodule_rank``); the tests check the adjacent
+    transpositions on the spanning rows against this reference."""
     n = len(pi)
     if sorted(pi) != list(range(1, n + 1)):
         raise ValueError(f"{pi} is not a permutation of 1..{n}")

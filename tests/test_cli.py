@@ -65,6 +65,30 @@ def test_check_identity_usage_errors(capsys):
     assert code == 2
 
 
+def test_check_identity_of_trace_terms(capsys):
+    # a Tr term that survives compilation is rejected, with or without
+    # other errors in the tree; terms that cancel leave the polynomial
+    # they sum to, as cancelling non-multilinear monomials do; and the
+    # first bad leaf reports its own error
+    assert run_cli(capsys, "check-identity", "x2 - [x1, Tr(x1)*x3]", "--vars", "3") == (
+        2,
+        "",
+        "error: Tr(...) is only allowed in trace expressions\n",
+    )
+    cancelled = "[x1,[x2,x3]] + Tr(x1)*x2*x3 - Tr(x1)*x2*x3"
+    assert run_cli(capsys, "check-identity", cancelled, "--vars", "3") == (0, "identity\n", "")
+    assert run_cli(capsys, "check-identity", "x1*x2 + x1*x1 - x1*x1", "--vars", "2") == (
+        1,
+        "not an identity\n",
+        "",
+    )
+    assert run_cli(capsys, "check-identity", "Tr(x1)*e1", "--vars", "1") == (
+        2,
+        "",
+        "error: concrete generators are not allowed in variable polynomials\n",
+    )
+
+
 def test_comodule(capsys):
     code, out, _ = run_cli(capsys, "comodule", "--n", "3")
     assert code == 0
@@ -302,7 +326,7 @@ def test_signs_arity_bounds(capsys):
     assert code == 0 and out == "1: [1]\n"
 
 
-def fresh_python(*args):
+def fresh_python(*args, timeout=60):
     """Run the interpreter with ``args`` in a new process on this tree."""
     src = os.path.dirname(os.path.dirname(epsgrass.__file__))
     return subprocess.run(
@@ -310,8 +334,16 @@ def fresh_python(*args):
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
     )
+
+
+def test_a_modulus_with_a_large_least_prime_factor_answers_at_once():
+    # only GF() asks whether the modulus is prime, by trial division up to
+    # its root: for 10^24 + 7 that took unbounded time at every command
+    argv = ["-m", "epsgrass.cli", "normalize", "--ring", "mod:1000000000000000000000007", "e1"]
+    done = fresh_python(*argv, timeout=10)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "([1]) * e1\n", "")
 
 
 def test_cli_import_leaves_numpy_out():
