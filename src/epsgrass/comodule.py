@@ -166,19 +166,33 @@ _TABLE_WIDTH = 8
 _TABLE_BYTES = 1 << 20
 
 
-def _inversion_parity(vertices: tuple, masks: list, word_bytes: int):
+def _xor_tables(masks: list, chunks: tuple) -> list:
+    """Per chunk (lo, hi) of the vertices: the XOR of masks[lo:hi] over
+    each subset (kept after the first chunk only), and the row of each
+    position p, row[x] = masks[p] & table[x << p - lo + 1]."""
+    tables = []
+    for lo, hi in chunks:
+        table = [0]
+        for m in masks[lo:hi]:
+            table += [m, *(t ^ m for t in table[1:])]  # m itself, not a copy
+        rows = [[m & t for t in table[::2 << p]] for p, m in enumerate(masks[lo:hi])]
+        tables.append((table if lo else None, rows))
+    return tables
+
+
+def _inversion_parity(vertices: tuple, masks: list, word_bytes: int, memo: dict):
     """The parity words of the inversion graphs of permutations whose
     inverted letters lie in ``vertices``: field T holds the number of
     inversions inside T mod 2, the XOR over the inversions a > b, a
     before b, of at[a] & at[b], at[v] the field mask of v.
 
     The vertices, in increasing order, are cut into the fewest chunks of
-    about equal size whose tables and rows (``epsilon._xor_tables``, one
-    build per shape) fit the budget.  One pass over sigma per chunk takes
-    the inversions whose larger letter a is in the chunk: it keeps the
-    set ``seen`` of the chunk's letters passed, and at each letter b of
-    the chunk XORs row_b[the letters of ``seen`` above b] = at[b] &
-    table[those letters] into the word, one read per letter.  The
+    about equal size whose tables and rows (``_xor_tables``) fit the
+    budget, and kept in ``memo`` by their chunks.  One pass over sigma
+    per chunk takes the inversions whose larger letter a is in the chunk:
+    it keeps the set ``seen`` of the chunk's letters passed, and at each
+    letter b of the chunk XORs row_b[the letters of ``seen`` above b] =
+    at[b] & table[those letters] into the word, one read per letter.  The
     letters of earlier chunks are below all of ``seen``, so their masks
     are XORed together until ``seen`` grows and then take one table read
     for the lot.  A letter outside ``vertices`` is in no inversion."""
@@ -191,7 +205,9 @@ def _inversion_parity(vertices: tuple, masks: list, word_bytes: int):
         if words * word_bytes <= _TABLE_BYTES:
             break
     passes = []  # per chunk: {letter: (its row or at[letter], its bit or 0, its shift)}, table
-    for (lo, hi), (table, rows) in zip(chunks, epsilon._xor_tables(masks, word_bytes, chunks)):
+    if chunks not in memo:
+        memo[chunks] = _xor_tables(masks, chunks)
+    for (lo, hi), (table, rows) in zip(chunks, memo[chunks]):
         letter = {v: (m, 0, 0) for v, m in zip(vertices[:lo], masks)}
         for p in range(lo, hi):
             letter[vertices[p]] = (rows[p - lo], 1 << p - lo, p - lo + 1)

@@ -334,10 +334,12 @@ def _to_poly(ring: CoeffRing, acc: dict, den: int = 1) -> EpsPoly:
 # _FIELD_MASKS[k, nbytes] packs one field of nbytes bytes per subset T of
 # a k-vertex set, T indexed by its bit pattern: the masks whose field T
 # holds bit p of T (the T that contain the vertex at position p), one
-# per p, and the mask whose every field holds 1.  A memo of a pure
-# function, one entry per shape seen with at most _MEMO_VERTICES
-# vertices; a larger shape is rebuilt per call, for a transform that
-# costs far more than building it.
+# per p, and the mask whose every field holds 1.  Its third item, a
+# dict, holds what a parity reader builds from the masks (see
+# ``_add_subset_image``), which so lives exactly as long as they do.  A
+# memo of a pure function, one entry per shape seen with at most
+# _MEMO_VERTICES vertices; a larger shape is rebuilt per call, for a
+# transform that costs far more than building it.
 _FIELD_MASKS: dict = {}
 _MEMO_VERTICES = 12
 
@@ -352,38 +354,13 @@ def _field_masks(k: int, nbytes: int) -> tuple:
             int.from_bytes((zero * run + one * run) * (size // (2 * run)), "little")
             for run in (1 << p for p in range(k))
         ]
-        got = (masks, int.from_bytes(one * size, "little"))
+        got = (masks, int.from_bytes(one * size, "little"), {})
         if k <= _MEMO_VERTICES:
             _FIELD_MASKS[k, nbytes] = got
     return got
 
 
-# _XOR_TABLES[word_bytes, chunks]: the tables of ``comodule._inversion_parity``
-# for a shape, kept for the field masks they were built from, at most
-# _MEMO_VERTICES vertices: per chunk (lo, hi), the XOR of masks[lo:hi] over
-# each subset (kept after the first chunk only) and the row of each position
-# p, row[x] = masks[p] & table[x << p - lo + 1].  An entry holds at most 1 MB
-# (comodule._TABLE_BYTES) beyond the masks; at 7 vertices, 120 row words.
-_XOR_TABLES: dict = {}
-
-
-def _xor_tables(masks: list, word_bytes: int, chunks: tuple) -> list:
-    got = _XOR_TABLES.get((word_bytes, chunks))
-    if got is None or got[0] is not masks:
-        tables = []
-        for lo, hi in chunks:
-            table = [0]
-            for m in masks[lo:hi]:
-                table += [m, *(t ^ m for t in table[1:])]  # m itself, not a copy
-            rows = [[m & t for t in table[::2 << p]] for p, m in enumerate(masks[lo:hi])]
-            tables.append((table if lo else None, rows))
-        got = masks, tables
-        if len(masks) <= _MEMO_VERTICES:
-            _XOR_TABLES[word_bytes, chunks] = got
-    return got[1]
-
-
-def _edge_parity(vertices: tuple, masks: list, word_bytes: int):
+def _edge_parity(vertices: tuple, masks: list, word_bytes: int, memo: dict):
     """The parity words of pair lists on ``vertices``: field T of exp(E)'s
     word holds e(T) mod 2, the number of pairs of E inside T, the XOR of
     the pairs' masks at[a] & at[b]."""
@@ -397,22 +374,24 @@ def _add_subset_image(acc: dict, vertices: tuple, members: list, parity_of) -> N
 
     Every exp is evaluated on all the characters at once: its parity word
     has a field per subset T of the vertices, which holds e(T) mod 2.
-    ``parity_of(vertices, masks, word_bytes)`` returns the map from x to
-    its parity word, given the masks of the fields T that contain each
-    vertex and the size of a word in bytes."""
+    ``parity_of(vertices, masks, word_bytes, memo)`` returns the map from
+    x to its parity word, given the masks of the fields T that contain
+    each vertex, the size of a word in bytes, and ``memo``, the dict of
+    the shape's ``_FIELD_MASKS`` entry, where it may keep what it builds
+    from the masks."""
     k = len(vertices)
     size = 1 << k
     base = sum(abs(c) for _, c in members)  # the largest field value
     nbytes = base.bit_length() + 7 >> 3
-    masks, ones = _field_masks(k, nbytes)
-    parity = parity_of(vertices, masks, nbytes << k)
+    masks, ones, memo = _field_masks(k, nbytes)
+    parity = parity_of(vertices, masks, nbytes << k, memo)
     # c goes to the set fields of a parity word in one multiply, a negative
     # c as |c| to the clear fields, so every field lies in 0..sum |c|
     packed = 0
     for x, c in members:
         word = parity(x)
         packed += c * word if c > 0 else -c * (word ^ ones)
-    del masks, parity  # the parity tables go before the fields are read out
+    del masks, memo, parity  # the parity tables go before the fields are read out
     code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(nbytes)  # the width's array type
     if code:  # one cast; in big-endian order the last field comes first
         g = memoryview(packed.to_bytes(nbytes << k, sys.byteorder)).cast(code).tolist()

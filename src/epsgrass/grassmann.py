@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .epsilon import CoeffRing, EpsPoly, exp_map, monomial_key
+from .epsilon import CoeffRing, EpsPoly, _to_poly, exp_map, monomial_key
 from .rings import BaseRing, CapabilityError, GF, IntegerRing, ModRing, RingMismatchError
 from .terms import AlgebraElem, add_term
 
@@ -368,26 +368,14 @@ def quotient_mod_theta(x: GrassElem) -> GrassElem:
     C -> C/2C.  Only meaningful when C/2C is nontrivial (2 not a unit).
     """
     base = x.algebra.base
-    if isinstance(base, IntegerRing):
-        target = GF(2)
-    elif isinstance(base, ModRing) and base.m % 2 == 0:
-        target = GF(2)
-    else:
+    if not (isinstance(base, IntegerRing) or (isinstance(base, ModRing) and base.m % 2 == 0)):
         raise CapabilityError(
             f"2 is invertible in {base}; the mod-theta quotient collapses"
         )
     quotient = GrassAlgebra(
-        CoeffRing(target, theta_zero=True), truncated=x.algebra.truncated
+        CoeffRing(GF(2), theta_zero=True), truncated=x.algebra.truncated
     )
     result: dict = {}
     for word, c in x.terms.items():
-        reduced = {}
-        for m, scalar in c.terms.items():
-            if m & 1:
-                continue
-            img = target.from_int(scalar if isinstance(scalar, int) else int(scalar))
-            if not target.is_zero(img):
-                reduced[m] = img
-        if reduced:
-            quotient._accumulate(result, word, EpsPoly(quotient.coeff, reduced))
+        quotient._accumulate(result, word, _to_poly(quotient.coeff, c.terms))
     return GrassElem(quotient, result)

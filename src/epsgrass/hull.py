@@ -8,7 +8,10 @@ idempotents embed the free supercommutative algebra and transfer
 multilinear graded identities through the sign involution
 f* = sum esgn(sigma) a_sigma x_sigma(1)...x_sigma(n); evaluating a
 graded polynomial on simple tensors (matrix (x) word) factors as
-f*(matrices) (x) product of words.
+f*(matrices) (x) product of words.  A tensor a (x) w is the matrix over
+the free twisted-commutative algebra (``salg``) whose entries are those
+of a times w (``hull_tensor``); C[eps] is central there, so the hull's
+sums and products are those of these matrices.
 
 Matrix algebras over the twisted Grassmann algebra, with F the ordinary
 matrix trace, satisfy the four defining identities of ``supertrace``;
@@ -20,12 +23,11 @@ from __future__ import annotations
 
 import random
 from itertools import product as iproduct
-from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
 
 from .epsilon import CoeffRing, EpsPoly
 from .grassmann import GrassAlgebra, GrassElem, esgn
-from .salg import SAlgebra, SElem
+from .salg import SElem
 from .rings import RingMismatchError
 from .terms import TermMap, TracePoly, _letters_of_term, add_term
 
@@ -399,49 +401,28 @@ def grassmann_involution(f: GradedPoly) -> GradedPoly:
     return f.map_coeffs(lambda sigma, c: esgn(f.coeff, supports, sigma) * c)
 
 
-# -- hull elements and the factorization law ------------------------------
+# -- the hull and the factorization law -----------------------------------
 
 
-class HullElem(TermMap):
-    """Formal sum of (matrix, word) tensors, collected on word keys."""
+def hull_tensor(mat: Matrix, w: SElem) -> Matrix:
+    """The simple tensor mat (x) w as the matrix over the superalgebra
+    whose (r, c) entry is mat[r][c] * w.  C[eps] is central there, so sums
+    and products of these matrices are those of the tensors, and each
+    entry keeps the torsion residue of its words."""
+    return Matrix([[w.scale_coeff(a) for a in row] for row in mat.rows], w.algebra.zero())
 
-    __slots__ = ("salgebra",)
 
-    def __init__(self, salgebra: SAlgebra, terms: dict | None = None):
-        self.salgebra = salgebra
-        self.terms = {}
-        if terms:
-            for word, mat in terms.items():
-                if not mat.is_zero():
-                    self.terms[word] = mat
-
-    def _parent(self) -> tuple:
-        return (self.salgebra,)
-
-    def _coeff_ring(self):
-        """Matrices over C[eps], scaled by elements of C[eps]."""
-        return SimpleNamespace(
-            add=Matrix.__add__,
-            neg=Matrix.__neg__,
-            mul=Matrix.scale,
-            is_zero=Matrix.is_zero,
-            from_int=self.salgebra.coeff.from_int,
-        )
-
-    def add_tensor(self, mat: Matrix, word_elem: SElem):
-        """Accumulate mat (x) word_elem, distributing the word's C[eps]
-        coefficients onto the matrix side.  The tensor is over C[eps], so
-        matrix entries inherit the word's torsion reduction."""
-        matrices, reduce = self._coeff_ring(), self._reduce
-        for word, c in word_elem.terms.items():
-            piece = reduce(word, mat.scale(c))
-            add_term(matrices, self.terms, word, piece, reduce)
-
-    def _reduce(self, word, mat: Matrix) -> Matrix:
-        reduce = self.salgebra._reduce_coeff
-        return Matrix(
-            [[reduce(word, entry) for entry in row] for row in mat.rows], mat.zero
-        )
+def _evaluate(f: GradedPoly, mats: Sequence[Matrix], scalar) -> Matrix:
+    """The sum over sigma of mats[sigma(1)] ... mats[sigma(n)] * scalar(c),
+    c the coefficient of sigma in f."""
+    size, zero = mats[0].n, mats[0].zero
+    acc = Matrix([[zero] * size] * size, zero)
+    for sigma, c in f.coeffs.items():
+        mat = mats[sigma[0] - 1].scale(scalar(c))
+        for i in sigma[1:]:
+            mat = mat * mats[i - 1]
+        acc = acc + mat
+    return acc
 
 
 def hull_word_grade(w: SElem) -> frozenset:
@@ -454,24 +435,17 @@ def hull_word_grade(w: SElem) -> frozenset:
 
 def hull_evaluate(
     f: GradedPoly, mats: Sequence[tuple[Matrix, frozenset]], words: Sequence[SElem]
-) -> HullElem:
-    """Evaluate f on the simple tensors (mats[i] (x) words[i])."""
+) -> Matrix:
+    """Evaluate f on the simple tensors (mats[i] (x) words[i]), as a
+    matrix over the superalgebra (``hull_tensor``)."""
     if len(mats) != f.n or len(words) != f.n:
         raise ValueError("substitution arity mismatch")
     salg = words[0].algebra
     for i, ((_, g), w) in enumerate(zip(mats, words)):
         if frozenset(g) != f.grades[i] or hull_word_grade(w) != f.grades[i]:
             raise GradeMismatchError(f"grade mismatch at position {i + 1}")
-    result = HullElem(salg)
-    for sigma, c in f.coeffs.items():
-        mat = None
-        welem = salg.one()
-        for i in sigma:
-            m = mats[i - 1][0]
-            mat = m if mat is None else mat * m
-            welem = welem * words[i - 1]
-        result.add_tensor(mat.scale(c), welem)
-    return result
+    tensors = [hull_tensor(m, w) for (m, _), w in zip(mats, words)]
+    return _evaluate(f, tensors, salg.from_coeff)
 
 
 def hull_eval_factorization(
@@ -479,20 +453,8 @@ def hull_eval_factorization(
 ) -> bool:
     """Check f(a_i (x) w_i) = f*(a_1..a_n) (x) (w_1 ... w_n)."""
     lhs = hull_evaluate(f, mats, words)
-    salg = words[0].algebra
-    fstar = grassmann_involution(f)
-    total = None
-    for sigma, c in fstar.coeffs.items():
-        mat = None
-        for i in sigma:
-            m = mats[i - 1][0]
-            mat = m if mat is None else mat * m
-        mat = mat.scale(c)
-        total = mat if total is None else total + mat
-    rhs = HullElem(salg)
-    if total is not None:
-        wprod = salg.one()
-        for w in words:
-            wprod = wprod * w
-        rhs.add_tensor(total, wprod)
-    return lhs == rhs
+    wprod = words[0].algebra.one()
+    for w in words:
+        wprod = wprod * w
+    fstar = _evaluate(grassmann_involution(f), [m for m, _ in mats], lambda c: c)
+    return lhs == hull_tensor(fstar, wprod)

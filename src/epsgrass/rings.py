@@ -111,14 +111,36 @@ class RationalRing(BaseRing):
         return hash("Q")
 
 
+# Miller-Rabin with the 13 prime bases up to 41 decides every m below
+# this bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(m: int) -> bool:
+    """Whether m is prime, decided for m below ``_PRIME_BOUND``; a larger
+    m raises ValueError."""
+    if m >= _PRIME_BOUND:
+        raise ValueError(f"primality is decided only below {_PRIME_BOUND}")
     if m < 2:
         return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    for p in _PRIME_BASES:
+        if m % p == 0:
+            return m == p
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -133,8 +155,7 @@ class ModRing(BaseRing):
 
     @property
     def is_field(self) -> bool:
-        # by trial division, so only on demand: a modulus whose least prime
-        # factor is large would take unbounded time
+        # only on demand: above _PRIME_BOUND it raises
         return _is_prime(self.m)
 
     def from_int(self, n: int):

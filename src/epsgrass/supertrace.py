@@ -99,22 +99,15 @@ def _sorted_traces(traces: tuple, pairs: list) -> tuple:
 
 def _canonical_rotation(word: tuple, pairs: list) -> tuple:
     """Rotate to the lexicographically minimal linearization (the
-    first one, if several are equal); each left-rotation by one
-    letter costs exp(eps_letter eps_rest), whose pairs go to
-    ``pairs``.  The rest is the other letters as a multiset: a
-    repeated letter moves past each of its other copies.  With distinct
-    letters the minimal rotation starts at the least letter, and moving
-    the head before it to the back costs pairs(head, rest): each pair
-    inside the head is charged twice and cancels."""
-    if len(set(word)) == len(word):
-        shift = word.index(min(word))
-        pairs.extend(word_parity_pairs(word[:shift], word[shift:]))
-        return word[shift:] + word[:shift]
-    shift = min(range(len(word)), key=lambda k: word[k:] + word[:k])
-    for head in word[:shift]:
-        rest = list(word)
-        rest.remove(head)
-        pairs.extend(word_parity_pairs([head], rest))
+    first one, if several are equal), which starts at a copy of the
+    least letter; moving the head before it to the back costs
+    exp(eps_head eps_rest), whose pairs go to ``pairs``.  Rotating one
+    letter at a time costs the same: each pair inside the head, a
+    repeated letter's (a, a) included, is charged twice and cancels."""
+    shift = word.index(min(word))
+    if word.count(word[shift]) > 1:
+        shift = min(range(len(word)), key=lambda k: word[k:] + word[:k])
+    pairs.extend(word_parity_pairs(word[:shift], word[shift:]))
     return word[shift:] + word[:shift]
 
 

@@ -318,6 +318,32 @@ def test_no_unit_pivot_exits_4(capsys, monkeypatch):
     assert code == 4 and "is not unimodularly independent" in err
 
 
+def test_no_witness_found_exits_1(capsys, monkeypatch):
+    # a non-identity whose search finds nothing says so and exits 1
+    from epsgrass import hull
+
+    monkeypatch.setattr(hull, "witness_search", lambda f, max_n, seed: None)
+    code, out, err = run_cli(capsys, "trace-witness", "x1*x2", "--max-n", "3")
+    assert (code, out, err) == (1, "no witness found up to size 3\n", "")
+    code, out, err = run_cli(capsys, "trace-witness", "x1*x2", "--max-n", "3", "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "command": "trace-witness",
+        "details": {"identity": False, "max_n": 3},
+        "result": None,
+        "ring": "Z",
+    }
+
+
+def test_a_nested_monomial_renders_as_it_reads(capsys):
+    # an interior trace factor stays in the standard form, whose text
+    # normalizes to itself
+    code, out, _ = run_cli(capsys, "trace-check", "Tr(x1*Tr(x2)*x3)")
+    assert (code, out) == (1, "not an identity\nstandard form: Tr(x1*Tr(x2)*x3)\n")
+    text = out.splitlines()[1].removeprefix("standard form: ")
+    assert run_cli(capsys, "trace-check", text)[1] == out
+
+
 def test_signs_arity_bounds(capsys):
     for n in ("-1", "0", "9"):
         code, out, err = run_cli(capsys, "signs", "--n", n)
@@ -339,11 +365,33 @@ def fresh_python(*args, timeout=60):
 
 
 def test_a_modulus_with_a_large_least_prime_factor_answers_at_once():
-    # only GF() asks whether the modulus is prime, by trial division up to
-    # its root: for 10^24 + 7 that took unbounded time at every command
+    # a --ring modulus is never asked whether it is prime: only GF() asks,
+    # and it raises above the bound of rings._is_prime
     argv = ["-m", "epsgrass.cli", "normalize", "--ring", "mod:1000000000000000000000007", "e1"]
     done = fresh_python(*argv, timeout=10)
     assert (done.returncode, done.stdout, done.stderr) == (0, "([1]) * e1\n", "")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_malformed_basis_term_exits_4(flags):
+    # trace_normalize checks each basis term of its answer: a block whose
+    # basis is patched with a term that is not standard, or with a
+    # reducible monomial, is an internal error, under python -O too
+    code = (
+        "from epsgrass import cli, supertrace\n"
+        "from epsgrass.supertrace import MonomialTerm, StandardTerm\n"
+        "solve = supertrace._block_solver\n"
+        "solve(frozenset(), frozenset({frozenset({1, 2})}))[0][0] = StandardTerm((), ((2, 1),), (), (), ())\n"
+        "parts = frozenset({frozenset({1, 3}), frozenset({2})})\n"
+        "solve(frozenset(), parts)[0][3] = MonomialTerm((('F', (('F', (2,)), 1, 3)),))\n"
+        "print(cli.main(['trace-check', 'Tr(x1*x2)']), cli.main(['trace-check', 'Tr(x1*Tr(x2)*x3)']))\n"
+    )
+    done = fresh_python(*flags, "-c", code)
+    assert (done.returncode, done.stdout) == (0, "4 4\n")
+    assert done.stderr == (
+        "internal error: basis term is not standard: trace word (2, 1) not cyclic-minimal\n"
+        "internal error: basis monomial (('F', (('F', (2,)), 1, 3)),) is not irreducible\n"
+    )
 
 
 def test_cli_import_leaves_numpy_out():

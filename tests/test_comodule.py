@@ -475,6 +475,30 @@ def test_rows_pivoting_off_eps_t_raise_internal_error(monkeypatch):
     assert cli.main(["comodule", "--n", "2"]) == 4
 
 
+def test_freeness_certificate_counts_the_rows(monkeypatch):
+    # a spanning set one row short of 2^(n-1) is not certified free
+    terms, solver = comodule._spanning_rows(3)
+    monkeypatch.setattr(comodule, "_ROWS_CACHE", {3: (terms[:-1], solver)})
+    with pytest.raises(InternalError, match="^spanning set at arity 3 is not certified free$"):
+        freeness_certificate(3)
+
+
+def test_normal_form_checks_its_solve_and_its_residual(monkeypatch):
+    # a sign image off the span of B (theta alone is no monomial of a
+    # row), then spanning words of the wrong sign, whose residual is 2f
+    f = MultilinearPoly.monomial(3, ZZ, (2, 1, 3))
+    theta = CoeffRing(ZZ).theta()
+    with monkeypatch.context() as patch:
+        patch.setattr(comodule, "psi", lambda g: psi(g) + theta)
+        with pytest.raises(InternalError, match="^sign image not in the span of the spanning set$"):
+            grassmann_normal_form(f)
+    words = SpanningTerm.words.func
+    flipped = property(lambda term: {w: -v for w, v in words(term).items()})
+    monkeypatch.setattr(SpanningTerm, "words", flipped)
+    with pytest.raises(InternalError, match="^normal-form residual is not an identity$"):
+        grassmann_normal_form(f)
+
+
 def flipped_rule(k, tail, rule=comodule._adjacent_rule):
     """``_adjacent_rule`` with one case of the wrong sign: s_k*b_T = b_T
     when k and k+1 are both in T."""

@@ -420,8 +420,8 @@ def test_non_divisible_character_sum_raises_under_optimize():
     # calls the transform itself.
     code = (
         "from epsgrass import epsilon\n"
-        "masks, ones = epsilon._field_masks(3, 1)\n"
-        "epsilon._FIELD_MASKS[3, 1] = ([1 << 56] * 3, ones)\n"
+        "masks, ones, memo = epsilon._field_masks(3, 1)\n"
+        "epsilon._FIELD_MASKS[3, 1] = ([1 << 56] * 3, ones, memo)\n"
         "try:\n"
         "    epsilon._add_subset_image({}, (1, 2, 3), [([(1, 2), (2, 3), (1, 3)], 1)], epsilon._edge_parity)\n"
         "except epsilon.InternalError as err:\n"
@@ -481,8 +481,8 @@ def test_inversion_parity_words_at_every_table_width(monkeypatch, width):
     rng = random.Random(103)
     for k in range(13):
         vertices = tuple(sorted(rng.sample(range(1, 15), k)))
-        masks, _ = epsilon._field_masks(k, 1)
-        parity = comodule._inversion_parity(vertices, masks, 1 << k)
+        masks, _, memo = epsilon._field_masks(k, 1)
+        parity = comodule._inversion_parity(vertices, masks, 1 << k, memo)
         for _ in range(6):
             sigma = list(range(1, 15))
             rng.shuffle(sigma)
@@ -490,24 +490,45 @@ def test_inversion_parity_words_at_every_table_width(monkeypatch, width):
 
 
 def test_inversion_parity_after_the_table_width_changes(monkeypatch):
-    # the memo of the tables is keyed by their chunks: a width patched once
-    # the shape's tables are built cuts new tables, and a width seen before
-    # finds its own again
+    # the tables are kept in the shape's _FIELD_MASKS entry by their
+    # chunks: a width patched once the shape's tables are built cuts new
+    # tables, and a width that cuts the same chunks finds them again
+    # (widths 8 and 5 both cut 10 vertices in two).  Clearing the field
+    # masks drops the tables with them, and a shape above _MEMO_VERTICES
+    # builds its tables per call, here through psi's transform.
+    builds = []
+    build = comodule._xor_tables
+
+    def counted(masks, chunks):
+        builds.append(len(chunks))
+        return build(masks, chunks)
+
+    monkeypatch.setattr(comodule, "_xor_tables", counted)
+    monkeypatch.setattr(epsilon, "_FIELD_MASKS", {})
     rng = random.Random(113)
     vertices = tuple(range(2, 12))
-    masks, _ = epsilon._field_masks(10, 1)
     sigmas = [rng.sample(range(1, 13), 12) for _ in range(20)]
-    want = [parity_by_definition(vertices, masks, sigma) for sigma in sigmas]
-    for width in (8, 3, 8, 1, 5, 3):
-        monkeypatch.setattr(comodule, "_TABLE_WIDTH", width)
-        parity = comodule._inversion_parity(vertices, masks, 1 << 10)
-        assert [parity(sigma) for sigma in sigmas] == want, width
-    tables = epsilon._XOR_TABLES[1 << 10, ((0, 5), (5, 10))][1]  # of width 5
-    assert epsilon._xor_tables(masks, 1 << 10, ((0, 5), (5, 10))) is tables
-    chunks = ((0, 2), (2, 5), (5, 7), (7, 10))  # of width 3
-    tables = epsilon._xor_tables(masks, 1 << 10, chunks)
-    assert [len(rows) for _, rows in tables] == [2, 3, 2, 3] and tables[0][0] is None
-    assert epsilon._xor_tables(list(masks), 1 << 10, chunks) is not tables  # other masks
+    for clear in (False, True):
+        if clear:
+            monkeypatch.setattr(epsilon, "_FIELD_MASKS", {})
+        masks, _, memo = epsilon._field_masks(10, 1)
+        want = [parity_by_definition(vertices, masks, sigma) for sigma in sigmas]
+        for width in (8, 3, 8, 1, 5, 3):
+            monkeypatch.setattr(comodule, "_TABLE_WIDTH", width)
+            parity = comodule._inversion_parity(vertices, masks, 1 << 10, memo)
+            assert [parity(sigma) for sigma in sigmas] == want, width
+        assert builds == [2, 4, 10] * (1 + clear)
+        tables = memo[(0, 2), (2, 5), (5, 7), (7, 10)]  # of width 3
+        assert [len(rows) for _, rows in tables] == [2, 3, 2, 3] and tables[0][0] is None
+    del builds[:]
+    vertices = tuple(range(1, 14))
+    members = [(tuple(rng.sample(vertices, 13)), rng.choice((-2, 1, 3))) for _ in range(4)]
+    images = []
+    for _ in range(2):
+        images.append({})
+        epsilon._add_subset_image(images[-1], vertices, members, comodule._inversion_parity)
+    assert images[0] == images[1] and builds == [5, 5]  # 13 vertices at width 3
+    assert list(epsilon._FIELD_MASKS) == [(10, 1)]
 
 
 @pytest.mark.parametrize("k", range(13))

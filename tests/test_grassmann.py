@@ -17,8 +17,9 @@ from epsgrass import (
     word_from_letters,
     word_grade,
 )
+from epsgrass.epsilon import EpsPoly
 from epsgrass.grassmann import word_eps_image, eps_circle
-from epsgrass.rings import CapabilityError
+from epsgrass.rings import CapabilityError, ModRing
 
 from conftest import random_grass_elem, random_perm, random_word, zz_algebra
 from raw_oracle import grass_to_raw, raw_mul, raw_reduce
@@ -263,6 +264,26 @@ def test_quotient_mod_theta_examples():
     # eps_i^2 = 0 in the quotient
     qc = q.coeff
     assert (qc.eps(1) * qc.eps(1)).is_zero()
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_quotient_mod_theta_over_an_even_modulus_agrees_with_z(rng, m):
+    # C -> C/2C factors through Z/m for an even m, so the image of an
+    # element over Z/m is the image of the same element over Z
+    nonzero = 0
+    for truncated in (False, True):
+        alg_z = zz_algebra(truncated)
+        alg_m = GrassAlgebra(CoeffRing(ModRing(m)), truncated=truncated)
+        for _ in range(100):
+            x = random_grass_elem(rng, alg_z, nterms=4)
+            image = alg_m.zero()
+            for word, c in x.terms.items():
+                residues = {mask: v % m for mask, v in c.terms.items() if v % m}
+                image = image + alg_m.monomial(word, EpsPoly(alg_m.coeff, residues))
+            want = quotient_mod_theta(x)
+            assert quotient_mod_theta(image) == want
+            nonzero += not want.is_zero()
+    assert nonzero > 50
 
 
 def test_quotient_mod_theta_capability():

@@ -11,13 +11,14 @@ from epsgrass.hull import (
     grassmann_involution,
     hull_eval_factorization,
     hull_evaluate,
+    hull_tensor,
     idempotent_system_check,
     lambda_idempotent,
     phi_embed,
     projected_commutation_check,
 )
 from epsgrass.rings import CapabilityError
-from epsgrass.salg import SAlgebra
+from epsgrass.salg import SAlgebra, SElem
 
 from conftest import random_eps_poly, random_perm
 
@@ -249,6 +250,34 @@ def test_hull_factorization_random(rng):
                 keys = [(frozenset(), rng.randint(1, 3))]
             words.append(S.monomial(keys))
         assert hull_eval_factorization(f, mats, words)
+
+
+def test_hull_tensors_add_and_multiply_as_tensors(rng):
+    # a (x) w is the matrix of the entries a[r][c]*w over SAlgebra: its sums
+    # on one word and its products are those of the tensors, and every
+    # entry keeps the torsion residue of its words (over Z/4, on a word
+    # that repeats its generator)
+    C4 = CoeffRing(ModRing(4))
+    S = SAlgebra(C4)
+    g = frozenset({1, 2})
+    w, v = S.gen(g, 1), S.gen({3}, 2)
+    f = GradedPoly(C4, [g], {(1,): C4.theta() + C4.eps(3)})
+
+    def matrix():
+        rows = [[random_eps_poly(rng, C4, nterms=2) for _ in range(2)] for _ in range(2)]
+        return Matrix(rows, C4.zero())
+
+    for _ in range(20):
+        a, b = matrix(), matrix()
+        assert hull_tensor(a, w) + hull_tensor(b, w) == hull_tensor(a + b, w)
+        assert hull_tensor(a, w) * hull_tensor(b, v) == hull_tensor(a * b, w * v)
+        square = hull_tensor(a, w) * hull_tensor(b, w)
+        assert square == hull_tensor(a * b, w * w)
+        for entry in (e for row in square.rows for e in row):
+            assert all(S._reduce_coeff(word, c) == c for word, c in entry.terms.items())
+        value = hull_evaluate(f, [(a, g)], [w])
+        assert value == hull_tensor(a.scale(f.coeffs[(1,)]), w)
+        assert all(isinstance(e, SElem) for row in value.rows for e in row)
 
 
 def test_hull_grade_mismatch():

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import epsgrass
 from epsgrass import GF, QQ, ZZ, CapabilityError, ModRing, ring_from_spec
+from epsgrass.rings import _PRIME_BOUND, _is_prime
 
 
 RINGS = [ZZ, QQ, ModRing(5), ModRing(6), GF(2), GF(3)]
@@ -60,3 +65,42 @@ def test_mod_ring_field_detection():
     assert not ModRing(6).is_field
     with pytest.raises(ValueError):
         GF(6)
+
+
+def test_primality_agrees_with_trial_division():
+    primes: list = []
+    for m in range(-3, 10**5):
+        by_division = m >= 2 and all(m % p for p in primes if p * p <= m)
+        assert _is_prime(m) == by_division, m
+        if by_division:
+            primes.append(m)
+    assert len(primes) == 9592
+
+
+def test_primality_of_large_moduli():
+    # a 25-digit prime, the product of two 13-digit primes, and strong
+    # pseudoprimes to the first 8, 11 and 12 prime bases
+    p, q = 10**12 + 39, 10**12 + 61
+    assert _is_prime(10**24 + 7) and _is_prime(p) and _is_prime(q)
+    with pytest.raises(ValueError, match="not prime"):
+        GF(p * q)
+    for m in (341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(m)
+    with pytest.raises(ValueError, match=f"only below {_PRIME_BOUND}"):
+        GF(_PRIME_BOUND)
+    with pytest.raises(ValueError, match=f"only below {_PRIME_BOUND}"):
+        ModRing(_PRIME_BOUND + 2).is_field
+
+
+def test_a_large_prime_field_is_built_at_once():
+    # trial division up to the root of 10^24 + 7 took unbounded time
+    code = "from epsgrass import GF\nprint(GF(10**24 + 7).name)\n"
+    src = os.path.dirname(os.path.dirname(epsgrass.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"Z/{10**24 + 7}\n", "")

@@ -151,6 +151,29 @@ def test_standard_form_conformance_checker():
         check_standard_term(StandardTerm((), (), (), (), ((2, (1,)),)), 2)
 
 
+@pytest.mark.parametrize(
+    "term, arity, message",
+    [
+        (StandardTerm((1, 1), (), (), (), ()), None, "letters repeat"),
+        (StandardTerm((1, 2), (), (), (), ()), 3, "wrong letter set"),
+        (StandardTerm((), ((),), (), (), ()), None, r"trace word \(\) not cyclic-minimal"),
+        (StandardTerm((), ((2,), (1,)), (), (), ()), 2, "trace words unsorted"),
+        (StandardTerm((), (), (((), (1,)),), (), ()), 1, "empty word slot in a mixed commutator"),
+        (StandardTerm((), (), (((1,), (3, 2)),), (), ()), 3, r"\(3, 2\) not cyclic-minimal"),
+        (StandardTerm((), (), (), (((2, 1), (3,)),), ()), 3, r"\(2, 1\) or \(3,\) not cyclic-minimal"),
+        (StandardTerm((), (), (((1,), (4,)), ((2,), (3,))), (), ()), 4, "u-words not globally sorted"),
+        (StandardTerm((), (), (), (), ((1, ()),)), 1, "empty commutator tail"),
+        (StandardTerm((), (), (), (), ((2, (1,)),)), 2, r"x2 is not below any letter of \(1,\)"),
+        (StandardTerm((), (), (), (), ((2, (3,)), (1, (4,)))), 4, "trace-commutator pairs unsorted"),
+    ],
+)
+def test_each_malformed_standard_term_is_refused(term, arity, message):
+    # one term per check of check_standard_term, which passes every check
+    # before its own
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_standard_term(term, arity)
+
+
 def test_standard_form_checker_survives_optimize_flag():
     import epsgrass
 
@@ -666,10 +689,10 @@ def test_value_outside_the_block_columns_raises_internal_error(monkeypatch):
         trace_normalize(word(2, 1).trace())
 
 
-def test_canonical_rotation_of_distinct_letters_matches_the_scan(rng):
-    # a word of distinct letters rotates at its least letter and charges
-    # pairs(head, rest) at once; a word with a repeated letter keeps the
-    # scan.  Both give the scan's rotated word and the same odd factors.
+def test_canonical_rotation_matches_the_scan(rng):
+    # every word charges pairs(head, rest) at once, whether its letters
+    # are distinct or one repeats: it gives the scan's rotated word and
+    # the same odd factors as rotating one letter at a time.
     cases = [(1,), (3, 1, 2), (2, 1, 1), (1, 2, 1, 2), (2, 1, 2, 1)]
     for _ in range(400):
         k = rng.randint(1, 8)

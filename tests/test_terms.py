@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from epsgrass import GF, QQ, ZZ, CoeffRing, EpsPoly, GrassAlgebra, ModRing, SAlgebra
 from epsgrass.comodule import MultilinearPoly
-from epsgrass.hull import GradedPoly, HullElem, Matrix
+from epsgrass.hull import GradedPoly
 from epsgrass.rings import RingMismatchError
 from epsgrass.supertrace import MonomialTerm, StandardForm, model_eval
 from epsgrass.terms import TracePoly, add_terms
@@ -213,26 +213,12 @@ LAW_RINGS = [ZZ, QQ, ModRing(4)]
 LAW_RING_IDS = ["Z", "Q", "Z4"]
 GRADES = (frozenset({1}), frozenset({1, 2}), frozenset())
 graded_data = st.lists(st.tuples(st.permutations([1, 2, 3]), eps_data), max_size=3)
-hull_data = st.lists(
-    st.tuples(st.lists(coeffs, min_size=4, max_size=4), selem_data), max_size=2
-)
 
 
 def graded_poly(coeff, data):
     acc = GradedPoly(coeff, GRADES, {})
     for perm, c in data:
         acc = acc + GradedPoly(coeff, GRADES, {tuple(perm): eps_poly(coeff, c)})
-    return acc
-
-
-def hull_elem(salg, data):
-    coeff = salg.coeff
-    acc = HullElem(salg)
-    for (a, b, c, d), words in data:
-        mat = Matrix([[coeff.from_int(a), coeff.from_int(b)], [coeff.from_int(c), coeff.from_int(d)]], coeff.zero())
-        piece = HullElem(salg)
-        piece.add_tensor(mat, selem(salg, words))
-        acc = acc + piece
     return acc
 
 
@@ -271,20 +257,6 @@ def test_graded_poly_laws(ring, da, db, dc, ds, k):
     for value in (a, a + b, a.scale_int(k)):
         assert_no_zero(value.coeffs, coeff)
     assert a.map_coeffs(lambda key, v: v.scale_int(k)) == a.scale_int(k)
-
-
-@pytest.mark.parametrize("ring", LAW_RINGS, ids=LAW_RING_IDS)
-@PROPERTY
-@given(hull_data, hull_data, hull_data, eps_data, coeffs)
-def test_hull_elem_laws(ring, da, db, dc, ds, k):
-    salg = SAlgebra(CoeffRing(ring))
-    a, b, c = (hull_elem(salg, d) for d in (da, db, dc))
-    assert_linear_laws(a, b, c, eps_poly(salg.coeff, ds), k)
-    for value in (a, -a, a - b):
-        for word, mat in value.terms.items():
-            for row in mat.rows:
-                for entry in row:
-                    assert salg._reduce_coeff(word, entry) == entry
 
 
 @pytest.mark.parametrize("ring", LAW_RINGS, ids=LAW_RING_IDS)
@@ -345,7 +317,6 @@ def test_every_container_refuses_another_parents_element():
         (MultilinearPoly.monomial(2, ZZ, (2, 1)), MultilinearPoly.monomial(3, ZZ, (2, 1, 3))),
         (GradedPoly(cz, GRADES, {(1, 2, 3): cz.one()}), GradedPoly(cq, GRADES, {(1, 2, 3): cq.one()})),
         (GradedPoly(cz, GRADES, {(1, 2, 3): cz.one()}), GradedPoly(cz, GRADES[::-1], {(1, 2, 3): cz.one()})),
-        (HullElem(sz), HullElem(sq)),
         (StandardForm(ZZ, {MonomialTerm((1,)): 1}), StandardForm(QQ, {MonomialTerm((1,)): QQ.one()})),
     ]
     for a, b in pairs:
