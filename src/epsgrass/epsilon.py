@@ -438,6 +438,7 @@ def _add_subset_image(acc: dict, vertices: tuple, members: list, parity_of) -> N
 # psi of the comodule and identities bench inputs ran fastest from 16 up,
 # with the bulk transform too (timed at 0, 8, 16, 24, 32; 48 before it).
 _EXPAND_COST = 24
+_GROUP_VERTICES = 10  # any support may join a group of this many vertices
 
 
 def _sum_exps(items: Iterable, edges_of, parity_of) -> tuple:
@@ -447,18 +448,22 @@ def _sum_exps(items: Iterable, edges_of, parity_of) -> tuple:
     mask ``support``; ``parity_of`` is as in ``_add_subset_image``.
 
     Supports of k vertices, largest first, join the first group whose
-    vertex set holds them and has at most max(k + 2, 10) vertices, or
-    start one (merged into a sparse 18-letter group, 200 permutations of
-    letters 1-12 took 1.06 s, not 0.08 s).  A group of k vertices has a
-    budget of half its transform, k*2^(k-1) steps, in term visits, less
-    ``_EXPAND_COST`` per item, the fixed cost of expanding it.  It expands
-    its items, smallest supports first, each charged ``_expand_bound`` of
-    its odd factors, and transforms the rest once the next bound overruns
-    the budget: a group of more items than the budget pays for expands
-    none, a dense graph on many letters goes straight to the transform,
-    and a single sparse graph on many letters is expanded.
+    vertex set holds them and has at most max(k + 2, _GROUP_VERTICES)
+    vertices, or start one (merged into a sparse 18-letter group, 200
+    permutations of letters 1-12 took 1.06 s, not 0.08 s).  So psi gives
+    every item on at most _GROUP_VERTICES letters the support of them all.
+    A group of k vertices has a budget of half its transform, k*2^(k-1)
+    steps, in term visits, less ``_EXPAND_COST`` per item, the fixed cost
+    of expanding it.  It expands its items, smallest supports first, each
+    charged ``_expand_bound`` of its odd factors, and transforms the rest
+    once the next bound overruns the budget: a group of more items than
+    the budget pays for expands none, a dense graph on many letters goes
+    straight to the transform, and a single sparse graph on many letters
+    is expanded.
     """
-    items = sorted(items, key=lambda item: item[0].bit_count(), reverse=True)
+    items = list(items)
+    if len(set(map(itemgetter(0), items))) > 1:  # one support keeps its order
+        items.sort(key=lambda item: item[0].bit_count(), reverse=True)
     ints = all(type(c) is int for _, _, c in items)
     den = 1 if ints else lcm(*(c.denominator for _, _, c in items))
     groups: dict = {}  # the support of a group -> its [(x, int coefficient)]
@@ -466,7 +471,7 @@ def _sum_exps(items: Iterable, edges_of, parity_of) -> tuple:
     for support, x, c in items:
         members = owner.get(support)
         if members is None:
-            reach = max(support.bit_count() + 2, 10)
+            reach = max(support.bit_count() + 2, _GROUP_VERTICES)
             top = next(
                 (top for top in groups if support & top == support and top.bit_count() <= reach),
                 support,

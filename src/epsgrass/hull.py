@@ -440,6 +440,8 @@ def hull_evaluate(
     matrix over the superalgebra (``hull_tensor``)."""
     if len(mats) != f.n or len(words) != f.n:
         raise ValueError("substitution arity mismatch")
+    if not f.n:  # no matrix gives the value's size
+        raise ValueError("cannot evaluate a polynomial of arity 0")
     salg = words[0].algebra
     for i, ((_, g), w) in enumerate(zip(mats, words)):
         if frozenset(g) != f.grades[i] or hull_word_grade(w) != f.grades[i]:

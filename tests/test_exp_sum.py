@@ -553,10 +553,12 @@ def test_subset_transform_of_inversion_words_on_every_vertex_count(monkeypatch, 
                 want[key] = want.get(key, 0) + c * v
         got = {epsilon.monomial_key(m): c for m, c in acc.items() if c}
         assert got == {key: v for key, v in want.items() if v}, vertices
-    if k == 0:  # x1 is in no inversion: check-identity transforms on no vertex
+    if k == 0:  # x1 is in no inversion, but on at most 10 letters psi
+        # gives every monomial the support of all its letters: check-identity
+        # transforms on one vertex
         sizes = transforms(monkeypatch)
         assert main(["check-identity", "x1", "--vars", "1"]) == 1
-        assert sizes == [0]
+        assert sizes == [1]
 
 
 @pytest.mark.parametrize(
@@ -616,25 +618,30 @@ def test_psi_on_9_to_12_letters_with_chunked_tables(monkeypatch, ring):
 
 @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
 def test_psi_of_a_group_both_expanded_and_transformed(monkeypatch, ring):
-    # five adjacent transpositions join the group of twelve dense
-    # permutations of 10 letters; the budget pays the bounds of their
-    # expansions, smallest support first, and the bound of the first dense
-    # graph overruns it, so the dense ones go through the transform
+    # on 11 letters the exact supports decide the groups: five sparse
+    # permutations, each five disjoint adjacent transpositions on 10
+    # letters, join the group of twelve dense permutations of 11 letters
+    # (a support of 10 letters joins a group of up to 12); the budget pays
+    # the bounds of their expansions, smallest support first, and the bound
+    # of the first dense graph overruns it, so the dense ones go through
+    # the transform
     sizes = transforms(monkeypatch)
     expanded = expansions(monkeypatch)
     rng = random.Random(101)
     coeffs = {}
-    for k in range(1, 10, 2):
-        sigma = list(range(1, 11))
-        sigma[k - 1], sigma[k] = k + 1, k
+    for skipped in range(1, 10, 2):
+        rest = [v for v in range(1, 12) if v != skipped]
+        sigma = list(range(1, 12))
+        for a, b in zip(rest[::2], rest[1::2]):
+            sigma[a - 1], sigma[b - 1] = b, a
         coeffs[tuple(sigma)] = sample_coefficient(rng, ring)
-    for sigma in full_support_perms(rng, 10, 12):
+    for sigma in full_support_perms(rng, 11, 12):
         coeffs[sigma] = sample_coefficient(rng, ring)
     coeffs = {w: in_ring_coefficient(ring, c) for w, c in coeffs.items()}
-    f = MultilinearPoly(10, ring, {w: c for w, c in coeffs.items() if not ring.is_zero(c)})
+    f = MultilinearPoly(11, ring, {w: c for w, c in coeffs.items() if not ring.is_zero(c)})
     assert keyed(psi(f)) == oracle_psi(ring, f)
-    assert sizes == [10]
-    assert sorted(map(len, expanded)) == [1] * 5
+    assert sizes == [11]
+    assert sorted(map(len, expanded)) == [5] * 5
 
 
 def test_psi_of_the_reversed_14_letter_word_starts_no_expansion(monkeypatch):
@@ -649,3 +656,78 @@ def test_psi_of_the_reversed_14_letter_word_starts_no_expansion(monkeypatch):
     assert keyed(psi(f)) == want
     assert expanded == []
     assert sizes == [14]
+
+
+UNITS = (-5, -1, 1, 5, 7)  # units of Z/4, Z/6 and GF(3) as well
+
+
+def disjoint_transpositions(n, first) -> tuple:
+    """(first first+1)(first+2 first+3)... on 1..n, the rest fixed."""
+    sigma = list(range(1, n + 1))
+    for a in range(first, n, 2):
+        sigma[a - 1], sigma[a] = a + 1, a
+    return tuple(sigma)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_psi_on_1_to_11_letters_across_the_grouping_rule(monkeypatch, ring):
+    # the identity permutation and one adjacent transposition (letters in
+    # no inversion), a sparse product of disjoint transpositions and dense
+    # permutations, with unit coefficients (fractions over Q, the identity's
+    # a third).  Up to 10 letters every monomial gets the support of all n
+    # letters, so every transform runs on n vertices; at 11 the exact
+    # supports decide the groups again: the transposition's two letters,
+    # which the identity's empty support joins, and all 11 for the rest.
+    sizes = transforms(monkeypatch)
+    rng = random.Random(131)
+    for n in range(1, 12):
+        identity = tuple(range(1, n + 1))
+        words = {identity, disjoint_transpositions(n, 1 + n % 2)}
+        if n > 1:
+            k = rng.randint(1, n - 1)
+            words.add(identity[:k - 1] + (k + 1, k) + identity[k + 1:])
+        # dense: every letter in an inversion, as only 1, 1 and 3 permutations
+        # of 1, 2 and 3 letters have it
+        words.update(full_support_perms(rng, n, {1: 1, 2: 1, 3: 3}.get(n, 3 if n >= 10 else 2 * n)))
+        coeffs = {}
+        for w in sorted(words):
+            c = rng.choice(UNITS)
+            coeffs[w] = Fraction(c, rng.choice((1, 2, 3))) if ring is QQ else ring.from_int(c)
+        if ring is QQ:
+            coeffs[identity] = Fraction(1, 3)
+        f = MultilinearPoly(n, ring, coeffs)
+        supports = {perm: support for support, perm, _ in comodule._support_items(f)}
+        if n <= 10:
+            assert set(supports.values()) == {(2 << n) - 2}
+        else:
+            assert supports[identity] == 0
+            assert supports[disjoint_transpositions(11, 2)] == sum(1 << v for v in range(2, 12))
+        del sizes[:]
+        got = psi(f)
+        if n < 10:  # the group of all n letters may expand every member
+            assert set(sizes) <= {n}, (n, sizes)
+        else:
+            assert sorted(sizes) == ([10] if n == 10 else [2, 11])
+        assert keyed(got) == oracle_psi(ring, f), n
+        assert is_identity(f) == got.is_zero()
+
+
+def test_one_chunk_parity_words_match_their_definition():
+    # on at most _TABLE_WIDTH vertices the parity loop reads one row per
+    # letter from a list indexed by letter; letters outside the vertex set
+    # (below, between and above its letters) read 0, and one reader takes
+    # permutations of 1..n for several n, so the list grows past its
+    # largest vertex
+    rng = random.Random(137)
+    for k in range(1, comodule._TABLE_WIDTH + 1):
+        for _ in range(4):
+            vertices = tuple(sorted(rng.sample(range(1, 13), k)))
+            masks = epsilon._field_masks(k, 1)[0]
+            memo: dict = {}
+            parity = comodule._inversion_parity(vertices, masks, 1 << k, memo)
+            assert list(memo) == [((0, k),)]  # one chunk
+            for n in (vertices[-1], 14, vertices[-1] + 1, 13):
+                for _ in range(5):
+                    sigma = list(range(1, n + 1))
+                    rng.shuffle(sigma)
+                    assert parity(sigma) == parity_by_definition(vertices, masks, sigma), (vertices, sigma)

@@ -287,3 +287,11 @@ def test_hull_grade_mismatch():
     mat = int_matrix(CQ, [[1, 0], [0, 1]])
     with pytest.raises(GradeMismatchError):
         hull_evaluate(f, [(mat, h)], [S.gen(h, 1)])
+
+
+def test_hull_evaluate_refuses_arity_0():
+    # no matrix gives the size of the value of a constant
+    f = GradedPoly(CQ, [], {(): CQ.one()})
+    for check in (hull_evaluate, hull_eval_factorization):
+        with pytest.raises(ValueError, match="arity 0"):
+            check(f, [], [])
