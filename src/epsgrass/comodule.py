@@ -6,11 +6,11 @@ s.  Substituting the generators e_1..e_n decides membership in the
 identity ideal of the twisted Grassmann algebra: f(e_1, ..., e_n) =
 psi(f)*e_1...e_n, so f is an identity iff psi(f) = 0.  The sign image
 psi(f) = sum of a_s*esgn(s) sums the exps of the inversion graphs with
-no esgn and no algebra product: one subset transform on all n letters
-if n <= 10, else one per maximal set of inverted letters
-(``epsilon._sum_exps``), fed parity words read off the permutations in
-one pass per chunk of the set, through XOR tables and rows built once per
-shape (``_inversion_parity``); ``is_identity`` tests its sums in the ring.
+no esgn and no algebra product: one subset transform per group of
+letters, all n up to ``epsilon._GROUP_VERTICES`` (``epsilon._sum_exps``),
+fed parity words read off the permutations in one pass per chunk of the
+group, through XOR tables and rows built once per shape
+(``_inversion_parity``); ``is_identity`` tests its int sums in the ring.
 
 The generalized signs span a free module of rank 2^(n-1).  The sign
 images B of an explicit spanning set (ascending prefix times

@@ -462,7 +462,7 @@ def _sum_exps(items: Iterable, edges_of, parity_of) -> tuple:
     is expanded.
     """
     items = list(items)
-    if len(set(map(itemgetter(0), items))) > 1:  # one support keeps its order
+    if len(set(map(itemgetter(0), items))) > 1:  # one support is in order as it is
         items.sort(key=lambda item: item[0].bit_count(), reverse=True)
     ints = all(type(c) is int for _, _, c in items)
     den = 1 if ints else lcm(*(c.denominator for _, _, c in items))
