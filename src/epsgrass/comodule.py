@@ -6,11 +6,11 @@ s.  Substituting the generators e_1..e_n decides membership in the
 identity ideal of the twisted Grassmann algebra: f(e_1, ..., e_n) =
 psi(f)*e_1...e_n, so f is an identity iff psi(f) = 0.  The sign image
 psi(f) = sum of a_s*esgn(s) sums the exps of the inversion graphs with
-no esgn and no algebra product: one subset transform per group of
-letters, all n up to ``epsilon._GROUP_VERTICES`` (``epsilon._sum_exps``),
-fed parity words read off the permutations in one pass per chunk of the
-group, through XOR tables and rows built once per shape
-(``_inversion_parity``); ``is_identity`` tests its int sums in the ring.
+no esgn and no algebra product: one subset transform per maximal set of
+inverted letters (``epsilon._sum_exps``), fed parity words read off the
+permutations in one pass per chunk of the set, through XOR tables and
+rows built once per shape (``_inversion_parity``); ``is_identity`` tests
+its int sums in the ring.
 
 The generalized signs span a free module of rank 2^(n-1).  The sign
 images B of an explicit spanning set (ascending prefix times
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
@@ -180,7 +180,7 @@ def _xor_tables(masks: list, chunks: tuple) -> list:
     return tables
 
 
-def _inversion_parity(vertices: tuple, masks: list, word_bytes: int, memo: dict):
+def _inversion_parity(vertices: tuple, masks: list, word_bytes: int, memo: dict, n: int = 0):
     """The parity words of the inversion graphs of permutations whose
     inverted letters lie in ``vertices``: field T holds the number of
     inversions inside T mod 2, the XOR over the inversions a > b, a
@@ -204,28 +204,29 @@ def _inversion_parity(vertices: tuple, masks: list, word_bytes: int, memo: dict)
         words = sum((1 << hi - lo) - 1 - (hi - lo) << (lo > 0) for lo, hi in chunks)
         if words * word_bytes <= _TABLE_BYTES:
             break
+    passes = []  # per chunk: {letter: (its row or at[letter], its bit or 0, its shift)}, table
     if chunks not in memo:
         memo[chunks] = _xor_tables(masks, chunks)
-    tables = memo[chunks]
-    skip = ((0,), 0, k)  # the first chunk's pass: (row, bit, shift) by letter, 0 outside
-    first = [skip] * (max(vertices, default=0) + 1)
-    for p, row in enumerate(tables[0][1] if tables else ()):
-        first[vertices[p]] = (row, 1 << p, p + 1)
-    passes = []  # per later chunk: {letter: (its row or at[letter], its bit or 0, its shift)}, table
-    for (lo, hi), (table, rows) in zip(chunks[1:], tables[1:]):
+    for (lo, hi), (table, rows) in zip(chunks, memo[chunks]):
         letter = {v: (m, 0, 0) for v, m in zip(vertices[:lo], masks)}
         for p in range(lo, hi):
             letter[vertices[p]] = (rows[p - lo], 1 << p - lo, p - lo + 1)
         passes.append((letter, table))
+    if k == n and len(chunks) == 1:  # every sigma permutes the chunk: a list by letter
+        by_letter = [None, *passes[0][0].values()]
+
+        def parity(sigma: Sequence[int]) -> int:
+            word = seen = 0
+            for b in sigma:
+                row, bit, shift = by_letter[b]
+                word ^= row[seen >> shift]
+                seen |= bit
+            return word
+
+        return parity
 
     def parity(sigma: Sequence[int]) -> int:
-        if len(first) <= len(sigma):  # sigma permutes 1..len(sigma)
-            first.extend([skip] * (len(sigma) + 1 - len(first)))
-        word = seen = 0
-        for b in sigma:
-            row, bit, shift = first[b]
-            word ^= row[seen >> shift]
-            seen |= bit
+        word = 0
         for letter, table in passes:
             seen = pending = 0  # pending: the XOR of at[b] over earlier chunks' b
             for b in sigma:
@@ -251,31 +252,33 @@ def _inversion_parity(vertices: tuple, masks: list, word_bytes: int, memo: dict)
 
 def _sign_sum(f: MultilinearPoly) -> tuple:
     """(acc, den) of psi(f), by ``epsilon._sum_exps``."""
-    return epsilon._sum_exps(_support_items(f), _inversion_graph, _inversion_parity)
+    parity_of = partial(_inversion_parity, n=f.n) if f.n <= _TABLE_WIDTH else _inversion_parity
+    return epsilon._sum_exps(_support_items(f), _inversion_graph, parity_of)
 
 
 def _support_items(f: MultilinearPoly) -> Iterator[tuple]:
-    """(the mask of the letters in an inversion, or of all n if n <=
-    ``epsilon._GROUP_VERTICES``, perm, c) per monomial.  A letter k is in
-    no inversion iff sigma holds 1..k in its first k places, k in place k:
-    iff k is both the letter and the running maximum at place k."""
-    full = (2 << f.n) - 2
-    exact = f.n > epsilon._GROUP_VERTICES
+    """(the mask of the letters in an inversion, perm, c) per monomial.  A
+    letter k is in no inversion iff sigma holds 1..k in its first k
+    places, k in place k: iff k is both the letter and the running
+    maximum at place k.  Once one inverts all n <= ``epsilon._GROUP_VERTICES``
+    letters, its group takes the rest, whose letters go unread."""
+    full, unread = (2 << f.n) - 2, False
     for perm, c in f.coeffs.items():
-        support, top = full, 0
-        if exact:
+        if not unread:  # else support is still full
+            support, top = full, 0
             for k, a in enumerate(perm, 1):
                 if a > top:
                     top = a
                     if a == k:
                         support ^= 1 << k
+            unread = support == full and f.n <= epsilon._GROUP_VERTICES
         yield support, perm, c
 
 
 def psi(f: MultilinearPoly) -> EpsPoly:
     """Image of f in the sign module: the sum of a_sigma * esgn(e., sigma),
-    the exps of the inversion graphs, with one subset transform per group
-    of letters (``_support_items``) and no esgn."""
+    the exps of the inversion graphs, with one subset transform per
+    maximal set of inverted letters and no esgn."""
     return epsilon._to_poly(CoeffRing(f.ring), *_sign_sum(f))
 
 

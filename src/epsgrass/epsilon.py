@@ -450,20 +450,17 @@ def _sum_exps(items: Iterable, edges_of, parity_of) -> tuple:
     Supports of k vertices, largest first, join the first group whose
     vertex set holds them and has at most max(k + 2, _GROUP_VERTICES)
     vertices, or start one (merged into a sparse 18-letter group, 200
-    permutations of letters 1-12 took 1.06 s, not 0.08 s).  So psi gives
-    every item on at most _GROUP_VERTICES letters the support of them all.
-    A group of k vertices has a budget of half its transform, k*2^(k-1)
-    steps, in term visits, less ``_EXPAND_COST`` per item, the fixed cost
-    of expanding it.  It expands its items, smallest supports first, each
-    charged ``_expand_bound`` of its odd factors, and transforms the rest
-    once the next bound overruns the budget: a group of more items than
-    the budget pays for expands none, a dense graph on many letters goes
-    straight to the transform, and a single sparse graph on many letters
-    is expanded.
+    permutations of letters 1-12 took 1.06 s, not 0.08 s), so a group on
+    all of at most _GROUP_VERTICES vertices takes every item.  A group of k
+    vertices has a budget of half its transform, k*2^(k-1) steps, in term
+    visits, less ``_EXPAND_COST`` per item, the fixed cost of expanding
+    it.  It expands its items, smallest supports first, each charged
+    ``_expand_bound`` of its odd factors, and transforms the rest once the
+    next bound overruns the budget: a group of more items than the budget
+    pays for expands none, a dense graph on many letters goes straight to
+    the transform, and a single sparse graph on many letters is expanded.
     """
-    items = list(items)
-    if len(set(map(itemgetter(0), items))) > 1:  # one support is in order as it is
-        items.sort(key=lambda item: item[0].bit_count(), reverse=True)
+    items = sorted(items, key=lambda item: item[0].bit_count(), reverse=True)
     ints = all(type(c) is int for _, _, c in items)
     den = 1 if ints else lcm(*(c.denominator for _, _, c in items))
     groups: dict = {}  # the support of a group -> its [(x, int coefficient)]

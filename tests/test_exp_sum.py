@@ -553,12 +553,10 @@ def test_subset_transform_of_inversion_words_on_every_vertex_count(monkeypatch, 
                 want[key] = want.get(key, 0) + c * v
         got = {epsilon.monomial_key(m): c for m, c in acc.items() if c}
         assert got == {key: v for key, v in want.items() if v}, vertices
-    if k == 0:  # x1 is in no inversion, but on at most 10 letters psi
-        # gives every monomial the support of all its letters: check-identity
-        # transforms on one vertex
+    if k == 0:  # x1 is in no inversion: check-identity transforms on no vertex
         sizes = transforms(monkeypatch)
         assert main(["check-identity", "x1", "--vars", "1"]) == 1
-        assert sizes == [1]
+        assert sizes == [0]
 
 
 @pytest.mark.parametrize(
@@ -669,64 +667,129 @@ def disjoint_transpositions(n, first) -> tuple:
     return tuple(sigma)
 
 
+def inverted_letters(sigma) -> int:
+    """The mask of the letters of sigma in an inversion, by definition."""
+    mask = 0
+    for i, a in enumerate(sigma):
+        for b in sigma[i + 1:]:
+            if a > b:
+                mask |= 1 << a | 1 << b
+    return mask
+
+
+def block_words(n, letters, sign) -> dict:
+    """The permutations of ``letters`` in their places, the other letters
+    of 1..n fixed, with their signs (or 1)."""
+    out = {}
+    for image in permutations(letters):
+        sigma = list(range(1, n + 1))
+        for a, b in zip(letters, image):
+            sigma[a - 1] = b
+        out[tuple(sigma)] = inversion_sign(image) if sign else 1
+    return out
+
+
+def inversion_sign(sigma) -> int:
+    return (-1) ** sum(a > b for i, a in enumerate(sigma) for b in sigma[i + 1:])
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
 def test_psi_on_1_to_11_letters_across_the_grouping_rule(monkeypatch, ring):
-    # the identity permutation and one adjacent transposition (letters in
-    # no inversion), a sparse product of disjoint transpositions and dense
-    # permutations, with unit coefficients (fractions over Q, the identity's
-    # a third).  Up to 10 letters every monomial gets the support of all n
-    # letters, so every transform runs on n vertices; at 11 the exact
-    # supports decide the groups again: the transposition's two letters,
-    # which the identity's empty support joins, and all 11 for the rest.
+    # sparse words, the identity permutation and adjacent transpositions
+    # (letters in no inversion), alone and mixed with dense permutations,
+    # with unit coefficients (fractions over Q, the identity's a third).
+    # Sparse words keep the exact supports.  Up to 10 letters a monomial
+    # that inverts every letter makes its group the only one, and every
+    # later monomial gets the support of all n letters unread, so every
+    # transform runs on n vertices; at 11 the exact supports decide the
+    # groups again: the transposition's two letters, which the identity's
+    # empty support joins, and all 11 for the rest.  A transform on all
+    # n <= _TABLE_WIDTH letters reads its permutations from a list by letter.
     sizes = transforms(monkeypatch)
+    lists = []
+    reader = comodule._inversion_parity
+
+    def recorded(vertices, masks, word_bytes, memo, n=0):
+        lists.append(len(vertices) == n)
+        return reader(vertices, masks, word_bytes, memo, n)
+
+    monkeypatch.setattr(comodule, "_inversion_parity", recorded)
     rng = random.Random(131)
     for n in range(1, 12):
         identity = tuple(range(1, n + 1))
-        words = {identity, disjoint_transpositions(n, 1 + n % 2)}
+        sparse = {identity, disjoint_transpositions(n, 1 + n % 2)}
         if n > 1:
             k = rng.randint(1, n - 1)
-            words.add(identity[:k - 1] + (k + 1, k) + identity[k + 1:])
+            sparse.add(identity[:k - 1] + (k + 1, k) + identity[k + 1:])
         # dense: every letter in an inversion, as only 1, 1 and 3 permutations
-        # of 1, 2 and 3 letters have it
-        words.update(full_support_perms(rng, n, {1: 1, 2: 1, 3: 3}.get(n, 3 if n >= 10 else 2 * n)))
-        coeffs = {}
-        for w in sorted(words):
-            c = rng.choice(UNITS)
-            coeffs[w] = Fraction(c, rng.choice((1, 2, 3))) if ring is QQ else ring.from_int(c)
-        if ring is QQ:
-            coeffs[identity] = Fraction(1, 3)
-        f = MultilinearPoly(n, ring, coeffs)
-        supports = {perm: support for support, perm, _ in comodule._support_items(f)}
-        if n <= 10:
-            assert set(supports.values()) == {(2 << n) - 2}
-        else:
-            assert supports[identity] == 0
-            assert supports[disjoint_transpositions(11, 2)] == sum(1 << v for v in range(2, 12))
+        # of 1, 2 and 3 letters have it (none of 1 letter)
+        dense = full_support_perms(rng, n, {1: 1, 2: 1, 3: 3}.get(n, 3 if n >= 10 else 2 * n))
+        for words in (sparse, sparse | set(dense)):
+            coeffs = {}  # the identity, then the words on all n letters, then the rest
+            for w in sorted(words, key=lambda w: (w != identity, inverted_letters(w) != (2 << n) - 2, w)):
+                c = rng.choice(UNITS)
+                coeffs[w] = Fraction(c, rng.choice((1, 2, 3))) if ring is QQ else ring.from_int(c)
+            if ring is QQ:
+                coeffs[identity] = Fraction(1, 3)
+            f = MultilinearPoly(n, ring, coeffs)
+            supports = {perm: support for support, perm, _ in comodule._support_items(f)}
+            exact = {w: inverted_letters(w) for w in words}
+            one_group = n <= 10 and (2 << n) - 2 in exact.values()
+            want, unread = {}, False  # the monomials after the first on all n letters
+            for w in f.coeffs:
+                want[w] = (2 << n) - 2 if unread else exact[w]
+                unread = unread or one_group and exact[w] == (2 << n) - 2
+            assert supports == want, n
+            if words is sparse and n % 2:  # the transpositions from 2 leave letter 1 be
+                assert not one_group
+            elif words is not sparse and 1 < n < 11:
+                assert one_group
+            del sizes[:], lists[:]
+            got = psi(f)
+            assert lists == [size == n <= comodule._TABLE_WIDTH for size in sizes], n
+            if one_group and n < 10:  # the group of all n letters may expand every member
+                assert set(sizes) <= {n}, (n, sizes)
+            elif words is not sparse and n >= 10:
+                assert sorted(sizes) == ([10] if n == 10 else [2, 11])
+            assert keyed(got) == oracle_psi(ring, f), n
+            assert is_identity(f) == got.is_zero()
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_psi_of_dense_blocks_on_few_of_10_letters(monkeypatch, ring):
+    # many monomials that move only a few of the letters keep the exact
+    # supports: a signed block of 4 letters, at the front and at the back,
+    # transforms on its 4 vertices, not on all 10; two disjoint blocks
+    # summed transform on 4 vertices each
+    sizes = transforms(monkeypatch)
+    front, back = block_words(10, (1, 2, 3, 4), True), block_words(10, (7, 8, 9, 10), False)
+    both = {w: front.get(w, 0) + back.get(w, 0) for w in {**front, **back}}
+    for coeffs, want in ((front, [4]), (back, [4]), (both, [4, 4])):
+        coeffs = {w: in_ring_coefficient(ring, c) for w, c in coeffs.items() if c}
+        f = MultilinearPoly(10, ring, {w: c for w, c in coeffs.items() if not ring.is_zero(c)})
+        assert {s for s, _, _ in comodule._support_items(f)} == set(map(inverted_letters, f.coeffs))
         del sizes[:]
         got = psi(f)
-        if n < 10:  # the group of all n letters may expand every member
-            assert set(sizes) <= {n}, (n, sizes)
-        else:
-            assert sorted(sizes) == ([10] if n == 10 else [2, 11])
-        assert keyed(got) == oracle_psi(ring, f), n
+        assert sorted(sizes) == want
+        assert keyed(got) == oracle_psi(ring, f)
         assert is_identity(f) == got.is_zero()
 
 
 def test_one_chunk_parity_words_match_their_definition():
-    # on at most _TABLE_WIDTH vertices the parity loop reads one row per
-    # letter from a list indexed by letter; letters outside the vertex set
-    # (below, between and above its letters) read 0, and one reader takes
-    # permutations of 1..n for several n, so the list grows past its
-    # largest vertex
+    # a chunk on all the letters 1..n of the permutations reads them from a
+    # list by letter; a chunk among more letters (1..k of n > k, or any
+    # other set) reads them by the chunk's dict, which skips the letters
+    # outside it
     rng = random.Random(137)
     for k in range(1, comodule._TABLE_WIDTH + 1):
-        for _ in range(4):
-            vertices = tuple(sorted(rng.sample(range(1, 13), k)))
+        for vertices in [tuple(range(1, k + 1))] + [tuple(sorted(rng.sample(range(1, 13), k))) for _ in range(3)]:
             masks = epsilon._field_masks(k, 1)[0]
-            memo: dict = {}
-            parity = comodule._inversion_parity(vertices, masks, 1 << k, memo)
-            assert list(memo) == [((0, k),)]  # one chunk
-            for n in (vertices[-1], 14, vertices[-1] + 1, 13):
+            for n in sorted({vertices[-1], vertices[-1] + 1, 13, 14}):
+                memo: dict = {}
+                parity = comodule._inversion_parity(vertices, masks, 1 << k, memo, n)
+                assert list(memo) == [((0, k),)]  # one chunk
+                by_dict = comodule._inversion_parity(vertices, masks, 1 << k, memo)
+                assert (parity.__code__ is by_dict.__code__) == (n > k)
                 for _ in range(5):
                     sigma = list(range(1, n + 1))
                     rng.shuffle(sigma)
