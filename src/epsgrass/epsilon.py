@@ -442,10 +442,10 @@ _GROUP_VERTICES = 10  # any support may join a group of this many vertices
 
 
 def _sum_exps(items: Iterable, edges_of, parity_of) -> tuple:
-    """(acc, den): acc maps each mask to den times its coefficient in the
-    sum of c*exp(E_x) over the (support, x, c) items, den the lcm of the
-    denominators.  E_x is the pairs ``edges_of(x)`` on the vertices of the
-    mask ``support``; ``parity_of`` is as in ``_add_subset_image``.
+    """(acc, den): acc maps each mask to den times its nonzero coefficient
+    in the sum of c*exp(E_x) over the (support, x, c) items, den the lcm of
+    the denominators.  E_x is the pairs ``edges_of(x)`` on the vertices of
+    the mask ``support``; ``parity_of`` is as in ``_add_subset_image``.
 
     Supports of k vertices, largest first, join the first group whose
     vertex set holds them and has at most max(k + 2, _GROUP_VERTICES)
@@ -490,7 +490,7 @@ def _sum_exps(items: Iterable, edges_of, parity_of) -> tuple:
                 break
             for m, v in _expand(factors).items():
                 acc[m] = acc[m] + c * v if m in acc else c * v
-    return acc, den
+    return (acc if all(acc.values()) else {m: v for m, v in acc.items() if v}), den
 
 
 def exp_sum(ring: CoeffRing, items: Iterable) -> EpsPoly:

@@ -6,8 +6,10 @@
             | '{' expr ',' expr '}' | 'Tr' '(' expr ')'
     SYM    := theta | eps<k> | e<k> | x<k>
 
-Whitespace insensitive.  The leading minus is accepted so canonical
-renderings (which may start with a negative coefficient) parse back.
+Whitespace insensitive: one ``findall`` reads the tokens, and only an
+error scans the text again, for the token's position.  The leading minus
+is accepted so canonical renderings (which may start with a negative
+coefficient) parse back.
 
 Every expression passes through ``Parser``, which bounds it: at most
 ``MAX_NESTING`` brackets around any point, so that parsing and
@@ -22,7 +24,7 @@ from __future__ import annotations
 import operator
 import re
 
-from .grassmann import GrassAlgebra, GrassElem, scommutator
+from .grassmann import GrassAlgebra, GrassElem, commutator, scommutator
 from .rings import BaseRing
 from .terms import TracePoly
 
@@ -45,123 +47,105 @@ class ExprSyntaxError(ValueError):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:"
-    r"(?P<int>[0-9]+)"
-    r"|(?P<sym>theta|eps[0-9]+|e[0-9]+|x[0-9]+|Tr)"
-    r"|(?P<punct>[-+*()\[\]{},])"
-    r"|(?P<bad>\S)"
-    r")"
-)
+_TOKEN_RE = re.compile(r"[0-9]+|theta|eps[0-9]+|e[0-9]+|x[0-9]+|Tr|[-+*()\[\]{},]|\S")
 
 
-def tokenize(text: str):
-    """(kind, value, position) tokens, ending in an ``end`` token; only
-    trailing whitespace matches nothing."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        pos = m.start(kind)
-        if kind == "bad":
+def _token_start(text: str, k: int) -> int:
+    """The position of token k of the text, by a scan made only for errors."""
+    return [*(m.start() for m in _TOKEN_RE.finditer(text)), len(text)][k]
+
+
+def tokenize(text: str) -> list:
+    """The tokens of one ``findall`` and the end token ''.  A token's first
+    character tells its kind: a digit starts an int (kept as an int), a
+    letter a symbol, and any other is a lone punctuation or unknown one."""
+    tokens = _TOKEN_RE.findall(text)
+    for k, tok in enumerate(tokens):
+        if tok[0] in "0123456789":
+            tokens[k] = int(tok)
+        elif len(tok) == 1 and tok not in "-+*()[]{},":
+            pos = _token_start(text, k)
             raise ExprSyntaxError(f"unknown symbol {text[pos:pos + 8]!r}", text, pos)
-        tokens.append((kind, int(m[kind]) if kind == "int" else m[kind], pos))
-    tokens.append(("end", "", len(text)))
-    return tokens
+    return tokens + [""]
 
 
 class Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
-        self.k = 0
+        self.k = 0  # the next token
         self.depth = 0  # the brackets around the expression being parsed
 
-    def peek(self):
-        return self.tokens[self.k]
-
-    def next(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
+    def error(self, message: str, k: int) -> ExprSyntaxError:
+        return ExprSyntaxError(message, self.text, _token_start(self.text, k))
 
     def expect(self, value: str):
-        kind, tok, pos = self.next()
+        tok = self.tokens[self.k]
         if tok != value:
-            raise ExprSyntaxError(f"expected {value!r}, found {tok!r}", self.text, pos)
+            raise self.error(f"expected {value!r}, found {tok!r}", self.k)
+        self.k += 1
 
     def parse(self):
         node = self.expr()
-        kind, tok, pos = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected {tok!r}", self.text, pos)
+        if self.tokens[self.k] != "":
+            raise self.error(f"unexpected {self.tokens[self.k]!r}", self.k)
         return node
 
-    def index(self, digits: str, pos: int) -> int:
-        k = int(digits)
-        if k > MAX_INDEX:
-            raise ExprSyntaxError(f"index {k} is above {MAX_INDEX}", self.text, pos)
-        return k
+    def index(self, digits: str, k: int) -> int:
+        n = int(digits)
+        if n > MAX_INDEX:
+            raise self.error(f"index {n} is above {MAX_INDEX}", k)
+        return n
 
     def expr(self):
         # every bracket parses its contents here
         if self.depth > MAX_NESTING:
-            raise ExprSyntaxError(
-                f"more than {MAX_NESTING} nested brackets", self.text, self.peek()[2]
-            )
+            raise self.error(f"more than {MAX_NESTING} nested brackets", self.k)
         self.depth += 1
-        if self.peek()[1] == "-":
-            self.next()
+        if self.tokens[self.k] == "-":
+            self.k += 1
             node = ("neg", self.term())
         else:
             node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
+        while (op := self.tokens[self.k]) in ("+", "-"):
+            self.k += 1
+            node = ("add" if op == "+" else "sub", node, self.term())
         self.depth -= 1
         return node
 
     def term(self):
         node = self.factor()
-        while self.peek()[1] == "*":
-            self.next()
+        while self.tokens[self.k] == "*":
+            self.k += 1
             node = ("mul", node, self.factor())
         return node
 
     def factor(self):
-        kind, tok, pos = self.next()
-        if kind == "int":
+        k = self.k
+        tok, self.k = self.tokens[k], k + 1
+        if type(tok) is int:
             return ("int", tok)
-        if kind == "sym":
+        if tok.startswith("x"):
+            return ("var", self.index(tok[1:], k))
+        if tok == "(" or tok == "Tr":
             if tok == "Tr":
                 self.expect("(")
-                inner = self.expr()
-                self.expect(")")
-                return ("tr", inner)
-            if tok == "theta":
-                return ("theta",)
-            if tok.startswith("eps"):
-                return ("eps", self.index(tok[3:], pos))
-            if tok.startswith("x"):
-                return ("var", self.index(tok[1:], pos))
-            return ("gen", self.index(tok[1:], pos))
-        if tok == "(":
             inner = self.expr()
             self.expect(")")
-            return inner
-        if tok == "[":
+            return inner if tok == "(" else ("tr", inner)
+        if tok == "[" or tok == "{":
             a = self.expr()
             self.expect(",")
             b = self.expr()
-            self.expect("]")
-            return ("comm", a, b)
-        if tok == "{":
-            a = self.expr()
-            self.expect(",")
-            b = self.expr()
-            self.expect("}")
-            return ("scomm", a, b)
-        raise ExprSyntaxError(f"unexpected {tok!r}", self.text, pos)
+            self.expect("]" if tok == "[" else "}")
+            return ("comm" if tok == "[" else "scomm", a, b)
+        if tok == "theta":
+            return ("theta",)
+        if tok.startswith("eps"):
+            return ("eps", self.index(tok[3:], k))
+        if tok.startswith("e"):
+            return ("gen", self.index(tok[1:], k))
+        raise self.error(f"unexpected {tok!r}", k)
 
 
 def parse(text: str):
@@ -173,7 +157,7 @@ _FOLDS = {
     "add": operator.add,
     "sub": operator.sub,
     "mul": operator.mul,
-    "comm": lambda a, b: a * b - b * a,
+    "comm": commutator,
 }
 
 
@@ -216,12 +200,10 @@ def compile_grass(node, algebra: GrassAlgebra) -> GrassElem:
             return algebra.theta()
         if op == "eps":
             return algebra.eps(node[1])
-        if op == "gen":
+        if op == "gen" or op == "var":
             return algebra.gen(node[1])
         if op == "neg":
             return -_evaluate(node[1], leaf)
-        if op == "var":
-            return algebra.gen(node[1])
         if op == "scomm":
             return scommutator(_evaluate(node[1], leaf), _evaluate(node[2], leaf))
         if op == "tr":

@@ -227,7 +227,7 @@ class GrassAlgebra(WordAlgebra):
 
 
 def commutator(a: GrassElem, b: GrassElem) -> GrassElem:
-    return a * b - b * a
+    return a.commutator(b)
 
 
 def scommutator(a: AlgebraElem, b: AlgebraElem) -> AlgebraElem:

@@ -7,8 +7,9 @@ coefficient}.  ``ring`` is any object with ``add``, ``neg``, ``mul``,
 to its canonical residue (the torsion of repeated words); stored
 coefficients are already reduced, so only a sum needs it.  ``TermMap``
 is the base of every container: it owns their parent check, equality,
-sums, negation, scaling and powers.  ``TracePoly`` lives here so that
-the co-module code need not import the trace normalizer.
+sums, negation, scaling, powers and commutator a*b - b*a.  A product by a
+constant is a scaling.  ``TracePoly`` lives here so that the co-module
+code need not import the trace normalizer.
 """
 
 from __future__ import annotations
@@ -108,6 +109,10 @@ class TermMap:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _constant(self):
+        """c of a constant {(): c}, or None; c is central: a product by it scales."""
+        return self.terms.get(()) if len(self.terms) == 1 else None
+
     def __eq__(self, other):
         return (
             type(other) is type(self)
@@ -137,6 +142,9 @@ class TermMap:
 
     def scale_int(self, n: int):
         return self.scale_coeff(self._coeff_ring().from_int(n))
+
+    def commutator(self, other):
+        return self * other - other * self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -191,6 +199,10 @@ class AlgebraElem(TermMap):
 
     def __mul__(self, other):
         self._check(other)
+        if (c := other._constant()) is not None:
+            return self.scale_coeff(c)
+        if (c := self._constant()) is not None:
+            return other.scale_coeff(c)
         alg = self.algebra
         out: dict = {}
         for u, cu in self.terms.items():
@@ -278,6 +290,10 @@ class TracePoly(TermMap):
 
     def __mul__(self, other: "TracePoly") -> "TracePoly":
         self._check(other)
+        if (c := other._constant()) is not None:
+            return self.scale_coeff(c)
+        if (c := self._constant()) is not None:
+            return other.scale_coeff(c)
         ring = self.ring
         out: dict = {}
         for ta, ca in self.terms.items():
@@ -286,7 +302,24 @@ class TracePoly(TermMap):
         return TracePoly(ring, out)
 
     def commutator(self, other: "TracePoly") -> "TracePoly":
-        return self * other - other * self
+        """a*b - b*a, in its term order, by one ring product per term pair."""
+        self._check(other)
+        ring, a, b = self.ring, self.terms, other.terms
+        out, products = {}, []  # products: (tb + ta, ca*cb) of each pair
+        for ta, ca in a.items():
+            for tb, cb in b.items():
+                c = ring.mul(ca, cb)
+                add_term(ring, out, ta + tb, c)
+                products.append((tb + ta, c))
+        if len(a) > 1 and len(b) > 1:  # else b*a's words are distinct, in this order
+            ba: dict = {}
+            for j in range(len(b)):
+                for key, c in products[j::len(b)]:
+                    add_term(ring, ba, key, c)
+            products = ba.items()
+        for key, c in products:
+            add_term(ring, out, key, ring.neg(c))
+        return TracePoly(ring, out)
 
     def trace(self) -> "TracePoly":
         """Apply F, linearly."""

@@ -794,3 +794,34 @@ def test_one_chunk_parity_words_match_their_definition():
                     sigma = list(range(1, n + 1))
                     rng.shuffle(sigma)
                     assert parity(sigma) == parity_by_definition(vertices, masks, sigma), (vertices, sigma)
+
+
+def adjacent_products(rng, n) -> tuple:
+    """A product of one or two adjacent transpositions of 1..n."""
+    sigma = list(range(1, n + 1))
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randrange(n - 1)
+        sigma[k], sigma[k + 1] = sigma[k + 1], sigma[k]
+    return tuple(sigma)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_sign_sums_hold_no_zero_value(ring):
+    # expansions that cancel on a mask, and groups whose transforms meet on
+    # one, leave no key with the value 0: psi(2*x1x3x2 - x1x2x3 - x2x1x3)
+    # has no constant term, and sums of products of adjacent
+    # transpositions cancel on many masks
+    f = MultilinearPoly(3, ZZ, {(1, 3, 2): 2, (1, 2, 3): -1, (2, 1, 3): -1})
+    assert comodule._sign_sum(f) == ({12: -2, 6: 1}, 1)
+    rng = random.Random(139)
+    for n in range(2, 13):
+        for _ in range(6):
+            coeffs: dict = {}
+            for _ in range(rng.randint(2, 6)):
+                sigma = adjacent_products(rng, n)
+                coeffs[sigma] = coeffs.get(sigma, 0) + rng.choice(UNITS)
+            coeffs = {w: in_ring_coefficient(ring, c) for w, c in coeffs.items()}
+            f = MultilinearPoly(n, ring, {w: c for w, c in coeffs.items() if not ring.is_zero(c)})
+            acc, _ = comodule._sign_sum(f)
+            assert all(acc.values()), n
+            assert keyed(psi(f)) == oracle_psi(ring, f), n

@@ -137,3 +137,49 @@ def test_roundtrip_trace_render():
     f = (x1 * x2.trace() * x3).trace() - x3 * x1 * x2.trace()
     back = compile_trace_poly(parse(f.render()), ring)
     assert back == f
+
+
+# Every kind of ExprSyntaxError, with its message, line and column: an
+# unknown symbol raises before any parse error, an int token shows
+# without quotes, and the end of the text is the token ''.
+SYNTAX_ERRORS = [
+    ("x1 + + $", "unknown symbol '$'", 1, 8),
+    ("x1 2 + $", "unknown symbol '$'", 1, 8),
+    ("e1 + @", "unknown symbol '@'", 1, 6),
+    ("ep1", "unknown symbol 'ep1'", 1, 1),
+    ("x1 + eps", "unknown symbol 'eps'", 1, 6),
+    ("theta x", "unknown symbol 'x'", 1, 7),
+    ("x٣", "unknown symbol 'x٣'", 1, 1),
+    ("٣", "unknown symbol '٣'", 1, 1),
+    ("x1 5", "unexpected 5", 1, 4),
+    ("x1\t-\n\n 7 8", "unexpected 8", 3, 4),
+    ("5 x1", "unexpected 'x1'", 1, 3),
+    ("x1)", "unexpected ')'", 1, 3),
+    ("x1, x2", "unexpected ','", 1, 3),
+    ("x1 + * x2", "unexpected '*'", 1, 6),
+    ("- - x1", "unexpected '-'", 1, 3),
+    ("x1 +\n  * x2", "unexpected '*'", 2, 3),
+    ("x1 +", "unexpected ''", 1, 5),
+    ("-", "unexpected ''", 1, 2),
+    ("", "unexpected ''", 1, 1),
+    ("   ", "unexpected ''", 1, 4),
+    ("(x1", "expected ')', found ''", 1, 4),
+    ("Tr(x1", "expected ')', found ''", 1, 6),
+    ("Tr x1", "expected '(', found 'x1'", 1, 4),
+    ("[x1 x2]", "expected ',', found 'x2'", 1, 5),
+    ("[x1, x2", "expected ']', found ''", 1, 8),
+    ("{x1, x2)", "expected '}', found ')'", 1, 8),
+    ("e1 + x1001", f"index 1001 is above {MAX_INDEX}", 1, 6),
+    ("e1 + eps1001", f"index 1001 is above {MAX_INDEX}", 1, 6),
+    ("(" * 101 + "x1" + ")" * 101, f"more than {MAX_NESTING} nested brackets", 1, 102),
+    ("[x1," * 101 + "x2" + "]" * 101, f"more than {MAX_NESTING} nested brackets", 1, 402),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", SYNTAX_ERRORS)
+def test_syntax_error_table(text, message, line, col):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} at line {line}, column {col}"
+    before = text[: err.value.pos]
+    assert (before.count("\n") + 1, len(before) - before.rfind("\n")) == (line, col)

@@ -8,6 +8,8 @@ refuses an operand of another parent, and a negative on a repeated word
 keeps the canonical torsion residue.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,7 @@ from epsgrass.comodule import MultilinearPoly
 from epsgrass.hull import GradedPoly
 from epsgrass.rings import RingMismatchError
 from epsgrass.supertrace import MonomialTerm, StandardForm, model_eval
-from epsgrass.terms import TracePoly, add_terms
+from epsgrass.terms import TracePoly, add_term, add_terms
 
 from conftest import keyed
 
@@ -328,3 +330,113 @@ def test_every_container_refuses_another_parents_element():
         if hasattr(a, "__mul__"):
             with pytest.raises(RingMismatchError):
                 a * b
+
+
+CONST_RINGS = [ZZ, QQ, ModRing(4), ModRing(6)]
+CONST_RING_IDS = ["Z", "Q", "Z4", "Z6"]
+
+
+def plain_product(x, y) -> dict:
+    """The terms of x*y from every pair of terms, with no shortcut for a
+    constant."""
+    out: dict = {}
+    if isinstance(x, TracePoly):
+        for ta, ca in x.terms.items():
+            for tb, cb in y.terms.items():
+                add_term(x.ring, out, ta + tb, x.ring.mul(ca, cb))
+        return out
+    alg = x.algebra
+    for u, cu in x.terms.items():
+        for v, cv in y.terms.items():
+            word, sign = alg._merge(u, v)
+            alg._accumulate(out, word, cu * cv * sign)
+    return out
+
+
+def assert_products_by_constants(x, c, d):
+    """c*x, x*c, c*d and x*x against the term-by-term products, in value
+    and in term order."""
+    for a, b in ((c, x), (x, c), (c, d), (d, c), (x, x)):
+        got, want = (a * b).terms, plain_product(a, b)
+        assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("ring", CONST_RINGS, ids=CONST_RING_IDS)
+@PROPERTY
+@given(grass_data, selem_data, trace_data, eps_data, eps_data, coeffs, coeffs)
+def test_products_by_a_constant_are_term_by_term_products(ring, dg, ds, dt, dk, dl, k, l):
+    coeff = CoeffRing(ring)
+    k_poly, l_poly = eps_poly(coeff, dk), eps_poly(coeff, dl)
+    for alg, x in (
+        (GrassAlgebra(coeff), lambda a: grass_elem(a, dg)),
+        (GrassAlgebra(coeff, truncated=True), lambda a: grass_elem(a, dg)),
+        (SAlgebra(coeff), lambda a: selem(a, ds)),
+    ):
+        x = x(alg)
+        assert_products_by_constants(x, alg.one().scale_coeff(k_poly), alg.one().scale_coeff(l_poly))
+        assert_products_by_constants(x, alg.one().scale_int(k), alg.one().scale_int(l))
+    f = trace_poly(ring, dt)
+    assert_products_by_constants(f, TracePoly.const(ring, ring.from_int(k)), TracePoly.const(ring, ring.from_int(l)))
+
+
+@pytest.mark.parametrize("ring", CONST_RINGS, ids=CONST_RING_IDS)
+def test_products_by_a_constant_on_repeated_words_and_torsion(ring):
+    coeff = CoeffRing(ring)
+    two = ring.from_int(2)
+    for alg in (GrassAlgebra(coeff), GrassAlgebra(coeff, truncated=True)):
+        # e1^2*e2 carries the torsion residue of eps1 and theta*eps1
+        x = grass_elem(alg, [([1, 1, 2], [(0, frozenset({1}), 1), (1, frozenset({1}), 3), (0, frozenset(), 2)]), ([2], [(0, frozenset(), 2)])])
+        c = alg.one().scale_coeff(coeff.one() + coeff.eps(1))
+        for d in (alg.from_int(2), alg.from_int(3), alg.one().scale_coeff(coeff.theta() * coeff.eps(1))):
+            assert_products_by_constants(x, c, d)
+            assert_products_by_constants(x, d, c)
+    s_alg = SAlgebra(coeff)
+    y = s_alg.monomial([(frozenset({1}), 1), (frozenset({1}), 1)], coeff.one() + coeff.eps(1))
+    assert_products_by_constants(y, s_alg.one().scale_int(2), s_alg.one().scale_coeff(coeff.eps(1)))
+    f = TracePoly(ring, {(1, 1): two, (("F", (1,)), 2): ring.one()})
+    assert_products_by_constants(f, TracePoly.const(ring, two), TracePoly.const(ring, ring.from_int(3)))
+    if ring == ModRing(4):  # 2*2 = 0 kills a product of constants and a coefficient
+        alg = GrassAlgebra(coeff)
+        assert (alg.from_int(2) * alg.from_int(2)).is_zero()
+        assert (alg.from_int(2) * alg.gen(1).scale_int(2)).is_zero()
+        assert (TracePoly.const(ring, two) * f).terms == {(("F", (1,)), 2): two}
+
+
+def test_a_constant_of_another_parent_is_refused():
+    cz, cq = CoeffRing(ZZ), CoeffRing(QQ)
+    pairs = [
+        (GrassAlgebra(cz).from_int(2), GrassAlgebra(cq).gen(1)),
+        (GrassAlgebra(cz).from_int(2), GrassAlgebra(cz, truncated=True).gen(1)),
+        (GrassAlgebra(cz).from_int(2), GrassAlgebra(cq).from_int(3)),
+        (SAlgebra(cz).one().scale_int(2), SAlgebra(cq).gen({1}, 1)),
+        (TracePoly.const(ZZ, 2), TracePoly.letter(QQ, 1)),
+        (TracePoly.const(ZZ, 2), TracePoly.const(ModRing(4), 3)),
+    ]
+    for c, x in pairs:
+        for a, b in ((c, x), (x, c)):
+            with pytest.raises(RingMismatchError):
+                a * b
+            with pytest.raises(RingMismatchError):
+                a.commutator(b)
+
+
+def random_trace_poly(rng, ring) -> TracePoly:
+    """Up to four terms: words of up to three letters out of two, and a
+    trace, so that concatenations of terms often coincide."""
+    atoms = (1, 2, ("F", (1,)))
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        terms[tuple(rng.choice(atoms) for _ in range(rng.randint(0, 3)))] = rng.choice((-2, -1, 1, 2, 3))
+    return TracePoly(ring, {t: ring.from_int(c) for t, c in terms.items() if not ring.is_zero(ring.from_int(c))})
+
+
+@pytest.mark.parametrize("ring", CONST_RINGS, ids=CONST_RING_IDS)
+def test_trace_commutator_is_the_difference_of_products_in_order(ring):
+    # the terms of a*b, then those of b*a summed on their own: a sum on
+    # one word that cancels inside b*a leaves the word of a*b in its place
+    rng = random.Random(29)
+    for _ in range(3000):
+        a, b = random_trace_poly(rng, ring), random_trace_poly(rng, ring)
+        ba = {t: ring.neg(c) for t, c in plain_product(b, a).items()}
+        want = add_terms(ring, plain_product(a, b), ba)
+        assert list(a.commutator(b).terms.items()) == list(want.items())
