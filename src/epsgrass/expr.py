@@ -37,6 +37,10 @@ MAX_NESTING = 100
 # '(1 + eps1000)*e1000*e1 + x1000' takes 0.16-0.23 s and 22 MB, against
 # 0.89 s and 79 MB with 10000.
 MAX_INDEX = 1000
+# A digit run, of a literal or an index, is read with int(), which by
+# default refuses more than 4300 digits, with no position; a longer run
+# is refused in tokenize, at its position.
+MAX_DIGITS = 4300
 
 
 class ExprSyntaxError(ValueError):
@@ -58,14 +62,23 @@ def _token_start(text: str, k: int) -> int:
 def tokenize(text: str) -> list:
     """The tokens of one ``findall`` and the end token ''.  A token's first
     character tells its kind: a digit starts an int (kept as an int), a
-    letter a symbol, and any other is a lone punctuation or unknown one."""
+    letter a symbol, and any other is a lone punctuation or unknown one.
+    Unknown symbols are refused first, then runs of more than
+    ``MAX_DIGITS`` digits, found by length: no such run reaches ``int()``."""
     tokens = _TOKEN_RE.findall(text)
     for k, tok in enumerate(tokens):
         if tok[0] in "0123456789":
-            tokens[k] = int(tok)
+            if len(tok) <= MAX_DIGITS:
+                tokens[k] = int(tok)
         elif len(tok) == 1 and tok not in "-+*()[]{},":
             pos = _token_start(text, k)
             raise ExprSyntaxError(f"unknown symbol {text[pos:pos + 8]!r}", text, pos)
+    if len(text) > MAX_DIGITS:  # only then can a run be longer
+        for k, tok in enumerate(tokens):
+            # the digits of a literal left as text, or after an index's letters
+            if type(tok) is str and len(run := tok.lstrip("epsx")) > MAX_DIGITS:
+                pos = _token_start(text, k) + len(tok) - len(run)
+                raise ExprSyntaxError(f"more than {MAX_DIGITS} digits", text, pos)
     return tokens + [""]
 
 

@@ -15,24 +15,15 @@ F(x1*F(x2)*x3), which no combination of the structured terms can
 express).
 
 The reduction is computed semantically: polynomials are evaluated in a
-graded model (a free algebra whose trace values twist-commute past
-everything, with trace arguments identified up to twisted rotation) and
-the coordinates in the basis are recovered by an exact integer linear
-solve.  A monomial evaluates to exactly one model monomial times
-exp(P), P the eps-index pairs of every reordering on the way: each
-factor 1 - eps_i*eps_j squares to 1, so the exps of the steps compose
-into the exp of their joined pairs, one expansion over Z per monomial.
-One elimination per block of the basis, on +-1 pivots only, both picks
-the basis and certifies it: it is a unimodular integer transform, so
-the coordinates are unique and valid over every base ring.  A block's
-candidates are evaluated in one pass, a structured term from its
-fields: all of its signed words (each commutator a*b, or b*a with the
-opposite sign) share one model monomial, and swapping a commutator
-adds a fixed pair list to the exp of the all-a*b word, pairs(u_i, w_i)
-for [w_i, F(u_i)], pairs(u, u') for [F(u), F(u')] and pairs(s, t) for
-F([s, t]).  Each distinct exp of the block is expanded once, and the
-columns are numbered as the entries are summed.  Four defining
-identities generate everything:
+graded model, in which trace values twist-commute past everything, and
+their coordinates are solved block by block, a block being the letters
+outside every trace and the letters of each trace.  One elimination per
+block, on +-1 pivots only, picks the basis and certifies it
+(``_block_solver``): a unimodular integer transform, it makes the
+coordinates unique and valid over every base ring.  A block with no
+trace part is the free algebra on its letters, and a value's
+coordinates there are its own coefficients (``trace_normalize``).  Four
+defining identities generate everything:
 
     F(F(x)y) = F(x)F(y)        F(xF(y)) = F(x)F(y)
     [x, F([y,z])] = 0          [F(x), [F(y), z]] = 0
@@ -44,7 +35,7 @@ beside the matrix type.
 
 from __future__ import annotations
 
-from itertools import permutations, product as iproduct
+from itertools import compress, permutations, product as iproduct
 from typing import NamedTuple
 
 from .epsilon import InternalError, _expand, _odd_factors
@@ -72,8 +63,8 @@ class TraceArgumentError(ValueError):
 # -- the graded evaluation model -----------------------------------------
 #
 # Values are C[eps]-combinations of monomials (w0, traces): a plain word
-# of letters followed by formal trace factors, as a flat vector
-# {((w0, traces), eps mask): c}.  Letters are graded by their own
+# of letters followed by formal trace factors, grouped by monomial as
+# {(w0, traces): {eps mask: c}}.  Letters are graded by their own
 # index; trace values twist-commute past everything, and a trace argument may be
 # rotated at the cost of an exp factor.  The four defining identities
 # hold here, so evaluation kills exactly their consequences (on
@@ -173,19 +164,19 @@ def _model_sum(entries, columns: dict, expansions: dict, n: int) -> tuple:
 
 
 def model_eval(f: TracePoly) -> dict:
-    """The model value of f as a flat vector {((w0, traces), eps mask): c}
-    over f's ring: the coefficients are summed with Python arithmetic and
-    mapped into the ring once, with the zeros pruned, as
-    ``EpsPoly.__mul__`` does."""
+    """The model value of f over f's ring, grouped by model monomial:
+    {(w0, traces): {eps mask: c}}.  The coefficients are summed with
+    Python arithmetic and mapped into the ring once, with the zeros
+    pruned, as ``EpsPoly.__mul__`` does; a monomial whose masks all
+    cancel is left out."""
     columns: dict = {}
-    acc, n = _model_sum(_term_entries(f.terms.items()), columns, {}, 0)
-    keys: list = [None] * n
-    for mono, cols in columns.items():
-        for m, j in cols.items():
-            keys[j] = mono, m
+    acc, _ = _model_sum(_term_entries(f.terms.items()), columns, {}, 0)
     frm = f.ring.from_int
-    # columns numbered afresh come in the order acc first holds them
-    return {k: c for k, c in zip(keys, map(frm, acc.values())) if c}
+    out = {}
+    for mono, cols in columns.items():
+        if masks := {m: c for m, j in cols.items() if (c := frm(acc[j]))}:
+            out[mono] = masks
+    return out
 
 
 # -- the standard form -----------------------------------------------------
@@ -489,9 +480,7 @@ def enumerate_nested_monomials(outer: frozenset, parts: frozenset) -> list[Monom
             seqs = []
             for picks in iproduct(*child_opts):
                 fatoms = [("F", p) for p in picks]
-                seqs.extend(
-                    _interleavings(sorted(part_list[i]), fatoms, True)
-                )
+                seqs.extend(_interleavings(sorted(part_list[i]), fatoms, True))
             return seqs
 
         top_opts = [node_options(j) for j in children[-1]]
@@ -537,10 +526,9 @@ def _candidate_vectors(candidates: list) -> tuple[dict, int, list]:
     """(columns, n, vectors): the model value of each candidate's
     ``words`` over Z as a vector {column: nonzero int}, with the n
     columns {(w0, traces): {eps mask: column}} numbered as they are first
-    seen.  A structured candidate's value comes from its fields
-    (``_structured_entries``), a nested monomial's from its one word.
-    Each distinct exp of the candidates is expanded once, in a table
-    dropped with the call."""
+    seen and one table of exp expansions for the call.  A structured
+    candidate's value comes from its fields (``_structured_entries``), a
+    nested monomial's from its one word."""
     columns: dict = {}
     expansions: dict = {}
     vectors = []
@@ -556,6 +544,7 @@ def _candidate_vectors(candidates: list) -> tuple[dict, int, list]:
 
 
 _BLOCK_CACHE: dict = {}
+_CHECKED: dict = {}  # each answer term that passed its check -> its arity
 
 
 def _block_solver(outer: frozenset, parts: frozenset):
@@ -593,31 +582,41 @@ def _block_solver(outer: frozenset, parts: frozenset):
 
 def trace_normalize(f: TracePoly) -> StandardForm:
     """Canonical standard form of a multilinear polynomial, modulo the
-    four defining identities."""
+    four defining identities.  A block with no trace part, (outer, {}),
+    is read in closed form: evaluating a word w of its basis moves no
+    trace, so charges no pair, and its value is (w, ()) at mask 0.  The
+    elimination keeps these distinct unit vectors, and a value's
+    coordinates there are its own coefficients.  Each term of an answer
+    passes ``check_standard_term``, or the monomial check, once."""
     n = f.require_multilinear()
     if n > MAX_TRACE_ARITY:
         raise ValueError(f"arity {n} exceeds the supported bound {MAX_TRACE_ARITY}")
     ring = f.ring
-    # group the value by block pattern
-    groups: dict = {}
-    for (mono, m), c in model_eval(f).items():
-        w0, traces = mono
-        pattern = (frozenset(w0), frozenset(frozenset(v) for v in traces))
-        groups.setdefault(pattern, {})[mono, m] = c
     items: dict = {}
-    for pattern, part in groups.items():
+    groups: dict = {}
+    for mono, masks in model_eval(f).items():
+        w0, traces = mono
+        if traces:
+            pattern = frozenset(w0), frozenset([frozenset(v) for v in traces])
+            groups.setdefault(pattern, []).append((mono, masks))
+        elif masks.keys() == {0}:
+            items[StandardTerm(w0, (), (), (), ())] = masks[0]
+        else:
+            raise InternalError("value outside the span of the standard basis")
+    for pattern, values in groups.items():
         basis, columns, solver = _block_solver(*pattern)
         try:
-            vec = {columns[mono][m]: c for (mono, m), c in part.items()}
+            vec = {columns[mono][m]: c for mono, masks in values for m, c in masks.items()}
         except KeyError:
             raise InternalError("value outside the span of the standard basis") from None
         sol, ok = solver.solve(vec, ring)
         if not ok:
             raise InternalError("value not solvable in the standard basis")
-        for term, c in zip(basis, sol):
-            if not ring.is_zero(c):
-                items[term] = c
+        # a zero of the ring is falsy, as in model_eval
+        items.update(zip(compress(basis, sol), filter(None, sol)))
     for term in items:
+        if _CHECKED.get(term) == n:
+            continue
         if isinstance(term, StandardTerm):
             try:
                 check_standard_term(term, n)
@@ -628,6 +627,7 @@ def trace_normalize(f: TracePoly) -> StandardForm:
             and sorted(term.letters()) == list(range(1, n + 1))
         ):
             raise InternalError(f"basis monomial {term.term} is not irreducible")
+        _CHECKED[term] = n
     return StandardForm(ring, items)
 
 

@@ -41,10 +41,11 @@ def product_trace_poly(term, ring) -> TracePoly:
 
 
 def candidate_values(candidates) -> list:
-    """The model value over Z of each candidate's product polynomial, as
-    ``model_eval`` gives it: {((w0, traces), eps mask): int}."""
+    """The model value over Z of each candidate's product polynomial, by
+    ``model_eval``, as one vector {((w0, traces), eps mask): int}."""
     zz = IntegerRing()
-    return [model_eval(product_trace_poly(cand, zz)) for cand in candidates]
+    values = [model_eval(product_trace_poly(cand, zz)) for cand in candidates]
+    return [{(mono, m): c for mono, masks in v.items() for m, c in masks.items()} for v in values]
 
 
 def scan_rotation(word: tuple, pairs: list) -> tuple:

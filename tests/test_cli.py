@@ -376,21 +376,29 @@ def test_a_modulus_with_a_large_least_prime_factor_answers_at_once():
 def test_a_malformed_basis_term_exits_4(flags):
     # trace_normalize checks each basis term of its answer: a block whose
     # basis is patched with a term that is not standard, or with a
-    # reducible monomial, is an internal error, under python -O too
+    # reducible monomial, is an internal error, under python -O too; so
+    # is a term patched in after its block has answered
     code = (
         "from epsgrass import cli, supertrace\n"
+        "from epsgrass.expr import compile_trace_poly, parse\n"
+        "from epsgrass.rings import IntegerRing\n"
         "from epsgrass.supertrace import MonomialTerm, StandardTerm\n"
         "solve = supertrace._block_solver\n"
         "solve(frozenset(), frozenset({frozenset({1, 2})}))[0][0] = StandardTerm((), ((2, 1),), (), (), ())\n"
         "parts = frozenset({frozenset({1, 3}), frozenset({2})})\n"
         "solve(frozenset(), parts)[0][3] = MonomialTerm((('F', (('F', (2,)), 1, 3)),))\n"
         "print(cli.main(['trace-check', 'Tr(x1*x2)']), cli.main(['trace-check', 'Tr(x1*Tr(x2)*x3)']))\n"
+        "f = compile_trace_poly(parse('Tr(x1*x2*x3)'), IntegerRing())\n"
+        "first = supertrace.trace_normalize(f).render()\n"
+        "solve(frozenset(), frozenset({frozenset({1, 2, 3})}))[0][0] = StandardTerm((), ((2, 3, 1),), (), (), ())\n"
+        "print(first, cli.main(['trace-check', 'Tr(x1*x2*x3)']))\n"
     )
     done = fresh_python(*flags, "-c", code)
-    assert (done.returncode, done.stdout) == (0, "4 4\n")
+    assert (done.returncode, done.stdout) == (0, "4 4\nTr(x1*x2*x3) 4\n")
     assert done.stderr == (
         "internal error: basis term is not standard: trace word (2, 1) not cyclic-minimal\n"
         "internal error: basis monomial (('F', (('F', (2,)), 1, 3)),) is not irreducible\n"
+        "internal error: basis term is not standard: trace word (2, 3, 1) not cyclic-minimal\n"
     )
 
 

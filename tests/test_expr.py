@@ -2,6 +2,7 @@ import pytest
 
 from epsgrass import CoeffRing, GrassAlgebra, ZZ, commutator
 from epsgrass.expr import (
+    MAX_DIGITS,
     MAX_INDEX,
     MAX_NESTING,
     ExprSyntaxError,
@@ -173,6 +174,15 @@ SYNTAX_ERRORS = [
     ("e1 + eps1001", f"index 1001 is above {MAX_INDEX}", 1, 6),
     ("(" * 101 + "x1" + ")" * 101, f"more than {MAX_NESTING} nested brackets", 1, 102),
     ("[x1," * 101 + "x2" + "]" * 101, f"more than {MAX_NESTING} nested brackets", 1, 402),
+    # digit runs past MAX_DIGITS, refused at the run after every unknown
+    # symbol; runs within the bound keep their messages
+    pytest.param("e1 + " + "9" * 4301 + " + $", "unknown symbol '$'", 1, 4310, id="long-run-then-$"),
+    pytest.param("e1 + " + "9" * 4301, f"more than {MAX_DIGITS} digits", 1, 6, id="long-literal"),
+    pytest.param("x" + "1" * 4301, f"more than {MAX_DIGITS} digits", 1, 2, id="long-x-index"),
+    pytest.param("x1 + eps" + "0" * 4301, f"more than {MAX_DIGITS} digits", 1, 9, id="long-eps-index"),
+    pytest.param("2*e" + "0" * 4297 + "1001", f"more than {MAX_DIGITS} digits", 1, 4, id="long-e-index"),
+    pytest.param("e" + "0" * 4296 + "1001", f"index 1001 is above {MAX_INDEX}", 1, 1, id="index-at-bound"),
+    pytest.param("9" * 4300 + " x1", "unexpected 'x1'", 1, 4302, id="literal-at-bound"),
 ]
 
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -498,11 +499,8 @@ def test_identity_decision_composite_modulus():
 
 
 def model_terms(value):
-    """The flat model value as {mono: {(t, eps): c}}."""
-    out: dict = {}
-    for (mono, mask), c in value.items():
-        out.setdefault(mono, {})[monomial_key(mask)] = c
-    return out
+    """The model value as {mono: {(t, eps): c}}."""
+    return {mono: {monomial_key(m): c for m, c in masks.items()} for mono, masks in value.items()}
 
 
 def nests(term) -> bool:
@@ -609,7 +607,13 @@ def test_block_basis_is_the_rational_choice():
         vectors = []
         for cand in candidates:
             value = supertrace.model_eval(cand.to_trace_poly(ZZr))
-            vectors.append({columns.setdefault(key, len(columns)): c for key, c in value.items()})
+            vectors.append(
+                {
+                    columns.setdefault((mono, m), len(columns)): c
+                    for mono, masks in value.items()
+                    for m, c in masks.items()
+                }
+            )
         dense = [[vec.get(j, 0) for j in range(len(columns))] for vec in vectors]
         chosen = [candidates[k] for k in rational_choice(dense)]
         assert supertrace._block_solver(outer, parts)[0] == chosen, (outer, parts)
@@ -676,17 +680,91 @@ def test_value_outside_the_block_columns_raises_internal_error(monkeypatch):
     # a model value on a monomial, or on a mask of a known monomial, that
     # no candidate of its block reaches is a certificate failure
     monkeypatch.setattr(supertrace, "_BLOCK_CACHE", {})
-    _, columns, _ = supertrace._block_solver(frozenset({1, 2}), frozenset())
-    assert trace_normalize(word(2, 1)).items
-    del columns[((2, 1), ())]
+    f = x(1) * x(2).trace()
+    _, columns, _ = supertrace._block_solver(frozenset({1}), frozenset({frozenset({2})}))
+    assert trace_normalize(f).items
+    del columns[((1,), ((2,),))]
     with pytest.raises(InternalError, match="outside the span of the standard basis"):
-        trace_normalize(word(2, 1))
+        trace_normalize(f)
     _, columns, _ = supertrace._block_solver(frozenset(), frozenset({frozenset({1, 2})}))
     value = supertrace.model_eval(word(2, 1).trace())
-    assert [m for _, m in value] == [0, 0b110]
+    assert [m for masks in value.values() for m in masks] == [0, 0b110]
     del columns[((), ((1, 2),))][0b110]
     with pytest.raises(InternalError, match="outside the span of the standard basis"):
         trace_normalize(word(2, 1).trace())
+    # a trace-free value is read in closed form: one on a nonzero mask
+    # is outside the span of the words
+    monkeypatch.setattr(supertrace, "model_eval", lambda f: {((2, 1), ()): {0b110: 1}})
+    with pytest.raises(InternalError, match="outside the span of the standard basis"):
+        trace_normalize(word(2, 1))
+
+
+def test_trace_free_blocks_keep_every_word():
+    # the closed form of a block with no trace part is its certificate:
+    # the elimination keeps all n! words, in the closed form's terms
+    for n in range(7):
+        outer = frozenset(range(1, n + 1))
+        basis, _, solver = supertrace._block_solver(outer, frozenset())
+        words = [StandardTerm(w, (), (), (), ()) for w in permutations(range(1, n + 1))]
+        assert basis == words and solver.kept == list(range(len(words))), n
+
+
+def elimination_form(f) -> dict:
+    """The terms of the standard form of f with every block, the
+    trace-free one too, solved against its certified basis."""
+    ring = f.ring
+    groups: dict = {}
+    for mono, masks in supertrace.model_eval(f).items():
+        w0, traces = mono
+        pattern = frozenset(w0), frozenset(frozenset(v) for v in traces)
+        groups.setdefault(pattern, {}).update(((mono, m), c) for m, c in masks.items())
+    items = {}
+    for pattern, part in groups.items():
+        basis, columns, solver = supertrace._block_solver(*pattern)
+        sol, ok = solver.solve({columns[mono][m]: c for (mono, m), c in part.items()}, ring)
+        assert ok, f.render()
+        items.update((t, c) for t, c in zip(basis, sol) if not ring.is_zero(c))
+    return items
+
+
+@pytest.mark.parametrize(
+    "ring", [ZZr, QQ, ModRing(4), ModRing(6)], ids=["Z", "Q", "Z4", "Z6"]
+)
+def test_closed_form_blocks_equal_the_elimination(ring, rng):
+    # seeded random values on 1-6 letters, trace-free or mixed with terms
+    # that have traces, some with coefficients that cancel in the ring
+    mixed = 0
+    for k in range(60):
+        n = 1 + k % 6
+        terms: dict = {}
+        for _ in range(rng.randint(1, 4)):
+            w = tuple(rng.sample(range(1, n + 1), n))
+            terms[w] = terms.get(w, 0) + rng.choice([-4, -3, -1, 1, 2, 6])
+        if k % 3:
+            terms.update(_random_trace_poly(rng, n).terms)
+            mixed += 1
+        scale = Fraction(rng.randint(1, 5), rng.randint(1, 4)) if ring is QQ else 1
+        values = {t: ring.from_int(c) * scale for t, c in terms.items()}
+        f = TracePoly(ring, {t: c for t, c in values.items() if not ring.is_zero(c)})
+        try:
+            want = elimination_form(f)
+        except TraceArgumentError:
+            continue
+        assert trace_normalize(f).items == want, f.render()
+    assert mixed == 40
+
+
+def test_each_answer_term_is_checked_once(monkeypatch):
+    calls = []
+    check = supertrace.check_standard_term
+    monkeypatch.setattr(supertrace, "_CHECKED", {})
+    monkeypatch.setattr(
+        supertrace, "check_standard_term", lambda term, n: calls.append(term) or check(term, n)
+    )
+    f = x(1).commutator(x(2).trace()) * x(3) + word(3, 1, 2)
+    form = trace_normalize(f)
+    assert sorted(calls) == sorted(form.items) and len(calls) == 3
+    assert trace_normalize(f) == form and len(calls) == 3
 
 
 def test_canonical_rotation_matches_the_scan(rng):
