@@ -17,6 +17,15 @@ failed), 141 the reader closed the output pipe (as ``epsgrass signs
 --n 7 | head -1`` does; nothing more is printed, and 141 = 128 +
 SIGPIPE is what a shell reports for a program that the signal ends).
 
+An expression is computed in the ring's ``eval_ring``, on ints, and its
+value is mapped into ``--ring`` once: Z and Z/m compute in themselves
+(Z/m so collapses mod m early), and Q in its integers, whose residues
+drop the torsion at once (see ``rings._IntegralRationals``).  The
+grammar has only integer constants, so this gives the value over Q.
+``WordAlgebra.base_change``, ``TracePoly.base_change`` and
+``MultilinearPoly.from_word_poly`` map the value.  Z and Q refuse to
+print a coefficient of more than ``MAX_DIGITS`` digits (exit 2).
+
 Start-up dominates one call: a process spends far longer importing and
 compiling the package than answering a small query.  So this module
 loads at start-up only ``rings``, ``terms``, ``epsilon``,
@@ -167,15 +176,18 @@ def _run(args) -> int:
     ring = ring_from_spec(args.ring)
     tree = parse(args.expr) if "expr" in args else None
 
+    calc = ring.eval_ring  # see the module docstring
+
     if command == "normalize":
         algebra = GrassAlgebra(CoeffRing(ring), truncated=args.truncated)
-        elem = compile_grass(tree, algebra)
+        calc_algebra = algebra if calc is ring else GrassAlgebra(calc, truncated=args.truncated)
+        elem = algebra.base_change(compile_grass(tree, calc_algebra))
         text = elem.render()
         _report(args, ring, text, {"expr": elem.render_expr(), "zero": elem.is_zero()}, [text])
         return EXIT_OK
 
     if command == "check-identity":
-        f = MultilinearPoly.from_word_poly(compile_trace_poly(tree, ring), args.vars)
+        f = MultilinearPoly.from_word_poly(compile_trace_poly(tree, calc), args.vars, ring)
         verdict = is_identity(f)
         text = "identity" if verdict else "not an identity"
         _report(args, ring, verdict, {"vars": args.vars}, [text])
@@ -240,7 +252,7 @@ def _run(args) -> int:
         return EXIT_OK if ok else EXIT_NEGATIVE
 
     if command == "trace-check":
-        form = trace_normalize(compile_trace_poly(tree, ring))
+        form = trace_normalize(compile_trace_poly(tree, calc).base_change(ring))
         verdict = form.is_zero()
         text = form.render()
         lines = ["identity" if verdict else "not an identity", f"standard form: {text}"]
@@ -250,7 +262,7 @@ def _run(args) -> int:
     if command == "trace-witness":
         from .hull import SuperTraceContext, eval_trace_poly, witness_search
 
-        f = compile_trace_poly(tree, ring)
+        f = compile_trace_poly(tree, calc).base_change(ring)
         if trace_normalize(f).is_zero():
             _report(args, ring, None, {"identity": True}, ["identity; no witness exists"])
             return EXIT_NEGATIVE

@@ -44,7 +44,7 @@ from .epsilon import CoeffRing, EpsPoly, InternalError, all_monomials, exp_map, 
 from .grassmann import GrassElem, esgn, word_from_letters
 from .linalg import NoUnitPivot, SmithSolver
 from .rings import BaseRing, IntegerRing
-from .terms import TermMap, TracePoly, add_term
+from .terms import TermMap, TracePoly, add_term, map_terms
 from . import epsilon
 
 # The largest arity of the co-module certificate, whose budget is 30 s
@@ -82,16 +82,23 @@ class MultilinearPoly(TermMap):
         return (self.n, self.ring)
 
     @classmethod
-    def from_word_poly(cls, p: TracePoly, n: int) -> "MultilinearPoly":
-        """The polynomial p as arity n; p must not apply Tr."""
+    def from_word_poly(cls, p: TracePoly, n: int, ring: BaseRing | None = None) -> "MultilinearPoly":
+        """The polynomial p as arity n over ``ring`` (p's ring if None), each
+        coefficient through its ``from_int`` and the zeros dropped, as
+        ``TracePoly.base_change`` does; p must not apply Tr.  The words
+        kept are checked here, once."""
         if not all(isinstance(a, int) for w in p.terms for a in w):
             raise ValueError("Tr(...) is only allowed in trace expressions")
-        for w in p.terms:
-            if sorted(w) != list(range(1, n + 1)):
-                raise ValueError(
-                    f"monomial {w} is not multilinear in x1..x{n}"
-                )
-        return cls(n, p.ring, dict(p.terms))
+        letters = list(range(1, n + 1))
+
+        def check(w):
+            if sorted(w) != letters:
+                raise ValueError(f"monomial {w} is not multilinear in x1..x{n}")
+
+        f = cls.__new__(cls)
+        f.n, f.ring = n, p.ring if ring is None else ring
+        f.terms = map_terms(f.ring, p.terms, check)
+        return f
 
     @classmethod
     def monomial(cls, n: int, ring: BaseRing, perm: Sequence[int], c=None) -> "MultilinearPoly":

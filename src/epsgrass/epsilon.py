@@ -188,6 +188,10 @@ class EpsPoly(TermMap):
     def _coeff_ring(self) -> BaseRing:
         return self.ring.base
 
+    def _check(self, other):
+        if type(other) is not type(self) or other.ring is not self.ring:
+            TermMap._check(self, other)
+
     def _one(self) -> "EpsPoly":
         return self.ring.one()
 

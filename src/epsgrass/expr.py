@@ -17,6 +17,12 @@ evaluation stay far below Python's recursion limit, and indices k of at
 most ``MAX_INDEX``.  A sum or product of any length costs no recursion
 depth: the parser builds it as a left-nested chain, and ``_evaluate``
 walks the chain in a loop.
+
+``compile_grass`` and ``compile_trace_poly`` compute in the algebra or
+ring they are given.  Every constant of the grammar is an integer, so
+over any ring the value is the image of an integral one: the command
+line compiles in ``ring.eval_ring`` and maps the value into the ring
+once, which over Q keeps the sums and products on ints.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import operator
 import re
 
 from .grassmann import GrassAlgebra, GrassElem, commutator, scommutator
-from .rings import BaseRing
+from .rings import MAX_DIGITS, BaseRing
 from .terms import TracePoly
 
 
@@ -38,9 +44,8 @@ MAX_NESTING = 100
 # 0.89 s and 79 MB with 10000.
 MAX_INDEX = 1000
 # A digit run, of a literal or an index, is read with int(), which by
-# default refuses more than 4300 digits, with no position; a longer run
-# is refused in tokenize, at its position.
-MAX_DIGITS = 4300
+# default refuses more than MAX_DIGITS (from ``rings``) digits, with no
+# position; a longer run is refused in tokenize, at its position.
 
 
 class ExprSyntaxError(ValueError):

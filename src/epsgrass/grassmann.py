@@ -110,6 +110,20 @@ class WordAlgebra:
         if not coeff.is_zero():
             add_term(self.coeff, terms, word, coeff, self._reduce_coeff)
 
+    def base_change(self, x):
+        """The image here of x, an element of an algebra of the same kind
+        whose scalars are ints: each scalar through this base's
+        ``from_int``, then each coefficient reduced to its residue here.
+        The residues of x's base need not be this base's: Z keeps 1 on a
+        theta-free monomial that meets a repeated letter, and Q and Z/m
+        for odd m keep 0.  An element of this algebra is its own image."""
+        if x.algebra is self:
+            return x
+        terms: dict = {}
+        for word, c in x.terms.items():
+            self._accumulate(terms, word, _to_poly(self.coeff, c.terms))
+        return self._elem(self, terms)
+
 
 class GrassElem(AlgebraElem):
     """Element of the algebra: finite map word -> C[eps] coefficient."""
@@ -375,7 +389,4 @@ def quotient_mod_theta(x: GrassElem) -> GrassElem:
     quotient = GrassAlgebra(
         CoeffRing(GF(2), theta_zero=True), truncated=x.algebra.truncated
     )
-    result: dict = {}
-    for word, c in x.terms.items():
-        quotient._accumulate(result, word, _to_poly(quotient.coeff, c.terms))
-    return GrassElem(quotient, result)
+    return quotient.base_change(x)

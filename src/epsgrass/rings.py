@@ -4,12 +4,30 @@ Ring objects are small strategy classes; elements are plain python
 values (``int`` for Z and Z/m, ``Fraction`` for Q).  All arithmetic is
 exact.  A capability that not every ring provides (an inverse of 2) is
 exposed as a method that raises ``CapabilityError`` so callers fail
-fast.
+fast.  Each ring names its ``eval_ring``, the ring with int elements in
+which the command line computes the value of an expression before
+mapping it into the ring once: Z and Z/m themselves, and for Q the
+integers of Q, ``_IntegralRationals``.  Z and Q print an integer of at
+most ``MAX_DIGITS`` digits, the bound of an integer literal, and refuse
+a longer one with a ``ValueError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+# A digit run of the expression grammar, and a printed integer, has at
+# most this many digits: Python's int() and str() refuse more by default,
+# with no position and a hint at a Python API.
+MAX_DIGITS = 4300
+_DIGIT_BOUND = 10**MAX_DIGITS
+
+
+def _render_int(a: int) -> str:
+    if -_DIGIT_BOUND < a < _DIGIT_BOUND:
+        return str(a)
+    raise ValueError(f"a coefficient of more than {MAX_DIGITS} digits is not printed")
 
 
 class RingError(Exception):
@@ -57,6 +75,13 @@ class BaseRing:
         """Canonical representative of a + 2*R (used for torsion reduction)."""
         raise NotImplementedError
 
+    @property
+    def eval_ring(self) -> "BaseRing":
+        """The ring in which an expression over this ring is computed; the
+        value is then mapped here by ``from_int`` of each scalar.  The
+        ring itself, unless a subclass names another."""
+        return self
+
     def two_is_zero(self) -> bool:
         return self.is_zero(self.from_int(2))
 
@@ -79,6 +104,8 @@ class IntegerRing(BaseRing):
     def mod2(self, a):
         return a % 2
 
+    render = staticmethod(_render_int)
+
     def __eq__(self, other):
         return isinstance(other, IntegerRing)
 
@@ -100,6 +127,14 @@ class RationalRing(BaseRing):
         # 2 is invertible, so 2*Q = Q and every residue is 0.
         return Fraction(0)
 
+    @property
+    def eval_ring(self) -> BaseRing:
+        return _QZ
+
+    def render(self, a) -> str:
+        text = _render_int(a.numerator)
+        return text if a.denominator == 1 else f"{text}/{_render_int(a.denominator)}"
+
     def sample(self, rng, lo: int = -3, hi: int = 3):
         den = rng.choice([1, 1, 1, 2, 3])
         return Fraction(rng.randint(lo, hi), den)
@@ -109,6 +144,41 @@ class RationalRing(BaseRing):
 
     def __hash__(self):
         return hash("Q")
+
+
+class _IntegralRationals(BaseRing):
+    """The integers of Q, in which an expression over Q is computed:
+    ints, with ``mod2`` = 0.  Its name and equality are its own, so it
+    never passes a parent check against Z.
+
+    The value over Q of every expression of the grammar is the image of
+    an integral value.  Its constants are integers, and so are the
+    structure constants of the algebra: theta^2 = 2, eps_i^2 =
+    theta*eps_i and the signs exp(eps_i*eps_j).  So the value is the
+    image under the ring homomorphism A_Z -> A_Q = A_Z (x) Q, whose
+    kernel is the torsion T of A_Z, a two-sided ideal.  On a word where
+    e_i repeats, T holds every monomial that meets eps_i: theta*eps_i*e_i^2
+    = 0, and 2 = theta^2 kills the theta-free ones; the rest of the
+    normal form is free.  With ``mod2`` = 0 this ring's residues drop
+    exactly those monomials, at once, as Q's residues do, so it computes
+    in A_Z/T, and ``from_int`` per coefficient maps A_Z/T into A_Q
+    injectively, onto residues that are already Q's.  In plain Z the
+    2-torsion would be carried, as 0/1 residues, until the end.
+    """
+
+    name = "Z in Q"
+
+    def from_int(self, n: int):
+        return int(n)
+
+    def mod2(self, a):
+        return 0
+
+    def __eq__(self, other):
+        return isinstance(other, _IntegralRationals)
+
+    def __hash__(self):
+        return hash("Z in Q")
 
 
 # Miller-Rabin with the 13 prime bases up to 41 decides every m below
@@ -195,6 +265,7 @@ class ModRing(BaseRing):
 
 ZZ = IntegerRing()
 QQ = RationalRing()
+_QZ = _IntegralRationals()
 
 
 def GF(p: int) -> ModRing:

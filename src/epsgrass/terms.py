@@ -59,6 +59,21 @@ def add_terms(ring, a: dict, b: dict, reduce=None) -> dict:
     return out
 
 
+def map_terms(ring, terms: dict, check=None) -> dict:
+    """The term map of terms carried into ``ring``: each coefficient
+    through ``ring.from_int``, the zeros dropped.  ``check(key)``, where
+    given, runs on the key of each term kept."""
+    frm, is_zero = ring.from_int, ring.is_zero
+    out = {}
+    for key, c in terms.items():
+        c = frm(c)
+        if not is_zero(c):
+            if check is not None:
+                check(key)
+            out[key] = c
+    return out
+
+
 def scale_terms(ring, terms: dict, c, reduce=None) -> dict:
     """The term map of terms * c, each product on the left of c."""
     out = {}
@@ -100,6 +115,9 @@ class TermMap:
         return type(self)(*self._parent(), terms)
 
     def _check(self, other):
+        """Raise ``RingMismatchError`` unless other's parent equals self's.
+        A container whose parent is one object passes an operand of its
+        own type over that same object before this comparison."""
         mine, theirs = self._parent(), other._parent()
         if mine != theirs:
             raise RingMismatchError(
@@ -182,6 +200,10 @@ class AlgebraElem(TermMap):
 
     def _parent(self) -> tuple:
         return (self.algebra,)
+
+    def _check(self, other):
+        if type(other) is not type(self) or other.algebra is not self.algebra:
+            TermMap._check(self, other)
 
     def _coeff_ring(self):
         return self.algebra.coeff
@@ -287,6 +309,17 @@ class TracePoly(TermMap):
 
     def _one(self) -> "TracePoly":
         return TracePoly.const(self.ring, self.ring.one())
+
+    def _check(self, other):
+        if type(other) is not type(self) or other.ring is not self.ring:
+            TermMap._check(self, other)
+
+    def base_change(self, ring: BaseRing) -> "TracePoly":
+        """The image over ``ring`` of a polynomial with int coefficients; a
+        polynomial over ``ring`` is its own image."""
+        if ring is self.ring:
+            return self
+        return TracePoly(ring, map_terms(ring, self.terms))
 
     def __mul__(self, other: "TracePoly") -> "TracePoly":
         self._check(other)

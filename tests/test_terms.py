@@ -410,6 +410,32 @@ def test_products_by_a_constant_on_repeated_words_and_torsion(ring):
         assert (TracePoly.const(ring, two) * f).terms == {(("F", (1,)), 2): two}
 
 
+def test_equal_parents_pass_and_foreign_ones_are_named():
+    # the same parent object passes at once, an equal one of another
+    # object by comparison; a foreign one names both parents
+    pairs = [
+        (GrassAlgebra(CoeffRing(ZZ)).gen(1), GrassAlgebra(CoeffRing(ZZ)).gen(2)),
+        (SAlgebra(CoeffRing(QQ)).gen({1}, 1), SAlgebra(CoeffRing(QQ)).gen({2}, 2)),
+        (CoeffRing(ZZ).eps(1), CoeffRing(ZZ).eps(2)),
+        (TracePoly.letter(ModRing(4), 1), TracePoly.letter(ModRing(4), 2)),
+    ]
+    for a, b in pairs:
+        assert a._parent() == b._parent() and a._parent()[0] is not b._parent()[0]
+        assert (a + b).terms == (b + a).terms == {**a.terms, **b.terms}
+        assert (a * b)._parent() == a._parent()
+    foreign = [
+        (GrassAlgebra(ZZ).gen(1), GrassAlgebra(QQ).gen(1), "GrassAlgebra(CoeffRing(Z)) vs GrassAlgebra(CoeffRing(Q))"),
+        (TracePoly.letter(ZZ, 1), TracePoly.letter(ModRing(4), 1), "Z vs Z/4"),
+        (CoeffRing(ZZ).eps(1), CoeffRing(QQ).eps(1), "CoeffRing(Z) vs CoeffRing(Q)"),
+        (GrassAlgebra(ZZ).gen(1), TracePoly.letter(ZZ, 1), "GrassAlgebra(CoeffRing(Z)) vs Z"),
+        (TracePoly.letter(ZZ, 1), MultilinearPoly.monomial(1, ZZ, (1,)), "Z vs 1, Z"),
+    ]
+    for a, b, text in foreign:
+        with pytest.raises(RingMismatchError) as err:
+            a + b
+        assert str(err.value) == text
+
+
 def test_a_constant_of_another_parent_is_refused():
     cz, cq = CoeffRing(ZZ), CoeffRing(QQ)
     pairs = [
